@@ -36,19 +36,6 @@ def bloch_from_state(state: StateVector) -> np.ndarray:
     return np.array([2.0 * cross.real, 2.0 * cross.imag, abs(a0) ** 2 - abs(a1) ** 2])
 
 
-def state_from_bloch(b) -> StateVector:
-    """Qubit state with the given unit Bloch vector."""
-    b = np.asarray(b, dtype=float)
-    norm = float(np.linalg.norm(b))
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"Bloch vector must be unit length, got |b| = {norm!r}")
-    b = b / norm
-    polar = np.arccos(np.clip(b[2], -1.0, 1.0))
-    azimuth = np.arctan2(b[1], b[0])
-    amps = np.array([np.cos(polar / 2.0), np.exp(1j * azimuth) * np.sin(polar / 2.0)])
-    return StateVector(2, amps / np.linalg.norm(amps))
-
-
 def rodrigues_rotate(vectors: np.ndarray, axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Rotate ``vectors`` about unit ``axes`` by ``angles`` (all broadcastable).
 

@@ -29,7 +29,6 @@ from .ensembles import (
     theorem1_ensemble,
     theorem2_ensemble,
     theorem4_ensemble,
-    theorem4_states,
 )
 from .exclusion import ExclusionProblem, exclusion_value, optimize, result_to_json
 from .experiment import (
@@ -78,8 +77,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("PSI_GAUGE_SEED", "0"))
+def _seed(text: str) -> int:
+    """A non-negative seed. argparse runs the PSI_GAUGE_SEED default through
+    this too, so a bad value there is a usage error like a bad flag."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer (--seed or PSI_GAUGE_SEED), got {text!r}"
+        )
+    return int(text)
 
 
 def _int_list(text: str) -> list:
@@ -97,7 +102,7 @@ def _add_protocol_flags(sub):
 
 
 def _add_common_flags(sub):
-    sub.add_argument("--seed", type=int, default=_default_seed())
+    sub.add_argument("--seed", type=_seed, default=os.environ.get("PSI_GAUGE_SEED", "0"))
     sub.add_argument("--out", type=str, default=None, help="write report to PATH")
 
 
@@ -191,7 +196,8 @@ def _envelope(args, results: dict) -> dict:
 
 
 def _render_json(args, results: dict) -> str:
-    return json.dumps(_envelope(args, results), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(_envelope(args, results), indent=2, sort_keys=True, allow_nan=False)
+    return text + "\n"
 
 
 def _render_csv(args, csv_text: str) -> str:
@@ -199,11 +205,18 @@ def _render_csv(args, csv_text: str) -> str:
     return f"# psigauge {__version__} {args.command} {header}\n{csv_text}"
 
 
+def _protocol_noise(args) -> NoiseSpec:
+    """The noise model of the protocol flags, after the shot-count check."""
+    if args.shots < 1:
+        raise UsageError("--shots must be >= 1")
+    return NoiseSpec(args.noise_p, args.noise_q)
+
+
 def cmd_thm1(args) -> str:
     if args.dim < 2:
         raise UsageError("--dim must be >= 2")
+    noise = _protocol_noise(args)
     ensemble = theorem1_ensemble(args.dim)
-    noise = NoiseSpec(args.noise_p, args.noise_q)
     report = run_protocol(ensemble, noise, args.shots, args.confidence, args.seed)
     results = report_to_json(report)
     results["dim"] = args.dim
@@ -220,8 +233,8 @@ def cmd_thm2(args) -> str:
         raise UsageError(
             f"--dim**--copies = {args.dim}**{args.copies} exceeds the cap of {TENSOR_CAP}"
         )
+    noise = _protocol_noise(args)
     ensemble = theorem2_ensemble(args.dim, args.copies)
-    noise = NoiseSpec(args.noise_p, args.noise_q)
     report = run_protocol(ensemble, noise, args.shots, args.confidence, args.seed)
     results = report_to_json(report)
     delta_nd = ensemble.params["delta_nd"]
@@ -247,9 +260,9 @@ def cmd_thm4(args) -> str:
     if not 0.0 < t <= t_max + 1e-12:
         raise UsageError(f"--t must lie in (0, {t_max:.12f}] for dimension {args.dim}")
     ensemble = theorem4_ensemble(args.dim, t)
-    states, center = theorem4_states(args.dim, t)
-    overlaps = [abs(inner(s, center)) for s in states]
-    value = exclusion_value(list(states), ensemble.measurement)
+    states = ensemble.states
+    overlaps = [abs(inner(s, ensemble.center)) for s in states]
+    value = exclusion_value(states, ensemble.measurement)
     results = {
         "dim": args.dim,
         "t": t,
@@ -469,8 +482,8 @@ def cmd_sweep(args) -> str:
         if min(args.dims) < 3:
             raise UsageError("thm2 dims must be >= 3")
         factory = theorem2_ensemble
+    noise = _protocol_noise(args)
     grid = [(d, n) for d in args.dims for n in args.copies]
-    noise = NoiseSpec(args.noise_p, args.noise_q)
     rows = sweep(factory, grid, noise, args.shots, args.confidence, args.seed)
     if args.format == "json":
         return _render_json(args, {"rows": rows})
@@ -482,10 +495,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         text = args.handler(args)
-    except UsageError as exc:
-        print(f"psigauge {args.command}: error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (UsageError, FileNotFoundError) as exc:
         print(f"psigauge {args.command}: error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, ContractViolation) as exc:

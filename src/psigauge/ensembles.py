@@ -21,8 +21,8 @@ from .qcore import (
     Povm,
     StateVector,
     TENSOR_CAP,
-    born_prob,
     inner,
+    outcome_table,
     povm_from_json,
     povm_to_json,
     state_from_json,
@@ -74,7 +74,11 @@ def _assemble(kind, params, states, measurement, center, delta_star) -> NoGoEnse
             raise ContractViolation(
                 f"state {k} sits at fidelity {fid!r}, expected {target!r}"
             )
-    excl = sum(born_prob(s, measurement.effects[k]) for k, s in enumerate(states))
+    if measurement.outcome_count < len(states):
+        raise ValueError(
+            f"measurement has {measurement.outcome_count} outcomes for {len(states)} states"
+        )
+    excl = sum(outcome_table(states, measurement).diagonal())
     if excl > 1e-9:
         raise ContractViolation(f"exclusion sum {excl:.3e} exceeds 1e-9")
     return NoGoEnsemble(kind, dict(params), tuple(states), measurement, center, delta_star)
@@ -159,21 +163,7 @@ def theorem2_ensemble(d: int, n: int, cap: int = TENSOR_CAP) -> NoGoEnsemble:
     if d**n > cap:
         raise ValueError(f"tensor dimension {d}**{n} exceeds the cap of {cap} amplitudes")
     family = theorem2_states(d, n)
-    big = d**n
     powers = [tensor_power(s, n, cap=cap) for s in family.states]
-    reference = theorem1_ensemble(d)
-    embedded = []
-    for s in reference.states:
-        amps = np.zeros(big, dtype=complex)
-        amps[:d] = s.amplitudes
-        embedded.append(StateVector(big, amps))
-    v = unitary_from_correspondence(powers, embedded).entries
-    u_vecs = v.conj().T[:, :d]  # column k is the V-preimage of embedded |k>
-    complement = (np.eye(big) - u_vecs @ u_vecs.conj().T) / d
-    effects = tuple(
-        Operator(big, np.outer(u_vecs[:, k], u_vecs[:, k].conj()) + complement)
-        for k in range(d)
-    )
     delta_star = 1.0 - (1.0 - family.delta_nd) ** n
     params = {
         "d": d,
@@ -187,10 +177,30 @@ def theorem2_ensemble(d: int, n: int, cap: int = TENSOR_CAP) -> NoGoEnsemble:
         KIND_THEOREM2,
         params,
         powers,
-        Povm(big, effects),
-        StateVector.uniform(big),
+        _theorem2_measurement(powers),
+        StateVector.uniform(d**n),
         delta_star,
     )
+
+
+def _theorem2_measurement(powers: list) -> Povm:
+    """The effects of :func:`theorem2_ensemble`. Built in a separate function
+    so the dense D x D isometry and complement are freed before the caller
+    validates the POVM."""
+    d = len(powers)
+    big = powers[0].dim
+    pad = np.zeros(big - d, dtype=complex)
+    embedded = [
+        StateVector(big, np.concatenate([s.amplitudes, pad])) for s in theorem1_ensemble(d).states
+    ]
+    v = unitary_from_correspondence(powers, embedded).entries
+    u_vecs = v.conj().T[:, :d]  # column k is the V-preimage of embedded |k>
+    complement = (np.eye(big) - u_vecs @ u_vecs.conj().T) / d
+    effects = tuple(
+        Operator(big, np.outer(u_vecs[:, k], u_vecs[:, k].conj()) + complement)
+        for k in range(d)
+    )
+    return Povm(big, effects)
 
 
 def gamma_coefficient(d: int) -> float:

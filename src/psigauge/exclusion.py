@@ -22,15 +22,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from .qcore import (
-    ContractViolation,
-    Operator,
-    Povm,
-    StateVector,
-    born_prob,
-    operator_to_json,
-    validate_povm,
-)
+from .qcore import Operator, Povm, StateVector, operator_to_json, outcome_table
 
 ARMIJO_C = 1e-4
 GRAD_TOL = 1e-8
@@ -77,21 +69,12 @@ class ExclusionResult:
 
 
 def exclusion_value(states: Sequence[StateVector], povm: Povm) -> float:
-    """sum_k born_prob(states[k], effects[k])."""
-    report = validate_povm(povm)
-    if not report.passed:
-        raise ContractViolation(
-            f"invalid POVM: hermiticity error {report.hermiticity_error:.3e},"
-            f" min eigenvalue {report.min_eigenvalue:.3e},"
-            f" completeness error {report.completeness_error:.3e}"
-        )
+    """sum_k P(outcome k | states[k]), read off the outcome table."""
     if povm.outcome_count < len(states):
         raise ValueError(
             f"POVM has {povm.outcome_count} outcomes for {len(states)} states"
         )
-    if states and states[0].dim != povm.dim:
-        raise ValueError(f"state dimension {states[0].dim} != POVM dimension {povm.dim}")
-    return float(sum(born_prob(s, povm.effects[k]) for k, s in enumerate(states)))
+    return float(sum(outcome_table(states, povm).diagonal()))
 
 
 def _state_matrix(problem: ExclusionProblem) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 from scipy.stats import beta
 
 from .ensembles import KIND_THEOREM2, NoGoEnsemble
-from .qcore import ContractViolation, Povm, StateVector, born_prob, validate_povm
+from .qcore import Povm, StateVector, outcome_table
 
 
 @dataclass(frozen=True)
@@ -52,31 +52,24 @@ class EstimateReport:
     seed: int
 
 
+def _noisy_rows(table: np.ndarray, povm: Povm, noise: NoiseSpec) -> np.ndarray:
+    """Outcome distributions on the depolarized states of an outcome table's
+    rows, each then mixed with the uniform outcome distribution with weight q."""
+    p = noise.depolarizing_p
+    q = noise.outcome_flip_q
+    mixed = np.array([np.trace(e.entries).real for e in povm.effects]) / povm.dim
+    probs = (1.0 - p) * table + p * mixed
+    probs = (1.0 - q) * probs + q / povm.outcome_count
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
 def noisy_outcome_distribution(
     state: StateVector, povm: Povm, noise: NoiseSpec
 ) -> np.ndarray:
     """Outcome distribution on the depolarized state, then mixed with the
     uniform outcome distribution with weight q."""
-    report = validate_povm(povm)
-    if not report.passed:
-        raise ContractViolation(
-            "invalid POVM: hermiticity error "
-            f"{report.hermiticity_error:.3e}, min eigenvalue "
-            f"{report.min_eigenvalue:.3e}, completeness error "
-            f"{report.completeness_error:.3e}"
-        )
-    p = noise.depolarizing_p
-    q = noise.outcome_flip_q
-    dim = povm.dim
-    n_out = povm.outcome_count
-    probs = np.empty(n_out)
-    for r, effect in enumerate(povm.effects):
-        born = born_prob(state, effect)
-        mixed = float(np.trace(effect.entries).real) / dim
-        probs[r] = (1.0 - p) * born + p * mixed
-    probs = (1.0 - q) * probs + q / n_out
-    probs = np.clip(probs, 0.0, None)
-    return probs / probs.sum()
+    return _noisy_rows(outcome_table([state], povm), povm, noise)[0]
 
 
 def _clopper_pearson_upper(successes: int, trials: int, significance: float) -> float:
@@ -107,13 +100,12 @@ def run_protocol(
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     d = len(ensemble.states)
+    povm = ensemble.measurement
+    dists = _noisy_rows(outcome_table(ensemble.states, povm), povm, noise)
     children = np.random.SeedSequence(seed).spawn(d)
-    count_rows = []
-    for k, state in enumerate(ensemble.states):
-        dist = noisy_outcome_distribution(state, ensemble.measurement, noise)
-        rng = np.random.default_rng(children[k])
-        count_rows.append(rng.multinomial(shots, dist))
-    counts = np.array(count_rows)
+    counts = np.array(
+        [np.random.default_rng(c).multinomial(shots, row) for c, row in zip(children, dists)]
+    )
     counts.flags.writeable = False
 
     eps_hat = float(sum(counts[k][k] for k in range(d))) / shots
@@ -123,12 +115,6 @@ def run_protocol(
     )
 
     n_copies = int(ensemble.params.get("n", 1)) if ensemble.kind == KIND_THEOREM2 else 1
-    if n_copies > 1:
-        single = eps_upper ** (1.0 / n_copies)
-        independent = True
-    else:
-        single = eps_upper
-        independent = False
     return EstimateReport(
         ensemble_kind=ensemble.kind,
         shots_per_preparation=shots,
@@ -137,8 +123,8 @@ def run_protocol(
         epsilon_upper_bound=eps_upper,
         confidence=confidence,
         n_copies=n_copies,
-        epsilon_single_copy_bound=single,
-        assumes_preparation_independence=independent,
+        epsilon_single_copy_bound=eps_upper ** (1.0 / n_copies),
+        assumes_preparation_independence=n_copies > 1,
         seed=seed,
     )
 

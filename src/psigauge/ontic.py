@@ -9,13 +9,14 @@ only through discretization (see :func:`ks_qubit_model`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from ._geometry import bloch_from_state, fibonacci_sphere
-from .qcore import Ball, Povm, StateVector, born_prob, inner, sample_state_in_ball
+from .qcore import Ball, Povm, StateVector, inner, outcome_table, sample_state_in_ball
 
 SUM_TOL = 1e-10
 #: below this, a preparation weight counts as "not in the support"
@@ -25,6 +26,8 @@ SUPPORT_THRESHOLD = 1e-12
 def _check_distribution(vec: np.ndarray, what: str) -> np.ndarray:
     if vec.ndim != 1:
         raise ValueError(f"{what}: expected a probability vector, got shape {vec.shape}")
+    if not np.all(np.isfinite(vec)):
+        raise ValueError(f"{what}: non-finite entry")
     if float(vec.min(initial=0.0)) < 0.0:
         raise ValueError(f"{what}: negative entry {float(vec.min()):.3e}")
     total = float(vec.sum())
@@ -215,18 +218,8 @@ def product_model(model: DiscreteOnticModel, n: int, cap: int = 10**6) -> Discre
         raise ValueError(
             f"product ontic space {model.lambda_count}**{n} exceeds the cap of {cap}"
         )
-    preps = {}
-    for label, vec in model.preparations.items():
-        out = vec
-        for _ in range(n - 1):
-            out = np.kron(out, vec)
-        preps[label] = out
-    resps = {}
-    for label, mat in model.responses.items():
-        out = mat
-        for _ in range(n - 1):
-            out = np.kron(out, mat)
-        resps[label] = out
+    preps = {label: reduce(np.kron, [vec] * n) for label, vec in model.preparations.items()}
+    resps = {label: reduce(np.kron, [mat] * n) for label, mat in model.responses.items()}
     return DiscreteOnticModel(model.lambda_count**n, preps, resps)
 
 
@@ -286,9 +279,7 @@ def psi_ontic_fixture(
     preps = {f"q{k}": np.eye(count)[k] for k in range(count)}
     resps = {}
     for idx, povm in enumerate(measurements):
-        rows = np.array(
-            [[born_prob(s, e) for e in povm.effects] for s in states], dtype=float
-        )
+        rows = outcome_table(states, povm)
         resps[f"m{idx}"] = rows / rows.sum(axis=1, keepdims=True)
     return DiscreteOnticModel(count, preps, resps)
 

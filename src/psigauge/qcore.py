@@ -15,6 +15,7 @@ Tolerances follow a three-tier convention used across the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -55,6 +56,8 @@ class StateVector:
             raise ValueError(
                 f"expected {self.dim} amplitudes, got shape {np.shape(self.amplitudes)}"
             )
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("state has a non-finite amplitude")
         norm_sq = float(np.sum(np.abs(amps) ** 2))
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized: sum |a_j|^2 = {norm_sq!r}")
@@ -100,6 +103,8 @@ class Operator:
             raise ValueError(
                 f"expected a {self.dim}x{self.dim} matrix, got shape {mat.shape}"
             )
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("operator has a non-finite entry")
         object.__setattr__(self, "entries", _frozen(mat))
 
     @classmethod
@@ -176,6 +181,13 @@ def inner(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
+def _clamped_born(amps: np.ndarray, mat: np.ndarray) -> float:
+    p = float(np.vdot(amps, mat @ amps).real)
+    if p < -OP_TOL or p > 1.0 + OP_TOL:
+        raise ContractViolation(f"effect gave probability {p!r} outside [0, 1]")
+    return min(1.0, max(0.0, p))
+
+
 def born_prob(state: StateVector, effect: Operator) -> float:
     """Outcome probability <psi|E|psi> for a Hermitian PSD effect.
 
@@ -189,11 +201,30 @@ def born_prob(state: StateVector, effect: Operator) -> float:
     herm_err = float(np.max(np.abs(mat - mat.conj().T)))
     if herm_err > OP_TOL:
         raise ValueError(f"effect is not Hermitian (max |E - E^dag| = {herm_err:.3e})")
-    val = np.vdot(state.amplitudes, mat @ state.amplitudes)
-    p = float(val.real)
-    if p < -OP_TOL or p > 1.0 + OP_TOL:
-        raise ContractViolation(f"effect gave probability {p!r} outside [0, 1]")
-    return min(1.0, max(0.0, p))
+    return _clamped_born(state.amplitudes, mat)
+
+
+def outcome_table(states: Sequence[StateVector], povm: Povm) -> np.ndarray:
+    """Frozen Born-rule table P[k, r] = <states[k]|E_r|states[k]>.
+
+    The POVM is validated once (ContractViolation if :func:`validate_povm`
+    fails); each entry then follows :func:`born_prob`'s formula, clamp and
+    range check, without repeating the Hermiticity check.
+    """
+    if any(s.dim != povm.dim for s in states):
+        raise ValueError(f"every state must live in the POVM dimension {povm.dim}")
+    report = validate_povm(povm)
+    if not report.passed:
+        raise ContractViolation(
+            f"invalid POVM: hermiticity error {report.hermiticity_error:.3e},"
+            f" min eigenvalue {report.min_eigenvalue:.3e},"
+            f" completeness error {report.completeness_error:.3e}"
+        )
+    table = np.empty((len(states), povm.outcome_count))
+    for k, s in enumerate(states):
+        for r, effect in enumerate(povm.effects):
+            table[k, r] = _clamped_born(s.amplitudes, effect.entries)
+    return _frozen(table)
 
 
 def tensor_power(state: StateVector, n: int, cap: int = TENSOR_CAP) -> StateVector:
@@ -208,10 +239,7 @@ def tensor_power(state: StateVector, n: int, cap: int = TENSOR_CAP) -> StateVect
         raise ValueError(
             f"tensor power dimension {state.dim}**{n} exceeds the cap of {cap} amplitudes"
         )
-    out = state.amplitudes
-    for _ in range(n - 1):
-        out = np.kron(out, state.amplitudes)
-    return StateVector(state.dim**n, out)
+    return StateVector(state.dim**n, reduce(np.kron, [state.amplitudes] * n))
 
 
 def gram(states: Sequence[StateVector]) -> np.ndarray:

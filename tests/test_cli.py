@@ -1,12 +1,17 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from psigauge.cli import main
-from psigauge.ensembles import theorem1_ensemble
-from psigauge.ontic import ks_qubit_model, model_to_json
-from psigauge.qcore import state_to_json
+import psigauge
+from psigauge.cli import _render_json, main
+from psigauge.ensembles import ensemble_to_json, theorem1_ensemble
+from psigauge.ontic import ks_qubit_model, model_from_parametric, model_to_json
+from psigauge.qcore import StateVector, state_to_json
 
 
 def run(capsys, argv):
@@ -19,6 +24,30 @@ def run_json(capsys, argv):
     rc, out, err = run(capsys, argv)
     assert rc == 0, err
     return json.loads(out)
+
+
+def run_process(argv, **env):
+    """The CLI in a fresh interpreter, so a traceback or a message printed
+    by LAPACK itself would show up in the captured streams."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(psigauge.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "psigauge.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src, **env},
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def model_file(tmp_path, name, edit):
+    discrete = model_from_parametric(
+        ks_qubit_model(200), {"q0": StateVector.basis(2, 0), "q1": StateVector.basis(2, 1)}
+    )
+    obj = model_to_json(discrete)
+    edit(obj)
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
 
 
 @pytest.fixture
@@ -76,6 +105,28 @@ class TestExitCodes:
             main(["thm1", "--dim", "three"])
         assert info.value.code == 1
 
+    @pytest.mark.parametrize(
+        "argv", [["thm1", "--shots", "0"], ["sweep", "--shots", "0"]]
+    )
+    def test_zero_shots_exits_one(self, capsys, argv):
+        rc, out, err = run(capsys, argv)
+        assert rc == 1
+        assert "error" in err
+        assert out == ""
+
+    def test_negative_seed_exits_one(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["thm1", "--seed", "-1"])
+        assert info.value.code == 1
+        assert "non-negative" in capsys.readouterr().err
+
+    def test_bad_seed_variable_exits_one_without_traceback(self):
+        rc, out, err = run_process(["thm1", "--shots", "10"], PSI_GAUGE_SEED="abc")
+        assert rc == 1
+        assert "PSI_GAUGE_SEED" in err
+        assert "Traceback" not in err
+        assert out == ""
+
 
 class TestEnvelope:
     def test_thm1_envelope_and_closed_form(self, capsys):
@@ -102,6 +153,11 @@ class TestEnvelope:
         monkeypatch.delenv("PSI_GAUGE_SEED")
         obj = run_json(capsys, ["thm1", "--dim", "2", "--shots", "100"])
         assert obj["config"]["seed"] == 0
+
+    def test_payload_is_strict_json(self):
+        args = argparse.Namespace(command="scaling", delta=0.1)
+        with pytest.raises(ValueError):
+            _render_json(args, {"value": float("nan")})
 
     def test_out_writes_the_stdout_payload(self, capsys, tmp_path):
         path = tmp_path / "report.json"
@@ -215,6 +271,17 @@ class TestExclusionCommand:
         obj = run_json(capsys, ["exclusion", "--states", str(path), "--seed", "0"])
         assert obj["results"]["best_value"] <= 1e-6
 
+    def test_short_measurement_in_ensemble_file_exits_two(self, tmp_path):
+        obj = ensemble_to_json(theorem1_ensemble(3))
+        obj["measurement"] = obj["measurement"][:2]
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(obj))
+        rc, out, err = run_process(["exclusion", "--states", str(path)])
+        assert rc == 2
+        assert "2 outcomes for 3 states" in err
+        assert "Traceback" not in err
+        assert out == ""
+
     def test_wrong_payload_shape_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "weird.json"
         path.write_text(json.dumps({"not_states": 1}))
@@ -252,3 +319,29 @@ class TestSweepCommand:
     def test_thm2_dimension_floor(self, capsys):
         rc, _, err = run(capsys, ["sweep", "--family", "thm2", "--dims", "2,3"])
         assert rc == 1
+
+
+class TestNonFiniteInput:
+    def test_nan_amplitude_in_ensemble_file_exits_two(self, tmp_path):
+        obj = ensemble_to_json(theorem1_ensemble(3))
+        obj["states"][0]["re"][0] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(obj))
+        rc, out, err = run_process(["exclusion", "--states", str(path)])
+        assert rc == 2
+        assert "non-finite" in err
+        assert "DLASCL" not in out + err
+        assert "Traceback" not in err
+
+    def test_nan_weight_in_model_file_fails_validation(self, capsys, tmp_path):
+        def poison(obj):
+            obj["preparations"]["q0"][0] = float("nan")
+
+        path = model_file(tmp_path, "nan_model.json", poison)
+        obj = run_json(capsys, ["model", "--file", path, "--check", "validate"])
+        check = obj["results"]["checks"][0]
+        assert check["passed"] is False
+        assert "non-finite" in check["diagnostic"]
+        rc, out, err = run(capsys, ["model", "--file", path, "--check", "epsilon"])
+        assert rc == 2
+        assert out == ""

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from psigauge import qcore
 from psigauge.ensembles import theorem1_ensemble, theorem2_ensemble
 from psigauge.exclusion import (
     ExclusionProblem,
@@ -55,6 +56,14 @@ class TestExclusionValue:
         broken = Povm(2, (Operator.identity(2), Operator.identity(2)))
         with pytest.raises(ContractViolation):
             exclusion_value((StateVector.basis(2, 0),), broken)
+
+    def test_validates_the_povm_once(self, monkeypatch):
+        ens = theorem1_ensemble(5)
+        calls = []
+        real = qcore.validate_povm
+        monkeypatch.setattr(qcore, "validate_povm", lambda p: calls.append(p) or real(p))
+        exclusion_value(ens.states, ens.measurement)
+        assert len(calls) == 1
 
 
 class TestOptimize:

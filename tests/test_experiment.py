@@ -1,18 +1,29 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from psigauge import qcore
 from psigauge.ensembles import theorem1_ensemble, theorem2_ensemble
 from psigauge.experiment import (
     SWEEP_FIELDS,
     NoiseSpec,
     _clopper_pearson_upper,
+    _noisy_rows,
     noisy_outcome_distribution,
     report_to_json,
     run_protocol,
     sweep,
     sweep_to_csv,
 )
-from psigauge.qcore import ContractViolation, Operator, Povm, StateVector, born_prob
+from psigauge.qcore import (
+    ContractViolation,
+    Operator,
+    Povm,
+    StateVector,
+    born_prob,
+    outcome_table,
+)
 
 
 QUIET = NoiseSpec(0.0, 0.0)
@@ -65,6 +76,20 @@ class TestNoisyOutcomeDistribution:
         broken = Povm(2, (Operator.identity(2), Operator.identity(2)))
         with pytest.raises(ContractViolation):
             noisy_outcome_distribution(StateVector.basis(2, 0), broken, QUIET)
+
+    @pytest.mark.parametrize("ens", [theorem1_ensemble(5), theorem2_ensemble(3, 2)])
+    def test_table_mixing_equals_per_outcome_loop(self, ens):
+        # reference: one state and one effect at a time, in the same arithmetic
+        p, q = 0.03, 0.02
+        povm = ens.measurement
+        rows = _noisy_rows(outcome_table(ens.states, povm), povm, NoiseSpec(p, q))
+        for k, state in enumerate(ens.states):
+            probs = np.empty(povm.outcome_count)
+            for r, effect in enumerate(povm.effects):
+                mixed = float(np.trace(effect.entries).real) / povm.dim
+                probs[r] = (1.0 - p) * born_prob(state, effect) + p * mixed
+            probs = np.clip((1.0 - q) * probs + q / povm.outcome_count, 0.0, None)
+            assert np.array_equal(rows[k], probs / probs.sum())
 
 
 class TestClopperPearson:
@@ -129,6 +154,20 @@ class TestRunProtocol:
         assert report.n_copies == 1
         assert not report.assumes_preparation_independence
         assert report.epsilon_single_copy_bound == report.epsilon_upper_bound
+
+    def test_invalid_povm_rejected(self):
+        broken = Povm(2, (Operator.identity(2), Operator.identity(2)))
+        ens = dataclasses.replace(theorem1_ensemble(2), measurement=broken)
+        with pytest.raises(ContractViolation, match="invalid POVM"):
+            run_protocol(ens, QUIET, 100)
+
+    @pytest.mark.parametrize("ens", [theorem1_ensemble(6), theorem2_ensemble(3, 2)])
+    def test_validates_the_povm_once(self, monkeypatch, ens):
+        calls = []
+        real = qcore.validate_povm
+        monkeypatch.setattr(qcore, "validate_povm", lambda p: calls.append(p) or real(p))
+        run_protocol(ens, NoiseSpec(0.02, 0.01), 100, seed=0)
+        assert len(calls) == 1
 
     def test_json_round_shape(self):
         report = run_protocol(theorem1_ensemble(2), QUIET, 50, seed=3)

@@ -59,6 +59,11 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             DiscreteOnticModel(3, {"q0": np.array([0.5, 0.5])}, {})
 
+    def test_non_finite_weight_rejected(self):
+        # abs(nan - 1) > tol is False, so the sum check alone lets NaN through
+        with pytest.raises(ValueError, match="non-finite"):
+            DiscreteOnticModel(2, {"q0": np.array([np.nan, 1.0])}, {})
+
     def test_arrays_frozen(self):
         m = shared_core_model(0.5)
         with pytest.raises(ValueError):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psigauge import qcore
+from psigauge.ensembles import theorem1_ensemble, theorem2_ensemble
 from psigauge.qcore import (
     Ball,
     ContractViolation,
@@ -17,6 +19,7 @@ from psigauge.qcore import (
     normalized,
     operator_from_json,
     operator_to_json,
+    outcome_table,
     povm_from_json,
     povm_to_json,
     projector,
@@ -43,6 +46,12 @@ class TestStateVector:
     def test_rejects_dim_zero(self):
         with pytest.raises(ValueError):
             StateVector(0, np.array([]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        # abs(nan - 1) > tol is False, so the norm check alone lets NaN through
+        with pytest.raises(ValueError, match="non-finite"):
+            StateVector(2, np.array([bad, 0.0]))
 
     def test_basis_and_uniform(self):
         b = StateVector.basis(4, 2)
@@ -85,6 +94,32 @@ class TestBornRule:
         for effect in Povm.basis(dim).effects:
             p = born_prob(s, effect)
             assert 0.0 <= p <= 1.0
+
+    @pytest.mark.parametrize("ens", [theorem1_ensemble(5), theorem2_ensemble(3, 2)])
+    def test_outcome_table_equals_born_prob_entrywise(self, ens):
+        table = outcome_table(ens.states, ens.measurement)
+        assert table.shape == (len(ens.states), ens.measurement.outcome_count)
+        assert not table.flags.writeable
+        for k, s in enumerate(ens.states):
+            for r, effect in enumerate(ens.measurement.effects):
+                assert table[k, r] == born_prob(s, effect)
+
+    def test_outcome_table_rejects_invalid_povm(self):
+        broken = Povm(2, (Operator.identity(2), Operator.identity(2)))
+        with pytest.raises(ContractViolation, match="invalid POVM"):
+            outcome_table([StateVector.basis(2, 0)], broken)
+
+    def test_outcome_table_rejects_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension"):
+            outcome_table([StateVector.basis(2, 0)], Povm.basis(3))
+
+    def test_outcome_table_validates_once(self, monkeypatch):
+        ens = theorem1_ensemble(4)
+        calls = []
+        real = qcore.validate_povm
+        monkeypatch.setattr(qcore, "validate_povm", lambda p: calls.append(p) or real(p))
+        outcome_table(ens.states, ens.measurement)
+        assert len(calls) == 1
 
 
 class TestTensorPower:
@@ -200,6 +235,10 @@ class TestPovmValidation:
         rep = validate_povm(Povm(2, (bad, good)))
         assert not rep.passed
         assert rep.min_eigenvalue < -1e-10
+
+    def test_non_finite_effect_rejected(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            Operator(2, np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 class TestJson:
