@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 import numpy as np
 
@@ -47,7 +48,13 @@ from .ontic import (
     model_from_parametric,
     nogo_check,
 )
-from .orbit import coverage, initial_cloud, orbit_step
+from .orbit import (
+    MIN_DEDUP_TOLERANCE,
+    coverage,
+    coverage_trajectory,
+    initial_cloud,
+    orbit_step,
+)
 from .qcore import (
     ContractViolation,
     StateVector,
@@ -206,9 +213,14 @@ def _render_csv(args, csv_text: str) -> str:
 
 
 def _protocol_noise(args) -> NoiseSpec:
-    """The noise model of the protocol flags, after the shot-count check."""
+    """The noise model of the protocol flags, after range checks of all four."""
     if args.shots < 1:
         raise UsageError("--shots must be >= 1")
+    if not 0.0 < args.confidence < 1.0:
+        raise UsageError("--confidence must lie in (0, 1)")
+    for flag, value in (("--noise-p", args.noise_p), ("--noise-q", args.noise_q)):
+        if not 0.0 <= value <= 1.0:
+            raise UsageError(f"{flag} must lie in [0, 1]")
     return NoiseSpec(args.noise_p, args.noise_q)
 
 
@@ -410,11 +422,20 @@ def cmd_orbit(args) -> str:
         raise UsageError("--theta must lie in (0, pi]")
     if args.steps < 0:
         raise UsageError("--steps must be >= 0")
-    cloud = initial_cloud(args.theta, args.dedup_tol)
-    rows = [(0, cloud.size, coverage(cloud, args.grid, args.tol))]
-    for k in range(1, args.steps + 1):
-        cloud = orbit_step(cloud, rotations_per_pair=args.rotations, seed=args.seed + k)
-        rows.append((k, cloud.size, coverage(cloud, args.grid, args.tol)))
+    if args.grid < 100:
+        raise UsageError("--grid must be >= 100")
+    if not 0.0 < args.tol <= np.pi:
+        raise UsageError("--tol must lie in (0, pi]")
+    if args.rotations < 4:
+        raise UsageError("--rotations must be >= 4")
+    if not MIN_DEDUP_TOLERANCE <= args.dedup_tol <= np.pi:
+        raise UsageError(f"--dedup-tol must lie in [{MIN_DEDUP_TOLERANCE:g}, pi]")
+    trajectory = coverage_trajectory(
+        initial_cloud(args.theta, args.dedup_tol), args.grid, args.tol, args.seed,
+        step=orbit_step, measure=coverage,  # this module's names, which perfbench traces
+        rotations_per_pair=args.rotations,
+    )
+    rows = list(islice(trajectory, args.steps + 1))
     if args.format == "csv":
         lines = ["step,cloud_size,coverage"]
         lines += [f"{k},{size},{cov:.6f}" for k, size, cov in rows]

@@ -317,6 +317,10 @@ def ensemble_from_json(obj: dict) -> NoGoEnsemble:
     for key in ("kind", "params", "states", "measurement", "center", "delta_star"):
         if key not in obj:
             raise ValueError(f"ensemble JSON: missing field {key!r}")
+    if not isinstance(obj["params"], dict):
+        raise ValueError("ensemble JSON: params must be an object")
+    if not isinstance(obj["states"], list) or not obj["states"]:
+        raise ValueError("ensemble JSON: states must be a nonempty list")
     states = tuple(state_from_json(s) for s in obj["states"])
     dim = states[0].dim
     povm = povm_from_json({"dim": dim, "effects": obj["measurement"]})

@@ -4,27 +4,42 @@ sphere.
 
 Points are unit 3-vectors. Each growth step is quadratic in the cloud size
 before budgeting, so candidate generation is capped and subsampled with a
-seeded generator; dedup uses a coarse grid pass followed by an exact
-KD-tree pass so steps stay near-linear in the candidate count.
+seeded generator. Dedup has no Python loop: a grid pass keeps the first
+point under each packed int64 cell key, then a greedy pass over the
+KD-tree's pair list runs in vectorized rounds, so steps stay near-linear in
+the candidate count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from ._geometry import rodrigues_rotate
+from ._geometry import fibonacci_sphere, rodrigues_rotate
+
+# below this the dedup cell grid has over 2^21 cells per axis, and its
+# packed keys can outgrow an int64
+MIN_DEDUP_TOLERANCE = 2e-6
 
 
 @dataclass(frozen=True)
 class OrbitCloud:
+    """A point cloud and the angular tolerance its dedup merges points
+    within, in [MIN_DEDUP_TOLERANCE, pi] = [2e-6, pi] radians."""
+
     points: np.ndarray  # (n, 3) unit vectors
     generation: int
     dedup_tolerance: float
 
     def __post_init__(self):
+        if not MIN_DEDUP_TOLERANCE <= self.dedup_tolerance <= np.pi:
+            raise ValueError(
+                f"dedup tolerance must lie in [{MIN_DEDUP_TOLERANCE:g}, pi] so the"
+                f" cell keys fit an int64, got {self.dedup_tolerance}"
+            )
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"expected an (n, 3) array, got shape {pts.shape}")
@@ -55,25 +70,31 @@ def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
     """Keep earliest representatives of clusters closer than the angular tol.
 
     Pass 1 snaps points to a grid with cells small enough that cell-mates are
-    always within tol (cell diagonal = chord). Pass 2 resolves neighbors that
-    pass 1 put in different cells.
+    always within tol (cell diagonal = chord), packs each cell into one int64
+    key and keeps the first point per key. Pass 2 resolves neighbors that
+    pass 1 put in different cells: it keeps each representative that no kept
+    earlier one lies within the chord of. It does so in rounds over the pair
+    list: a point with no open smaller neighbour is kept and drops its larger
+    neighbours, then pairs touching a dropped point go. Below
+    MIN_DEDUP_TOLERANCE, ``np.ravel_multi_index`` may raise ValueError.
     """
     if points.shape[0] == 0:
         return points
     chord = _chord(tol)
     cell = chord / np.sqrt(3.0)
     keys = np.floor(points / cell).astype(np.int64)
-    # stable first-occurrence per cell
-    _, first = np.unique(keys, axis=0, return_index=True)
+    low = keys.min(axis=0)
+    packed = np.ravel_multi_index((keys - low).T, keys.max(axis=0) - low + 1)
+    # 1-D unique sorts stably, so each index is the cell's first occurrence
+    _, first = np.unique(packed, return_index=True)
     reps = points[np.sort(first)]
-    tree = cKDTree(reps)
+    pairs = cKDTree(reps).query_pairs(chord, output_type="ndarray")  # rows i < j
     keep = np.ones(reps.shape[0], dtype=bool)
-    for i, neighbors in enumerate(tree.query_ball_point(reps, chord)):
-        if not keep[i]:
-            continue
-        for j in neighbors:
-            if j > i:
-                keep[j] = False
+    while pairs.size:
+        blocked = np.zeros(reps.shape[0], dtype=bool)
+        blocked[pairs[:, 1]] = True
+        keep[pairs[~blocked[pairs[:, 0]], 1]] = False
+        pairs = pairs[keep[pairs[:, 0]] & keep[pairs[:, 1]]]
     return reps[keep]
 
 
@@ -140,16 +161,36 @@ def orbit_step(
 
 def coverage(cloud: OrbitCloud, grid_size: int, angular_tol: float) -> float:
     """Fraction of a reference Fibonacci grid within angular_tol of the cloud."""
-    from ._geometry import fibonacci_sphere
-
     if grid_size < 100:
         raise ValueError(f"grid size must be >= 100, got {grid_size}")
+    if not 0.0 < angular_tol <= np.pi:
+        raise ValueError(f"angular tolerance must lie in (0, pi], got {angular_tol}")
     if cloud.size == 0:
         return 0.0
     grid = fibonacci_sphere(grid_size)
     tree = cKDTree(cloud.points)
     dist, _ = tree.query(grid, k=1)
     return float(np.mean(dist <= _chord(angular_tol)))
+
+
+def coverage_trajectory(
+    cloud: OrbitCloud,
+    grid_size: int,
+    angular_tol: float,
+    seed: int = 0,
+    step=orbit_step,
+    measure=coverage,
+    **step_options,
+):
+    """Yield (generation, cloud_size, coverage) for ``cloud`` and then for
+    each closure step after it, without end. Step k is ``step(cloud, seed=
+    seed + k, **step_options)`` and runs only when its row is asked for.
+    ``step`` and ``measure`` default to ``orbit_step`` and ``coverage``; a
+    caller may pass its own bindings of them, e.g. ones wrapped for tracing.
+    """
+    while True:
+        yield cloud.generation, cloud.size, measure(cloud, grid_size, angular_tol)
+        cloud = step(cloud, seed=seed + cloud.generation + 1, **step_options)
 
 
 def steps_to_cover(
@@ -173,22 +214,14 @@ def steps_to_cover(
     """
     if not 0.0 < target_coverage <= 1.0:
         raise ValueError(f"target coverage must lie in (0, 1], got {target_coverage}")
-    cloud = initial_cloud(theta, dedup_tolerance)
+    trajectory = coverage_trajectory(
+        initial_cloud(theta, dedup_tolerance), grid_size, angular_tol, seed,
+        rotations_per_pair=rotations_per_pair, max_candidates=max_candidates,
+        point_cap=point_cap,
+    )
     rows = []
-    cov = coverage(cloud, grid_size, angular_tol)
-    rows.append((0, cloud.size, cov))
-    if cov >= target_coverage:
-        return CoverageTrajectory(0, True, tuple(rows))
-    for k in range(1, max_steps + 1):
-        cloud = orbit_step(
-            cloud,
-            rotations_per_pair=rotations_per_pair,
-            seed=seed + k,
-            max_candidates=max_candidates,
-            point_cap=point_cap,
-        )
-        cov = coverage(cloud, grid_size, angular_tol)
-        rows.append((k, cloud.size, cov))
-        if cov >= target_coverage:
-            return CoverageTrajectory(k, True, tuple(rows))
+    for row in islice(trajectory, max(max_steps, 0) + 1):
+        rows.append(row)
+        if row[2] >= target_coverage:
+            return CoverageTrajectory(row[0], True, tuple(rows))
     return CoverageTrajectory(None, False, tuple(rows))

@@ -345,3 +345,83 @@ class TestNonFiniteInput:
         rc, out, err = run(capsys, ["model", "--file", path, "--check", "epsilon"])
         assert rc == 2
         assert out == ""
+
+
+class TestFlagRanges:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["thm1", "--confidence", "1.0"],
+            ["thm2", "--confidence", "1.0"],
+            ["sweep", "--confidence", "1.0"],
+            ["thm1", "--noise-p", "1.5"],
+            ["thm1", "--noise-q", "1.5"],
+            ["sweep", "--noise-p", "-0.1"],
+        ],
+    )
+    def test_protocol_flag_out_of_range_exits_one(self, capsys, argv):
+        rc, out, err = run(capsys, argv + ["--shots", "10"])
+        assert rc == 1
+        assert argv[1] in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--grid", "50"],
+            ["--rotations", "3"],
+            ["--dedup-tol", "0"],
+            ["--dedup-tol", "-0.1"],
+            ["--dedup-tol", "1e-7"],
+            ["--tol", "nan"],
+            ["--tol", "-1"],
+        ],
+    )
+    def test_orbit_flag_out_of_range_exits_one(self, capsys, flags):
+        rc, out, err = run(capsys, ["orbit", "--theta", "1.0", "--steps", "1", *flags])
+        assert rc == 1
+        assert flags[0] in err
+        assert out == ""
+
+
+class TestOrbitTrajectory:
+    def test_rows_equal_steps_to_cover(self, capsys):
+        from psigauge.orbit import steps_to_cover
+
+        traj = steps_to_cover(np.pi / 8, 0.99, 0.05, seed=2)
+        argv = ["orbit", "--theta", repr(np.pi / 8), "--steps", str(traj.steps), "--seed", "2"]
+        rows = run_json(capsys, argv)["results"]["trajectory"]
+        assert tuple((r["step"], r["cloud_size"], r["coverage"]) for r in rows) == traj.trajectory
+
+    def test_each_step_goes_through_the_cli_bindings(self, capsys, monkeypatch):
+        import psigauge.cli as cli
+
+        calls = []
+        for name in ("orbit_step", "coverage"):
+            original = getattr(cli, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
+        run_json(capsys, ["orbit", "--theta", "1.0", "--steps", "2", "--grid", "500"])
+        assert calls.count("orbit_step") == 2
+        assert calls.count("coverage") == 3
+
+
+class TestMalformedEnsembleFile:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("states", [], "nonempty list"), ("params", 5, "params must be an object")],
+    )
+    def test_exits_two_without_traceback(self, tmp_path, field, value, message):
+        obj = ensemble_to_json(theorem1_ensemble(3))
+        obj[field] = value
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(obj))
+        rc, out, err = run_process(["exclusion", "--states", str(path)])
+        assert rc == 2
+        assert message in err
+        assert "Traceback" not in err
+        assert out == ""

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+import psigauge.orbit as orbit_module
 from psigauge.orbit import (
     CoverageTrajectory,
     OrbitCloud,
@@ -9,6 +11,7 @@ from psigauge.orbit import (
     orbit_step,
     steps_to_cover,
 )
+from psigauge.orbit import MIN_DEDUP_TOLERANCE, _chord, _dedup, coverage_trajectory
 
 
 class TestInitialCloud:
@@ -118,3 +121,108 @@ class TestStepsToCover:
         assert all(s is not None for s in steps)
         increments = [b - a for a, b in zip(steps, steps[1:])]
         assert all(0 <= inc <= 2 for inc in increments)
+
+
+def _greedy_reference(points, tol):
+    """The dedup as a plain loop: first point per grid cell, then walk the
+    representatives in order and drop each later neighbour of a kept one."""
+    if points.shape[0] == 0:
+        return points
+    chord = _chord(tol)
+    keys = np.floor(points / (chord / np.sqrt(3.0))).astype(np.int64)
+    _, first = np.unique(keys, axis=0, return_index=True)
+    reps = points[np.sort(first)]
+    keep = np.ones(reps.shape[0], dtype=bool)
+    for i, neighbors in enumerate(cKDTree(reps).query_ball_point(reps, chord)):
+        if not keep[i]:
+            continue
+        for j in neighbors:
+            if j > i:
+                keep[j] = False
+    return reps[keep]
+
+
+class TestDedupMatchesGreedy:
+    @pytest.mark.parametrize("theta", [0.196, 1.0])
+    def test_equals_reference_on_orbit_step_inputs(self, monkeypatch, theta):
+        inputs = []
+
+        def record(points, tol):
+            inputs.append((points.copy(), tol))
+            return _dedup(points, tol)
+
+        monkeypatch.setattr(orbit_module, "_dedup", record)
+        orbit_step(orbit_step(initial_cloud(theta), seed=1), seed=2)
+        assert len(inputs) == 2
+        for points, tol in inputs:
+            assert np.array_equal(_dedup(points, tol), _greedy_reference(points, tol))
+
+    def test_chain_keeps_every_other_point(self):
+        # consecutive points 0.9 chord apart on the equator never share a grid
+        # cell, and points two apart lie beyond the chord: the greedy keeps the
+        # even ones, where dropping every point with a smaller neighbour in
+        # one round would keep only the first
+        tol = 0.02
+        step = 2.0 * np.arcsin(0.9 * _chord(tol) / 2.0)
+        phi = 0.3 + step * np.arange(21)
+        chain = np.stack([np.cos(phi), np.sin(phi), np.zeros_like(phi)], axis=1)
+        kept = _dedup(chain, tol)
+        assert np.array_equal(kept, chain[::2])
+        assert np.array_equal(kept, _greedy_reference(chain, tol))
+
+    def test_grown_cloud_has_no_pair_within_the_chord(self):
+        grown = orbit_step(orbit_step(initial_cloud(1.0), seed=0), seed=1)
+        chord = _chord(grown.dedup_tolerance)
+        assert len(cKDTree(grown.points).query_pairs(chord)) == 0
+
+    def test_key_space_beyond_int64_raises(self):
+        from psigauge._geometry import fibonacci_sphere
+
+        sphere = fibonacci_sphere(1000)
+        assert _dedup(sphere, MIN_DEDUP_TOLERANCE).shape == sphere.shape
+        with pytest.raises(ValueError):
+            _dedup(sphere, MIN_DEDUP_TOLERANCE / 2.0)
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("tol", [0.0, -0.1, float("nan"), float("inf"), 3.5, 1e-6])
+    def test_cloud_rejects_dedup_tolerance(self, tol):
+        with pytest.raises(ValueError, match="int64"):
+            OrbitCloud(np.array([[0.0, 0.0, 1.0]]), 0, tol)
+
+    @pytest.mark.parametrize("tol", [MIN_DEDUP_TOLERANCE, np.pi])
+    def test_cloud_accepts_dedup_tolerance_bounds(self, tol):
+        assert OrbitCloud(np.array([[0.0, 0.0, 1.0]]), 0, tol).size == 1
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf"), 3.5])
+    def test_coverage_rejects_angular_tolerance(self, tol):
+        with pytest.raises(ValueError, match="angular tolerance"):
+            coverage(initial_cloud(1.0), 500, tol)
+
+    def test_coverage_accepts_pi(self):
+        assert coverage(initial_cloud(1.0), 500, np.pi) == 1.0
+
+
+class TestTrajectory:
+    def test_golden_steps_at_seed_zero(self):
+        steps = [
+            steps_to_cover(theta, 0.99, 0.05, seed=0).steps
+            for theta in (np.pi / 2, np.pi / 4, np.pi / 8, np.pi / 16)
+        ]
+        assert steps == [2, 2, 3, 4]
+
+    def test_rows_match_steps_to_cover(self):
+        traj = steps_to_cover(np.pi / 8, 0.99, 0.05, seed=5)
+        rows = coverage_trajectory(initial_cloud(np.pi / 8), 4000, 0.05, seed=5)
+        assert tuple(next(rows) for _ in traj.trajectory) == traj.trajectory
+
+    def test_steps_run_only_when_asked_for(self):
+        calls = []
+
+        def step(cloud, **options):
+            calls.append(options["seed"])
+            return orbit_step(cloud, **options)
+
+        rows = coverage_trajectory(initial_cloud(1.0), 500, 0.05, seed=7, step=step)
+        assert [next(rows)[0] for _ in range(3)] == [0, 1, 2]
+        assert calls == [8, 9]
