@@ -58,8 +58,10 @@ from .orbit import (
 from .qcore import (
     ContractViolation,
     StateVector,
+    haar_state,
     inner,
     normalized,
+    pair_at_fidelity,
     state_from_json,
 )
 
@@ -288,24 +290,6 @@ def cmd_thm4(args) -> str:
     return _render_json(args, results)
 
 
-def _qubit_pair_at_fidelity(rng: np.random.Generator, fidelity: float):
-    """Haar state plus a partner at exactly the requested fidelity."""
-    first = _haar_qubit(rng)
-    raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    raw -= complex(np.vdot(first.amplitudes, raw)) * first.amplitudes
-    if np.linalg.norm(raw) < 1e-12:
-        fallback = np.array([1.0 + 0j, 0.0])
-        raw = fallback - complex(np.vdot(first.amplitudes, fallback)) * first.amplitudes
-    raw /= np.linalg.norm(raw)
-    amps = fidelity * first.amplitudes + np.sqrt(1.0 - fidelity**2) * raw
-    return first, StateVector(2, amps / np.linalg.norm(amps))
-
-
-def _haar_qubit(rng: np.random.Generator) -> StateVector:
-    raw = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    return StateVector(2, raw / np.linalg.norm(raw))
-
-
 def _load_model(args):
     with open(args.file, encoding="utf-8") as fh:
         return model_from_json(json.load(fh))
@@ -317,6 +301,14 @@ def cmd_model(args) -> str:
         raise UsageError("reproduce and continuity need --builtin ks (a rule-based model)")
     if args.builtin is not None and "nogo" in checks:
         raise UsageError("nogo needs --file with measurement tables")
+    if args.pairs < 1:
+        raise UsageError("--pairs must be >= 1")
+    if not 0.0 <= args.fidelity <= 1.0:
+        raise UsageError("--fidelity must lie in [0, 1]")
+    if not 0.0 < args.delta <= 1.0:
+        raise UsageError("--delta must lie in (0, 1]")
+    if args.samples < 0:
+        raise UsageError("--samples must be >= 0")
     results = {"checks": []}
     family = None
     if args.builtin == "ks":
@@ -351,7 +343,7 @@ def _run_model_check(check: str, args, family) -> dict:
     if check == "reproduce":
         worst = 0.0
         for _ in range(args.pairs):
-            state = _haar_qubit(rng)
+            state = haar_state(2, rng)
             axis = rng.standard_normal(3)
             axis /= np.linalg.norm(axis)
             predicted = family.predict(state, axis)
@@ -363,7 +355,7 @@ def _run_model_check(check: str, args, family) -> dict:
 
     if check in ("classify", "epsilon"):
         if family is not None:
-            first, second = _qubit_pair_at_fidelity(rng, args.fidelity)
+            first, second = pair_at_fidelity(2, args.fidelity, rng)
             model = model_from_parametric(family, {"q0": first, "q1": second})
         else:
             model = _load_model(args)
@@ -473,6 +465,8 @@ def cmd_exclusion(args) -> str:
     if isinstance(payload, dict) and "kind" in payload:
         states = ensemble_from_json(payload).states
     elif isinstance(payload, dict) and "states" in payload:
+        if not isinstance(payload["states"], list):
+            raise ValueError(f"{args.states}: 'states' must be a list of states")
         states = tuple(state_from_json(o) for o in payload["states"])
     elif isinstance(payload, list):
         states = tuple(state_from_json(o) for o in payload)

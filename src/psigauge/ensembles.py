@@ -17,8 +17,8 @@ import numpy as np
 
 from .qcore import (
     ContractViolation,
-    Operator,
     Povm,
+    RESIDUAL_TOL,
     StateVector,
     TENSOR_CAP,
     inner,
@@ -27,8 +27,8 @@ from .qcore import (
     povm_to_json,
     state_from_json,
     state_to_json,
+    symmetric_frames,
     tensor_power,
-    unitary_from_correspondence,
 )
 
 KIND_THEOREM1 = "theorem1"
@@ -155,7 +155,9 @@ def theorem2_ensemble(d: int, n: int, cap: int = TENSOR_CAP) -> NoGoEnsemble:
     two families share one Gram matrix). With u_k the V-preimage of embedded
     |k>, the effects are E_k = |u_k><u_k| + (1/d)(I - sum_m |u_m><u_m|); the
     complement never fires on the span of the tensor powers, so the
-    zero-probability property survives the completion.
+    zero-probability property survives the completion. The measurement is
+    held in factored form (:meth:`Povm.completion` of the u_k), so time and
+    memory grow as d * d**n, not (d**n)**2.
 
     delta_star is the n-copy ball radius 1 - (1 - delta_nd)^n around the
     uniform center of C_(d^n); the single-copy bound delta_nd is in params.
@@ -184,23 +186,27 @@ def theorem2_ensemble(d: int, n: int, cap: int = TENSOR_CAP) -> NoGoEnsemble:
 
 
 def _theorem2_measurement(powers: list) -> Povm:
-    """The effects of :func:`theorem2_ensemble`. Built in a separate function
-    so the dense D x D isometry and complement are freed before the caller
-    validates the POVM."""
-    d = len(powers)
-    big = powers[0].dim
-    pad = np.zeros(big - d, dtype=complex)
-    embedded = [
-        StateVector(big, np.concatenate([s.amplitudes, pad])) for s in theorem1_ensemble(d).states
-    ]
-    v = unitary_from_correspondence(powers, embedded).entries
-    u_vecs = v.conj().T[:, :d]  # column k is the V-preimage of embedded |k>
-    complement = (np.eye(big) - u_vecs @ u_vecs.conj().T) / d
-    effects = tuple(
-        Operator(big, np.outer(u_vecs[:, k], u_vecs[:, k].conj()) + complement)
-        for k in range(d)
+    """The factored measurement of :func:`theorem2_ensemble`.
+
+    With V = f_dst f_src^dag the isometry of :func:`unitary_from_correspondence`
+    from the powers to the theorem1 states embedded in the first d
+    coordinates, the preimage of embedded |k> is column k of
+    U = f_src f_dst^dag, a D x d array; no D x D matrix is formed.
+    U^dag psi_k is the first d coordinates of V psi_k, so checking it
+    against the theorem1 amplitudes checks that V reaches every target.
+    """
+    targets = theorem1_ensemble(len(powers)).states
+    f_src, f_dst = symmetric_frames(powers, targets)
+    u = f_src @ f_dst.conj().T
+    worst = max(
+        float(np.linalg.norm(u.conj().T @ s.amplitudes - t.amplitudes))
+        for s, t in zip(powers, targets)
     )
-    return Povm(big, effects)
+    if worst > RESIDUAL_TOL:
+        raise ContractViolation(
+            f"constructed isometry misses a target by {worst:.3e} (> {RESIDUAL_TOL})"
+        )
+    return Povm.completion(u)
 
 
 def gamma_coefficient(d: int) -> float:
@@ -321,6 +327,10 @@ def ensemble_from_json(obj: dict) -> NoGoEnsemble:
         raise ValueError("ensemble JSON: params must be an object")
     if not isinstance(obj["states"], list) or not obj["states"]:
         raise ValueError("ensemble JSON: states must be a nonempty list")
+    try:
+        delta_star = float(obj["delta_star"])
+    except TypeError:
+        raise ValueError("ensemble JSON: delta_star must be a number") from None
     states = tuple(state_from_json(s) for s in obj["states"])
     dim = states[0].dim
     povm = povm_from_json({"dim": dim, "effects": obj["measurement"]})
@@ -332,5 +342,5 @@ def ensemble_from_json(obj: dict) -> NoGoEnsemble:
         states=states,
         measurement=povm,
         center=state_from_json(obj["center"]),
-        delta_star=float(obj["delta_star"]),
+        delta_star=delta_star,
     )

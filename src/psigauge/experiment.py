@@ -21,7 +21,7 @@ import numpy as np
 from scipy.stats import beta
 
 from .ensembles import KIND_THEOREM2, NoGoEnsemble
-from .qcore import Povm, StateVector, outcome_table
+from .qcore import Povm, StateVector, effect_traces, outcome_table
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def _noisy_rows(table: np.ndarray, povm: Povm, noise: NoiseSpec) -> np.ndarray:
     rows, each then mixed with the uniform outcome distribution with weight q."""
     p = noise.depolarizing_p
     q = noise.outcome_flip_q
-    mixed = np.array([np.trace(e.entries).real for e in povm.effects]) / povm.dim
+    mixed = effect_traces(povm) / povm.dim
     probs = (1.0 - p) * table + p * mixed
     probs = (1.0 - q) * probs + q / povm.outcome_count
     probs = np.clip(probs, 0.0, None)

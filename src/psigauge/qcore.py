@@ -1,9 +1,14 @@
 """Linear-algebra substrate: pure states, effects, POVMs, tensor powers,
 Gram matrices, and isometries built from state correspondences.
 
-Everything is dense numpy. Values are immutable after construction (their
-arrays are frozen), every operation is a pure function, and all randomness
-flows through explicit seeds, so identical calls give identical results.
+States and operators are dense numpy arrays. A POVM is either dense (a
+tuple of D x D effects, the form every external input takes) or factored
+(:meth:`Povm.completion`: m vectors plus an even split of the leftover
+identity), which is how the package's own exclusion measurements are
+built; on a factored POVM, validation, Born tables and traces never form a
+D x D matrix. Values are immutable after construction (their arrays are
+frozen), every operation is a pure function, and all randomness flows
+through explicit seeds, so identical calls give identical results.
 
 Tolerances follow a three-tier convention used across the package:
 
@@ -24,7 +29,10 @@ NORM_TOL = 1e-12
 OP_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
 
-#: hard cap on the amplitude count of tensor powers (keeps promises desk-scale)
+#: hard cap on the amplitude count of tensor powers. Every array the n-copy
+#: construction keeps is O(d * D) (states, frames, the factored measurement),
+#: so the cap is a promise a desk machine keeps: thm2 at D = 3**12 builds and
+#: runs its protocol in about 0.9 s at 280 MB peak RSS on 2 cores.
 TENSOR_CAP = 10**6
 
 
@@ -118,31 +126,77 @@ def projector(state: StateVector) -> Operator:
     return Operator(state.dim, np.outer(a, a.conj()))
 
 
-@dataclass(frozen=True)
 class Povm:
-    """A measurement: a tuple of effects expected to be Hermitian, PSD, and
-    summing to the identity (see :func:`validate_povm`)."""
+    """A measurement on C^dim, in one of two forms.
 
-    dim: int
-    effects: tuple
+    * Dense, ``Povm(dim, effects)``: a tuple of effect Operators, expected
+      to be Hermitian, PSD and summing to the identity. Every measurement
+      read from outside the program takes this form.
+    * Factored, :meth:`completion`: a D x m array U standing for the
+      effects |u_r><u_r| + (I - UU^dag)/m, which sum to the identity by
+      construction. :func:`validate_povm`, :func:`outcome_table` and
+      :func:`effect_traces` work on U and never form a D x D matrix;
+      :attr:`effects` builds the dense matrices on first read.
 
-    def __post_init__(self):
-        effs = tuple(self.effects)
+    Values are immutable after construction.
+    """
+
+    def __init__(self, dim: int, effects: Sequence[Operator]):
+        effs = tuple(effects)
         if not effs:
             raise ValueError("a POVM needs at least one effect")
         for e in effs:
-            if not isinstance(e, Operator) or e.dim != self.dim:
+            if not isinstance(e, Operator) or e.dim != dim:
                 raise ValueError("all effects must be Operators of the POVM dimension")
-        object.__setattr__(self, "effects", effs)
+        self._dim, self._effects, self._vectors = dim, effs, None
+
+    @classmethod
+    def completion(cls, vectors) -> "Povm":
+        """Factored POVM with effects |u_r><u_r| + (I - UU^dag)/m for the
+        columns u_r of the D x m array ``vectors`` (1 <= m <= D).
+
+        When U is square the complement term is left out: a square U gives
+        a valid POVM only if it is unitary, and then the complement is zero.
+        """
+        u = np.array(vectors, dtype=complex)
+        if u.ndim != 2 or not 1 <= u.shape[1] <= u.shape[0]:
+            raise ValueError(f"completion needs a D x m array, 1 <= m <= D; got shape {u.shape}")
+        if not np.all(np.isfinite(u)):
+            raise ValueError("completion vectors have a non-finite entry")
+        povm = cls.__new__(cls)
+        povm._dim, povm._effects, povm._vectors = u.shape[0], None, _frozen(u)
+        return povm
 
     @classmethod
     def basis(cls, dim: int) -> "Povm":
         """Projective measurement onto the computational basis."""
-        return cls(dim, tuple(projector(StateVector.basis(dim, k)) for k in range(dim)))
+        return cls.completion(np.eye(dim))
+
+    @property
+    def dim(self) -> int:
+        return self._dim
+
+    @property
+    def vectors(self):
+        """The D x m array U of a factored POVM; None for a dense one."""
+        return self._vectors
+
+    @property
+    def effects(self) -> tuple:
+        """The effects as dense Operators, built on first read when factored."""
+        if self._effects is None:
+            u = self._vectors
+            dim, m = u.shape
+            mats = [np.outer(col, col.conj()) for col in u.T]
+            if dim > m:
+                rest = (np.eye(dim) - u @ u.conj().T) / m
+                mats = [mat + rest for mat in mats]
+            self._effects = tuple(Operator(dim, mat) for mat in mats)
+        return self._effects
 
     @property
     def outcome_count(self) -> int:
-        return len(self.effects)
+        return len(self._effects) if self._vectors is None else self._vectors.shape[1]
 
 
 @dataclass(frozen=True)
@@ -204,12 +258,18 @@ def born_prob(state: StateVector, effect: Operator) -> float:
     return _clamped_born(state.amplitudes, mat)
 
 
+def _squared_norms(mat: np.ndarray) -> np.ndarray:
+    return mat.real**2 + mat.imag**2
+
+
 def outcome_table(states: Sequence[StateVector], povm: Povm) -> np.ndarray:
     """Frozen Born-rule table P[k, r] = <states[k]|E_r|states[k]>.
 
     The POVM is validated once (ContractViolation if :func:`validate_povm`
-    fails); each entry then follows :func:`born_prob`'s formula, clamp and
-    range check, without repeating the Hermiticity check.
+    fails); each entry then follows :func:`born_prob`'s clamp and range
+    check, without repeating the Hermiticity check. A dense POVM uses
+    :func:`born_prob`'s formula entry by entry; a factored one reads
+    |<u_r|psi>|^2 + (1 - sum_m |<u_m|psi>|^2)/m off the m overlaps.
     """
     if any(s.dim != povm.dim for s in states):
         raise ValueError(f"every state must live in the POVM dimension {povm.dim}")
@@ -220,11 +280,32 @@ def outcome_table(states: Sequence[StateVector], povm: Povm) -> np.ndarray:
             f" min eigenvalue {report.min_eigenvalue:.3e},"
             f" completeness error {report.completeness_error:.3e}"
         )
-    table = np.empty((len(states), povm.outcome_count))
-    for k, s in enumerate(states):
-        for r, effect in enumerate(povm.effects):
-            table[k, r] = _clamped_born(s.amplitudes, effect.entries)
-    return _frozen(table)
+    u = povm.vectors
+    if u is None:
+        table = np.empty((len(states), povm.outcome_count))
+        for k, s in enumerate(states):
+            for r, effect in enumerate(povm.effects):
+                table[k, r] = _clamped_born(s.amplitudes, effect.entries)
+        return _frozen(table)
+    amps = np.array([s.amplitudes for s in states]).reshape(len(states), povm.dim)
+    table = _squared_norms(amps @ u.conj())
+    if povm.dim > u.shape[1]:
+        table += (1.0 - table.sum(axis=1, keepdims=True)) / u.shape[1]
+    stray = (table < -OP_TOL) | (table > 1.0 + OP_TOL)
+    if np.any(stray):
+        raise ContractViolation(f"effect gave probability {table[stray][0]!r} outside [0, 1]")
+    return _frozen(np.clip(table, 0.0, 1.0))
+
+
+def effect_traces(povm: Povm) -> np.ndarray:
+    """tr(E_r) for every effect: |u_r|^2 + (D - sum_m |u_m|^2)/m when factored."""
+    u = povm.vectors
+    if u is None:
+        return np.array([np.trace(e.entries).real for e in povm.effects])
+    traces = _squared_norms(u).sum(axis=0)
+    if povm.dim > u.shape[1]:
+        traces += (povm.dim - traces.sum()) / u.shape[1]
+    return traces
 
 
 def tensor_power(state: StateVector, n: int, cap: int = TENSOR_CAP) -> StateVector:
@@ -263,27 +344,18 @@ def _inv_sqrt(mat: np.ndarray, floor: float) -> np.ndarray:
     return (v * (w**-0.5)) @ v.conj().T
 
 
-def unitary_from_correspondence(
-    src: Sequence[StateVector], dst: Sequence[StateVector]
-) -> Operator:
-    """Isometry V with V src[k] = dst[k], given matching Gram matrices.
+def symmetric_frames(src: Sequence[StateVector], dst: Sequence[StateVector]) -> tuple:
+    """Orthonormal frames (f_src, f_dst) of two families with equal Gram
+    matrices, as column arrays.
 
-    Both families are orthonormalized symmetrically (each through the inverse
-    square root of its own Gram matrix), which pairs the two frames
-    canonically; V maps the source frame onto the destination frame. As a
-    matrix, V is a partial isometry: V*V projects onto span(src) and VV* onto
-    span(dst).
-
-    Preconditions: equal ambient dimensions, Gram matrices equal within
-    ``OP_TOL``, and both families linearly independent. The construction is
-    verified to reproduce dst within ``RESIDUAL_TOL`` before returning.
+    Each family is orthonormalized symmetrically (through the inverse square
+    root of its own Gram matrix), which pairs the two frames canonically:
+    f_src^dag src[k] = f_dst^dag dst[k] for every k. The families may live
+    in different ambient dimensions. Preconditions: Gram matrices equal
+    within ``OP_TOL`` and both families linearly independent.
     """
     if len(src) != len(dst) or not src:
         raise ValueError("src and dst must be nonempty families of equal length")
-    if src[0].dim != dst[0].dim:
-        raise ValueError(
-            f"ambient dimensions differ: src {src[0].dim} vs dst {dst[0].dim}"
-        )
     g_src = gram(src)
     g_dst = gram(dst)
     mismatch = float(np.max(np.abs(g_src - g_dst)))
@@ -293,8 +365,27 @@ def unitary_from_correspondence(
         )
     s_mat = np.array([s.amplitudes for s in src]).T  # (D, d) columns
     d_mat = np.array([s.amplitudes for s in dst]).T
-    f_src = s_mat @ _inv_sqrt(g_src, OP_TOL)
-    f_dst = d_mat @ _inv_sqrt(g_dst, OP_TOL)
+    return s_mat @ _inv_sqrt(g_src, OP_TOL), d_mat @ _inv_sqrt(g_dst, OP_TOL)
+
+
+def unitary_from_correspondence(
+    src: Sequence[StateVector], dst: Sequence[StateVector]
+) -> Operator:
+    """Isometry V with V src[k] = dst[k], given matching Gram matrices.
+
+    V = f_dst f_src^dag maps the source frame of :func:`symmetric_frames`
+    onto the destination frame. As a matrix, V is a partial isometry: V*V
+    projects onto span(src) and VV* onto span(dst).
+
+    Preconditions: equal ambient dimensions, Gram matrices equal within
+    ``OP_TOL``, and both families linearly independent. The construction is
+    verified to reproduce dst within ``RESIDUAL_TOL`` before returning.
+    """
+    if src and dst and src[0].dim != dst[0].dim:
+        raise ValueError(
+            f"ambient dimensions differ: src {src[0].dim} vs dst {dst[0].dim}"
+        )
+    f_src, f_dst = symmetric_frames(src, dst)
     v = f_dst @ f_src.conj().T
     worst = max(
         float(np.linalg.norm(v @ s.amplitudes - t.amplitudes)) for s, t in zip(src, dst)
@@ -309,20 +400,44 @@ def unitary_from_correspondence(
 def validate_povm(p: Povm) -> PovmReport:
     """Report Hermiticity, positivity, and completeness of a POVM.
 
-    Never raises; ``passed`` reflects the OP_TOL thresholds.
+    Never raises; ``passed`` reflects the OP_TOL thresholds. A factored POVM
+    is checked inside span(U) at O(D m^2 + m^4) cost, and gets the numbers
+    the dense check of its effects would give, up to rounding.
     """
-    herm = 0.0
-    min_eig = np.inf
-    total = np.zeros((p.dim, p.dim), dtype=complex)
-    for e in p.effects:
-        mat = e.entries
-        herm = max(herm, float(np.max(np.abs(mat - mat.conj().T))))
-        sym = 0.5 * (mat + mat.conj().T)
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(sym).min()))
-        total += mat
-    comp = float(np.max(np.abs(total - np.eye(p.dim))))
+    if p.vectors is not None:
+        herm, min_eig, comp = _completion_checks(p.vectors)
+    else:
+        herm = 0.0
+        min_eig = np.inf
+        total = np.zeros((p.dim, p.dim), dtype=complex)
+        for e in p.effects:
+            mat = e.entries
+            herm = max(herm, float(np.max(np.abs(mat - mat.conj().T))))
+            sym = 0.5 * (mat + mat.conj().T)
+            min_eig = min(min_eig, float(np.linalg.eigvalsh(sym).min()))
+            total += mat
+        comp = float(np.max(np.abs(total - np.eye(p.dim))))
     passed = herm <= OP_TOL and min_eig >= -OP_TOL and comp <= OP_TOL
     return PovmReport(herm, float(min_eig), comp, passed)
+
+
+def _completion_checks(u: np.ndarray) -> tuple:
+    """(Hermiticity error, min eigenvalue, completeness error) of
+    ``Povm.completion(u)``."""
+    dim, m = u.shape
+    if dim == m:
+        # effects |u_r><u_r| are rank one: eigenvalues |u_r|^2 and zeros
+        min_eig = float(_squared_norms(u).sum()) if m == 1 else 0.0
+        return 0.0, min_eig, float(np.max(np.abs(u @ u.conj().T - np.eye(dim))))
+    # with u = q r and orthonormal columns q, effect r acts on span(q) as the
+    # m x m matrix r_r r_r^dag + (I - r r^dag)/m, and as I/m on the rest
+    _, r = np.linalg.qr(u)
+    mats = r.T[:, :, None] * r.T.conj()[:, None, :] + (np.eye(m) - r @ r.conj().T) / m
+    adjoint = mats.conj().transpose(0, 2, 1)
+    herm = float(np.max(np.abs(mats - adjoint)))
+    min_eig = min(float(np.linalg.eigvalsh(0.5 * (mats + adjoint)).min()), 1.0 / m)
+    comp = float(np.max(np.abs(mats.sum(axis=0) - np.eye(m))))
+    return herm, min_eig, comp
 
 
 def sample_state_in_ball(ball: Ball, seed) -> StateVector:
@@ -337,21 +452,54 @@ def sample_state_in_ball(ball: Ball, seed) -> StateVector:
 
     ``seed`` may be an int or a numpy Generator.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = _rng(seed)
     center = ball.center.amplitudes
-    dim = ball.center.dim
-    if dim == 1:
+    if ball.center.dim == 1:
         return StateVector(1, center.copy())
-    while True:
-        z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        z -= np.vdot(center, z) * center
-        norm = float(np.linalg.norm(z))
-        if norm > 1e-12:
-            break
-    direction = z / norm
+    direction = _orthogonal_direction(rng, center)
     f = float(rng.uniform(1.0 - ball.radius, 1.0))
     amps = f * center + np.sqrt(max(0.0, 1.0 - f * f)) * direction
-    return StateVector(dim, amps / np.linalg.norm(amps))
+    return StateVector(ball.center.dim, amps / np.linalg.norm(amps))
+
+
+def _rng(seed) -> np.random.Generator:
+    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+
+
+def _orthogonal_direction(rng: np.random.Generator, unit: np.ndarray) -> np.ndarray:
+    """Haar-random unit vector orthogonal to ``unit`` (dimension >= 2):
+    a complex Gaussian draw with its ``unit`` component removed, drawn
+    again in the measure-zero case that nothing is left."""
+    while True:
+        z = rng.standard_normal(unit.size) + 1j * rng.standard_normal(unit.size)
+        z -= np.vdot(unit, z) * unit
+        norm = float(np.linalg.norm(z))
+        if norm > 1e-12:
+            return z / norm
+
+
+def haar_state(dim: int, seed) -> StateVector:
+    """Haar-random pure state: a complex Gaussian vector (real parts drawn
+    first, then imaginary parts), normalized. ``seed`` may be an int or a
+    numpy Generator."""
+    rng = _rng(seed)
+    raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return StateVector(dim, raw / np.linalg.norm(raw))
+
+
+def pair_at_fidelity(dim: int, fidelity: float, seed) -> tuple:
+    """A Haar-random state and a partner at exactly |<first|second>| = fidelity:
+    fidelity * first + sqrt(1 - fidelity^2) * (a Haar direction orthogonal
+    to first). ``seed`` may be an int or a numpy Generator."""
+    if dim < 2:
+        raise ValueError(f"a pair at a chosen fidelity needs dimension >= 2, got {dim}")
+    if not 0.0 <= fidelity <= 1.0:
+        raise ValueError(f"fidelity must lie in [0, 1], got {fidelity}")
+    rng = _rng(seed)
+    first = haar_state(dim, rng)
+    direction = _orthogonal_direction(rng, first.amplitudes)
+    amps = fidelity * first.amplitudes + np.sqrt(1.0 - fidelity**2) * direction
+    return first, StateVector(dim, amps / np.linalg.norm(amps))
 
 
 # ---------------------------------------------------------------------------
@@ -368,16 +516,28 @@ def state_to_json(state: StateVector) -> dict:
 
 
 def _require(obj: dict, keys: tuple, what: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} JSON: expected an object, got {type(obj).__name__}")
     for key in keys:
         if key not in obj:
             raise ValueError(f"{what} JSON: missing field {key!r}")
 
 
+def _numeric_fields(obj: dict, what: str) -> tuple:
+    """(dim, re, im) of a state or operator object, as an int and float arrays."""
+    _require(obj, ("dim", "re", "im"), what)
+    try:
+        return (
+            int(obj["dim"]),
+            np.asarray(obj["re"], dtype=float),
+            np.asarray(obj["im"], dtype=float),
+        )
+    except TypeError as exc:  # a list or object where a number belongs
+        raise ValueError(f"{what} JSON: {exc}") from None
+
+
 def state_from_json(obj: dict) -> StateVector:
-    _require(obj, ("dim", "re", "im"), "state")
-    dim = int(obj["dim"])
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+    dim, re, im = _numeric_fields(obj, "state")
     if re.shape != (dim,) or im.shape != (dim,):
         raise ValueError(f"state JSON: expected {dim} re/im entries")
     return StateVector(dim, re + 1j * im)
@@ -389,10 +549,7 @@ def operator_to_json(op: Operator) -> dict:
 
 
 def operator_from_json(obj: dict) -> Operator:
-    _require(obj, ("dim", "re", "im"), "operator")
-    dim = int(obj["dim"])
-    re = np.asarray(obj["re"], dtype=float)
-    im = np.asarray(obj["im"], dtype=float)
+    dim, re, im = _numeric_fields(obj, "operator")
     if re.shape != (dim * dim,) or im.shape != (dim * dim,):
         raise ValueError(f"operator JSON: expected {dim * dim} re/im entries (row-major)")
     return Operator(dim, (re + 1j * im).reshape(dim, dim))
@@ -404,5 +561,6 @@ def povm_to_json(p: Povm) -> dict:
 
 def povm_from_json(obj: dict) -> Povm:
     _require(obj, ("dim", "effects"), "povm")
-    dim = int(obj["dim"])
-    return Povm(dim, tuple(operator_from_json(e) for e in obj["effects"]))
+    if not isinstance(obj["effects"], list):
+        raise ValueError("povm JSON: effects must be a list")
+    return Povm(int(obj["dim"]), tuple(operator_from_json(e) for e in obj["effects"]))

@@ -11,6 +11,17 @@ def haar_state(rng: np.random.Generator, dim: int):
     return StateVector(dim, raw / np.linalg.norm(raw))
 
 
+def dense_measurement(ensemble):
+    """The ensemble with its measurement rebuilt as dense effects, for tests
+    that compare the dense path against born_prob to the last bit."""
+    import dataclasses
+
+    from psigauge.qcore import Povm
+
+    m = ensemble.measurement
+    return dataclasses.replace(ensemble, measurement=Povm(m.dim, m.effects))
+
+
 def random_discrete_model(seed: int) -> DiscreteOnticModel:
     """Arbitrary model whose measurements all have one outcome per
     preparation (the regime where the exclusion bound is a theorem)."""

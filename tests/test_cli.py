@@ -425,3 +425,60 @@ class TestMalformedEnsembleFile:
         assert message in err
         assert "Traceback" not in err
         assert out == ""
+
+
+class TestMalformedStateFile:
+    @pytest.mark.parametrize(
+        "payload",
+        [{"states": 5}, [5], {"states": [5]}],
+        ids=["states-not-a-list", "list-of-numbers", "states-of-numbers"],
+    )
+    def test_exits_two_without_traceback(self, tmp_path, payload):
+        path = tmp_path / "states.json"
+        path.write_text(json.dumps(payload))
+        rc, out, err = run_process(["exclusion", "--states", str(path)])
+        assert rc == 2, err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert out == ""
+
+
+class TestModelFlagRanges:
+    KS = ["model", "--builtin", "ks", "--grid", "1000"]
+
+    def test_fidelity_out_of_range_exits_one_before_any_arithmetic(self):
+        rc, out, err = run_process(self.KS + ["--check", "classify", "--fidelity", "1.5"])
+        assert rc == 1, err
+        assert "--fidelity" in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--check", "classify", "--fidelity", "-0.1"),
+            ("--check", "reproduce", "--pairs", "-3"),
+            ("--check", "reproduce", "--pairs", "0"),
+            ("--check", "continuity", "--samples", "-2"),
+            ("--check", "continuity", "--delta", "1.5"),
+            ("--check", "continuity", "--delta", "0"),
+        ],
+    )
+    def test_out_of_range_exits_one(self, capsys, flags):
+        rc, out, err = run(capsys, self.KS + list(flags))
+        assert rc == 1, err
+        assert flags[2] in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--check", "classify", "--fidelity", "0"),
+            ("--check", "classify", "--fidelity", "1"),
+            ("--check", "reproduce", "--pairs", "1"),
+            ("--check", "continuity", "--samples", "0"),
+            ("--check", "continuity", "--delta", "1"),
+        ],
+    )
+    def test_range_ends_are_accepted(self, capsys, flags):
+        rc, _, err = run(capsys, self.KS + list(flags))
+        assert rc == 0, err

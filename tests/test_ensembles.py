@@ -99,6 +99,12 @@ class TestTheorem2:
         assert validate_povm(e.measurement).passed
         assert exclusion_value(list(e.states), e.measurement) <= 1e-9
 
+    def test_ten_copies_build_in_factored_form(self):
+        # D = 3**10: the three dense effects alone would take about 167 GB
+        e = theorem2_ensemble(3, 10)
+        assert e.measurement.vectors.shape == (3**10, 3)
+        assert exclusion_value(list(e.states), e.measurement) <= 1e-9
+
     def test_tensor_power_gram(self):
         e = theorem2_ensemble(5, 2)
         g = gram(e.states)
@@ -221,6 +227,15 @@ class TestEnsembleJson:
         obj = ensemble_to_json(theorem1_ensemble(2))
         del obj["center"]
         with pytest.raises(ValueError):
+            ensemble_from_json(obj)
+
+    @pytest.mark.parametrize(
+        "field, value", [("delta_star", [0.5]), ("measurement", 5), ("center", 5)]
+    )
+    def test_wrong_field_type_rejected(self, field, value):
+        obj = ensemble_to_json(theorem1_ensemble(2))
+        obj[field] = value
+        with pytest.raises(ValueError, match="JSON"):
             ensemble_from_json(obj)
 
 

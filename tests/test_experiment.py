@@ -25,6 +25,8 @@ from psigauge.qcore import (
     outcome_table,
 )
 
+from conftest import dense_measurement
+
 
 QUIET = NoiseSpec(0.0, 0.0)
 
@@ -77,7 +79,9 @@ class TestNoisyOutcomeDistribution:
         with pytest.raises(ContractViolation):
             noisy_outcome_distribution(StateVector.basis(2, 0), broken, QUIET)
 
-    @pytest.mark.parametrize("ens", [theorem1_ensemble(5), theorem2_ensemble(3, 2)])
+    @pytest.mark.parametrize(
+        "ens", [theorem1_ensemble(5), dense_measurement(theorem2_ensemble(3, 2))]
+    )
     def test_table_mixing_equals_per_outcome_loop(self, ens):
         # reference: one state and one effect at a time, in the same arithmetic
         p, q = 0.03, 0.02

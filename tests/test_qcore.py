@@ -6,20 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psigauge import qcore
-from psigauge.ensembles import theorem1_ensemble, theorem2_ensemble
+from psigauge.ensembles import theorem1_ensemble, theorem2_ensemble, theorem4_ensemble
 from psigauge.qcore import (
+    OP_TOL,
     Ball,
     ContractViolation,
     Operator,
     Povm,
     StateVector,
     born_prob,
+    effect_traces,
     gram,
+    haar_state as sample_haar_state,
     inner,
     normalized,
     operator_from_json,
     operator_to_json,
     outcome_table,
+    pair_at_fidelity,
     povm_from_json,
     povm_to_json,
     projector,
@@ -31,7 +35,7 @@ from psigauge.qcore import (
     validate_povm,
 )
 
-from conftest import haar_state
+from conftest import dense_measurement, haar_state
 
 
 class TestStateVector:
@@ -95,7 +99,9 @@ class TestBornRule:
             p = born_prob(s, effect)
             assert 0.0 <= p <= 1.0
 
-    @pytest.mark.parametrize("ens", [theorem1_ensemble(5), theorem2_ensemble(3, 2)])
+    @pytest.mark.parametrize(
+        "ens", [theorem1_ensemble(5), dense_measurement(theorem2_ensemble(3, 2))]
+    )
     def test_outcome_table_equals_born_prob_entrywise(self, ens):
         table = outcome_table(ens.states, ens.measurement)
         assert table.shape == (len(ens.states), ens.measurement.outcome_count)
@@ -241,6 +247,91 @@ class TestPovmValidation:
             Operator(2, np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+REPORT_FIELDS = ("hermiticity_error", "min_eigenvalue", "completeness_error")
+
+
+def _assert_reports_agree(factored: Povm):
+    fast, dense = validate_povm(factored), validate_povm(Povm(factored.dim, factored.effects))
+    for field in REPORT_FIELDS:
+        assert abs(getattr(fast, field) - getattr(dense, field)) <= 1e-12, field
+    assert fast.passed == dense.passed
+    return fast, dense
+
+
+class TestFactoredPovm:
+    @pytest.mark.parametrize(
+        "ens",
+        [theorem1_ensemble(5), theorem4_ensemble(6, 0.5)]
+        + [theorem2_ensemble(3, n) for n in (1, 2, 3)],
+        ids=["thm1(5)", "thm4(6,0.5)", "thm2(3,1)", "thm2(3,2)", "thm2(3,3)"],
+    )
+    def test_agrees_with_its_dense_effects(self, ens):
+        m = ens.measurement
+        assert m.vectors is not None
+        dense = Povm(m.dim, m.effects)
+        rng = np.random.default_rng(3)
+        states = list(ens.states) + [haar_state(rng, m.dim) for _ in range(4)]
+        gap = np.abs(outcome_table(states, m) - outcome_table(states, dense))
+        assert gap.max() <= 1e-12
+        assert np.abs(effect_traces(m) - effect_traces(dense)).max() <= 1e-12
+        fast, _ = _assert_reports_agree(m)
+        assert fast.passed
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_theorem2_table_is_the_theorem1_table(self, d, n):
+        # <u_m|psi_k^(n)> = <m|t_k> and the complement never fires on the
+        # span of the powers, so the table does not depend on n
+        ens = theorem2_ensemble(d, n)
+        table = outcome_table(ens.states, ens.measurement)
+        expected = (1.0 - np.eye(d)) / (d - 1)
+        assert np.abs(table - expected).max() <= 1e-12
+
+    def test_long_column_fails_on_min_eigenvalue(self):
+        rng = np.random.default_rng(0)
+        frame, _ = np.linalg.qr(rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)))
+        frame[:, 0] *= 1.1
+        fast, dense = _assert_reports_agree(Povm.completion(frame))
+        assert fast.min_eigenvalue < -OP_TOL and dense.min_eigenvalue < -OP_TOL
+        assert not fast.passed
+
+    def test_square_non_unitary_fails_on_completeness(self):
+        # the complement of a square U is dropped, so 0.9 I leaves 0.19 missing
+        fast, _ = _assert_reports_agree(Povm.completion(0.9 * np.eye(3)))
+        assert abs(fast.completeness_error - 0.19) <= 1e-12
+        assert not fast.passed
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [np.ones(3), np.ones((2, 3)), np.zeros((3, 0)), np.array([[np.nan], [1.0]])],
+        ids=["one-dimensional", "more columns than rows", "no columns", "nan"],
+    )
+    def test_completion_rejects_malformed_vectors(self, vectors):
+        with pytest.raises(ValueError):
+            Povm.completion(vectors)
+
+    def test_basis_effects_are_the_basis_projectors(self):
+        for k, effect in enumerate(Povm.basis(3).effects):
+            assert np.array_equal(effect.entries, projector(StateVector.basis(3, k)).entries)
+
+
+class TestHaarSamplers:
+    def test_haar_state_draws_real_then_imaginary_parts(self):
+        a = sample_haar_state(3, np.random.default_rng(4))
+        b = haar_state(np.random.default_rng(4), 3)
+        assert np.array_equal(a.amplitudes, b.amplitudes)
+
+    @pytest.mark.parametrize("fidelity", [0.0, 0.3, 0.9, 1.0])
+    def test_pair_sits_at_the_requested_fidelity(self, fidelity):
+        first, second = pair_at_fidelity(2, fidelity, 5)
+        assert abs(abs(inner(first, second)) - fidelity) <= 1e-12
+
+    @pytest.mark.parametrize("fidelity", [-0.1, 1.5, np.nan])
+    def test_pair_rejects_fidelity_out_of_range(self, fidelity):
+        with pytest.raises(ValueError, match="fidelity"):
+            pair_at_fidelity(2, fidelity, 0)
+
+
 class TestJson:
     def test_state_round_trip(self):
         s = normalized(np.array([1.0, 1j, -0.5]))
@@ -265,6 +356,23 @@ class TestJson:
     def test_missing_field_diagnostics(self):
         with pytest.raises(ValueError):
             state_from_json({"dim": 2, "re": [1.0, 0.0]})
+
+    @pytest.mark.parametrize("decode", [state_from_json, operator_from_json, povm_from_json])
+    @pytest.mark.parametrize("payload", [5, [5], "state", None])
+    def test_non_object_rejected(self, decode, payload):
+        with pytest.raises(ValueError, match="expected an object"):
+            decode(payload)
+
+    @pytest.mark.parametrize("field, value", [("dim", [2]), ("re", {"a": 1.0})])
+    def test_wrong_field_type_rejected(self, field, value):
+        obj = state_to_json(StateVector.basis(2, 0))
+        obj[field] = value
+        with pytest.raises(ValueError, match="state JSON"):
+            state_from_json(obj)
+
+    def test_povm_effects_must_be_a_list(self):
+        with pytest.raises(ValueError, match="effects must be a list"):
+            povm_from_json({"dim": 2, "effects": 5})
 
 
 class TestContractViolation:
