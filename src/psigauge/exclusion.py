@@ -12,6 +12,9 @@ convergence criterion.
 States living in a space smaller than the state count are zero-padded into
 C^max(D, d): a projective measurement there restricts to a valid POVM on
 the physical space, so the optimum is unchanged.
+
+scipy.linalg is imported inside ``expm``, not at module level, so that
+commands which never search do not pay for it at start-up.
 """
 
 from __future__ import annotations
@@ -20,12 +23,19 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .qcore import Operator, Povm, StateVector, operator_to_json, outcome_table
 
 ARMIJO_C = 1e-4
 GRAD_TOL = 1e-8
+
+
+def expm(matrix: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.expm``, imported on the first retraction rather than
+    with this module."""
+    from scipy.linalg import expm as scipy_expm
+
+    return scipy_expm(matrix)
 
 
 @dataclass(frozen=True)

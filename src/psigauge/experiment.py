@@ -8,6 +8,11 @@ cells dominate these experiments and exact intervals are much tighter
 there than Hoeffding-style bounds. The choice of statistical procedure is
 recorded in every report via the confidence field and, for multi-copy
 ensembles, the preparation-independence flag.
+
+The limits come from ``scipy.special.betaincinv``, imported inside
+``_clopper_pearson_upper`` so that the CLI starts without scipy; importing
+``scipy.stats`` for ``beta.ppf``, which runs the same kernel, would be most
+of a command's start-up.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import beta
 
 from .ensembles import KIND_THEOREM2, NoGoEnsemble
 from .qcore import Povm, StateVector, effect_traces, outcome_table
@@ -74,9 +78,12 @@ def noisy_outcome_distribution(
 
 def _clopper_pearson_upper(successes: int, trials: int, significance: float) -> float:
     """Exact one-sided upper confidence limit for a binomial proportion."""
+    from scipy.special import betaincinv
+
     if successes >= trials:
         return 1.0
-    return float(beta.ppf(1.0 - significance, successes + 1, trials - successes))
+    # the inverse regularized incomplete beta function is the Beta(k+1, n-k) quantile
+    return float(betaincinv(successes + 1, trials - successes, 1.0 - significance))
 
 
 def run_protocol(

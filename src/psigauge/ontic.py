@@ -148,6 +148,13 @@ def predict(model: DiscreteOnticModel, q: str, m: str) -> np.ndarray:
     return _prep(model, q) @ _resp(model, m)
 
 
+def _overlap_sum(per_min: np.ndarray) -> float:
+    """Sum of a pointwise minimum of distributions, capped at 1. The entries
+    are non-negative, but each distribution sums to 1 only within SUM_TOL,
+    so the sum for two equal ones can exceed 1 by rounding."""
+    return min(float(per_min.sum()), 1.0)
+
+
 def epsilon_overlap(model: DiscreteOnticModel, qs: Sequence[str]) -> OverlapReport:
     """Exact common overlap of the given preparations over the finite space."""
     if len(qs) < 2:
@@ -156,7 +163,7 @@ def epsilon_overlap(model: DiscreteOnticModel, qs: Sequence[str]) -> OverlapRepo
     per_min = np.min(stacked, axis=0)
     witnesses = tuple(int(i) for i in np.nonzero(per_min > 0.0)[0])
     per_min.flags.writeable = False
-    return OverlapReport(float(per_min.sum()), witnesses, per_min)
+    return OverlapReport(_overlap_sum(per_min), witnesses, per_min)
 
 
 def nogo_check(model: DiscreteOnticModel, qs: Sequence[str], m: str) -> NoGoCheck:
@@ -187,7 +194,7 @@ def classify(model: DiscreteOnticModel, qs: Sequence[str]) -> Classification:
     for i in range(len(qs)):
         p_i = _prep(model, qs[i])
         for j in range(i + 1, len(qs)):
-            ov = float(np.minimum(p_i, _prep(model, qs[j])).sum())
+            ov = _overlap_sum(np.minimum(p_i, _prep(model, qs[j])))
             if ov > best:
                 best = ov
                 best_pair = (qs[i], qs[j])

@@ -8,6 +8,9 @@ seeded generator. Dedup has no Python loop: a grid pass keeps the first
 point under each packed int64 cell key, then a greedy pass over the
 KD-tree's pair list runs in vectorized rounds, so steps stay near-linear in
 the candidate count.
+
+``cKDTree`` is imported inside the two functions that build one, so that
+importing this module (and with it the CLI) loads no scipy module.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ from dataclasses import dataclass
 from itertools import islice
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from ._geometry import fibonacci_sphere, rodrigues_rotate
 
@@ -78,6 +80,8 @@ def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
     neighbours, then pairs touching a dropped point go. Below
     MIN_DEDUP_TOLERANCE, ``np.ravel_multi_index`` may raise ValueError.
     """
+    from scipy.spatial import cKDTree
+
     if points.shape[0] == 0:
         return points
     chord = _chord(tol)
@@ -161,6 +165,8 @@ def orbit_step(
 
 def coverage(cloud: OrbitCloud, grid_size: int, angular_tol: float) -> float:
     """Fraction of a reference Fibonacci grid within angular_tol of the cloud."""
+    from scipy.spatial import cKDTree
+
     if grid_size < 100:
         raise ValueError(f"grid size must be >= 100, got {grid_size}")
     if not 0.0 < angular_tol <= np.pi:

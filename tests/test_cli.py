@@ -222,6 +222,16 @@ class TestModelChecks:
         assert check["verdict"] == "psi-epistemic"
         assert check["overlap"] > 0
 
+    def test_equal_preparations_overlap_exactly_one(self, capsys):
+        obj = run_json(
+            capsys,
+            ["model", "--builtin", "ks", "--check", "classify", "--check", "epsilon",
+             "--fidelity", "1", "--grid", "1000", "--seed", "0"],
+        )
+        classify_check, epsilon_check = obj["results"]["checks"]
+        assert classify_check["overlap"] == 1.0
+        assert epsilon_check["epsilon"] == 1.0
+
     def test_reproduce_requires_a_rule_based_model(self, capsys, bad_model_file):
         rc, _, err = run(
             capsys, ["model", "--file", bad_model_file, "--check", "reproduce"]
@@ -482,3 +492,26 @@ class TestModelFlagRanges:
     def test_range_ends_are_accepted(self, capsys, flags):
         rc, _, err = run(capsys, self.KS + list(flags))
         assert rc == 0, err
+
+
+class TestStartup:
+    def test_cli_starts_without_scipy(self):
+        # a fresh interpreter: this test process has long since loaded scipy
+        src = os.path.dirname(os.path.dirname(os.path.abspath(psigauge.__file__)))
+        code = (
+            "import contextlib, io, sys\n"
+            "from psigauge.cli import build_parser, main\n"
+            "build_parser()\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = main(['thm1', '--dim', '8', '--seed', '1'])\n"
+            "print(rc, 'scipy.stats' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "0 False"]

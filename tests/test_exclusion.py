@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from psigauge import qcore
+from psigauge import exclusion, qcore
 from psigauge.ensembles import theorem1_ensemble, theorem2_ensemble
 from psigauge.exclusion import (
     ExclusionProblem,
@@ -80,6 +80,14 @@ class TestOptimize:
         state = StateVector(1, np.array([1.0 + 0j]))
         result = optimize(ExclusionProblem((state, state)), restarts=3)
         assert abs(result.best_value - 1.0) <= 1e-9
+
+    def test_retractions_go_through_the_module_expm(self, monkeypatch):
+        # perfbench times expm where optimize looks it up
+        calls = []
+        real = exclusion.expm
+        monkeypatch.setattr(exclusion, "expm", lambda m: calls.append(m) or real(m))
+        optimize(ExclusionProblem(theorem1_ensemble(3).states), restarts=1, seed=0)
+        assert calls
 
     def test_history_is_monotone_nonincreasing(self):
         ens = theorem1_ensemble(4)

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from psigauge import qcore
+from psigauge import experiment, qcore
 from psigauge.ensembles import theorem1_ensemble, theorem2_ensemble
 from psigauge.experiment import (
     SWEEP_FIELDS,
@@ -111,6 +111,17 @@ class TestClopperPearson:
         assert uppers == sorted(uppers)
         assert all(0.0 < u < 1.0 for u in uppers)
 
+    @pytest.mark.parametrize("trials", [1, 10, 100_000])
+    def test_equals_the_beta_quantile_bitwise(self, trials):
+        from scipy.stats import beta
+
+        k = np.arange(trials)
+        for d in (2, 8, 32, 64, 729):
+            significance = (1.0 - 0.95) / d
+            expected = beta.ppf(1.0 - significance, k + 1, trials - k)
+            got = np.array([_clopper_pearson_upper(j, trials, significance) for j in range(trials)])
+            assert np.array_equal(got, expected), d
+
 
 class TestRunProtocol:
     def test_preconditions(self):
@@ -172,6 +183,16 @@ class TestRunProtocol:
         monkeypatch.setattr(qcore, "validate_povm", lambda p: calls.append(p) or real(p))
         run_protocol(ens, NoiseSpec(0.02, 0.01), 100, seed=0)
         assert len(calls) == 1
+
+    def test_one_clopper_pearson_call_per_preparation(self, monkeypatch):
+        # perfbench times the bound where run_protocol looks it up
+        calls = []
+        real = experiment._clopper_pearson_upper
+        monkeypatch.setattr(
+            experiment, "_clopper_pearson_upper", lambda *a: calls.append(a) or real(*a)
+        )
+        run_protocol(theorem1_ensemble(8), QUIET, 100, seed=0)
+        assert len(calls) == 8
 
     def test_json_round_shape(self):
         report = run_protocol(theorem1_ensemble(2), QUIET, 50, seed=3)

@@ -84,6 +84,14 @@ class TestPredict:
             predict(m, "q0", "bad")
 
 
+def over_normalized_pair() -> DiscreteOnticModel:
+    """Two equal preparations whose entries sum to just above 1, within the
+    normalization tolerance."""
+    vec = np.full(3, 1.0 / 3.0)
+    vec[0] += 1e-12
+    return DiscreteOnticModel(3, {"q0": vec, "q1": vec.copy()}, {})
+
+
 class TestEpsilonOverlap:
     def test_requires_two_preparations(self):
         m = shared_core_model(0.5)
@@ -104,6 +112,11 @@ class TestEpsilonOverlap:
         rep = epsilon_overlap(m, ["q0", "q1"])
         assert rep.epsilon == 0.0
         assert rep.witness_lambdas == ()
+
+    def test_equal_preparations_give_exactly_one(self):
+        m = over_normalized_pair()
+        assert float(m.preparations["q0"].sum()) > 1.0
+        assert epsilon_overlap(m, ["q0", "q1"]).epsilon == 1.0
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -172,6 +185,11 @@ class TestClassify:
         assert res.verdict == "psi-epistemic"
         assert set(res.pair) <= {"q0", "q1", "q2"}
         assert res.overlap == 0.5
+
+    def test_equal_preparations_overlap_exactly_one(self):
+        res = classify(over_normalized_pair(), ["q0", "q1"])
+        assert res.verdict == "psi-epistemic"
+        assert res.overlap == 1.0
 
 
 class TestProductModel:
