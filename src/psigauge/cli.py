@@ -307,8 +307,8 @@ def cmd_model(args) -> str:
         raise UsageError("--fidelity must lie in [0, 1]")
     if not 0.0 < args.delta <= 1.0:
         raise UsageError("--delta must lie in (0, 1]")
-    if args.samples < 0:
-        raise UsageError("--samples must be >= 0")
+    if args.samples < 1:
+        raise UsageError("--samples must be >= 1")
     results = {"checks": []}
     family = None
     if args.builtin == "ks":
@@ -460,6 +460,8 @@ def cmd_scaling(args) -> str:
 def cmd_exclusion(args) -> str:
     if args.restarts < 1:
         raise UsageError("--restarts must be >= 1")
+    if args.max_iters < 1:
+        raise UsageError("--max-iters must be >= 1")
     with open(args.states, encoding="utf-8") as fh:
         payload = json.load(fh)
     if isinstance(payload, dict) and "kind" in payload:

@@ -1,20 +1,16 @@
-"""Minimize the exclusion sum over projective measurements.
+"""Minimize the exclusion sum over measurements with one outcome per state.
 
-The search runs on the unitary group: a basis is the column set of a
-unitary B, the first d columns are assigned to the d outcomes, and descent
-follows the Riemannian gradient. For f(B) = sum_k |<b_k|s_k>|^2 the
-Euclidean gradient has columns G[:, k] = s_k <s_k|b_k> (zero for k >= d),
-the skew-Hermitian descent direction is Omega = G B^H - B G^H, and the
-retraction is B <- expm(-tau Omega) B. The directional derivative at tau=0
-is exactly -||Omega||_F^2, which drives both the Armijo test and the
-convergence criterion.
+Compressing a POVM onto span(states) keeps its exclusion sum, so the search
+runs there: with S = Q R (Q is D x r, r = min(D, d)) it works on C = Q^H S,
+zero-padded to d rows, over unitaries B of C^d, outcome k owning column b_k.
+The answer lifts to U = Q B[:r, :], returned as ``Povm.completion(U)``,
+whose even complement (I - Q Q^H)/d never touches a state.
 
-States living in a space smaller than the state count are zero-padded into
-C^max(D, d): a projective measurement there restricts to a valid POVM on
-the physical space, so the optimum is unchanged.
-
-scipy.linalg is imported inside ``expm``, not at module level, so that
-commands which never search do not pay for it at start-up.
+Descent follows the Riemannian gradient on the unitary group: for
+f(B) = sum_k |<c_k|b_k>|^2 the direction is the skew-Hermitian
+Omega = G B^H - B G^H with G[:, k] = c_k <c_k|b_k>, one eigh of i Omega gives
+exp(-tau Omega) B for every backtracking tau, and the slope at tau = 0 is
+exactly -||Omega||_F^2, which drives both the Armijo test and the gradient stop.
 """
 
 from __future__ import annotations
@@ -24,25 +20,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import Operator, Povm, StateVector, operator_to_json, outcome_table
+from .qcore import Povm, StateVector, outcome_table
 
 ARMIJO_C = 1e-4
 GRAD_TOL = 1e-8
-
-
-def expm(matrix: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.expm``, imported on the first retraction rather than
-    with this module."""
-    from scipy.linalg import expm as scipy_expm
-
-    return scipy_expm(matrix)
+#: restarts end once the best value is this close to the dual bound
+CERTIFICATE_GAP = 1e-9
 
 
 @dataclass(frozen=True)
 class ExclusionProblem:
     """d states assigned to d measurement outcomes. All states must share
-    one ambient dimension; the state count may exceed it (the optimizer
-    embeds into a larger space)."""
+    one ambient dimension; the state count may exceed it."""
 
     states: tuple
 
@@ -67,9 +56,10 @@ class ExclusionProblem:
 @dataclass(frozen=True)
 class ExclusionResult:
     best_value: float
-    basis: np.ndarray  # unitary matrix, columns are the basis vectors
+    basis: np.ndarray  # D x d lifted vectors U; column k belongs to outcome k
     restarts_used: int
-    converged: bool
+    stop_reason: str  # "value", "certificate", "gradient" or "iterations"
+    dual_bound: float  # no measurement on these states scores below it
     history: tuple = ()  # per-iteration values of the winning descent
 
     def __post_init__(self):
@@ -77,121 +67,118 @@ class ExclusionResult:
         arr.flags.writeable = False
         object.__setattr__(self, "basis", arr)
 
+    @property
+    def gap(self) -> float:
+        return self.best_value - self.dual_bound
+
 
 def exclusion_value(states: Sequence[StateVector], povm: Povm) -> float:
     """sum_k P(outcome k | states[k]), read off the outcome table."""
-    if povm.outcome_count < len(states):
-        raise ValueError(
-            f"POVM has {povm.outcome_count} outcomes for {len(states)} states"
-        )
+    if povm.outcome_count != len(states):
+        raise ValueError(f"POVM has {povm.outcome_count} outcomes for {len(states)} states")
     return float(sum(outcome_table(states, povm).diagonal()))
 
 
-def _state_matrix(problem: ExclusionProblem) -> np.ndarray:
-    """States as columns, zero-padded so the space holds d orthonormal vectors."""
-    d = problem.outcome_states
-    dim = max(problem.dim, d)
-    mat = np.zeros((dim, d), dtype=complex)
-    for k, s in enumerate(problem.states):
-        mat[: problem.dim, k] = s.amplitudes
-    return mat
+def _value_and_direction(coeffs: np.ndarray, basis: np.ndarray):
+    overlaps = np.einsum("ik,ik->k", coeffs.conj(), basis)
+    x = (coeffs * overlaps) @ basis.conj().T
+    return float(np.sum(np.abs(overlaps) ** 2)), x - x.conj().T
 
 
-def _value_and_direction(smat: np.ndarray, basis: np.ndarray):
-    d = smat.shape[1]
-    overlaps = np.einsum("ik,ik->k", smat.conj(), basis[:, :d])
-    value = float(np.sum(np.abs(overlaps) ** 2))
-    grad = np.zeros_like(basis)
-    grad[:, :d] = smat * overlaps[None, :]
-    x = grad @ basis.conj().T
-    omega = x - x.conj().T
-    return value, omega
+def _geodesic(omega: np.ndarray, basis: np.ndarray):
+    """tau -> exp(-tau Omega) B for a skew-Hermitian Omega, from one eigh."""
+    w, v = np.linalg.eigh(1j * omega)
+    vb = v.conj().T @ basis
+    return lambda tau: (v * np.exp(1j * tau * w)) @ vb
 
 
-def _skew_basis(dim: int) -> list:
-    """Real basis of the skew-Hermitian matrices (dimension dim**2)."""
-    elems = []
-    for i in range(dim):
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[i, i] = 1j
-        elems.append(mat)
-        for j in range(i + 1, dim):
-            real = np.zeros((dim, dim), dtype=complex)
-            real[i, j] = 1.0
-            real[j, i] = -1.0
-            elems.append(real)
-            imag = np.zeros((dim, dim), dtype=complex)
-            imag[i, j] = 1j
-            imag[j, i] = 1j
-            elems.append(imag)
-    return elems
+def _polish(coeffs: np.ndarray, basis: np.ndarray, value: float, rounds: int = 8):
+    """Gauss-Newton steps on the overlap residuals o_k = <c_k|b_k>.
 
-
-def _polish(smat: np.ndarray, basis: np.ndarray, value: float, rounds: int = 8):
-    """Gauss-Newton steps on the overlap residuals.
-
-    The objective is quartic around a perfect-exclusion basis (value and
-    squared gradient both vanish there), where first-order descent decays
-    only polynomially. Solving the linearized system <s_j|X b_j> = -o_j for
-    a minimal-norm skew-Hermitian X and retracting converges quadratically
-    whenever a zero-residual basis is nearby; each step is accepted only if
-    it actually lowers the value, so the polish is harmless elsewhere.
+    The objective is quartic around a perfect-exclusion basis, where
+    first-order descent decays only polynomially. The minimal-norm
+    skew-Hermitian X solving <c_k|X b_k> = -o_k converges quadratically when
+    a zero-residual basis is near, and a step is kept only if it lowers the
+    value. Under Re tr(A^H X), Re and Im of <c_k|X b_k> are products with
+    the skew-Hermitian parts of c_k b_k^H and i c_k b_k^H, so X combines
+    these 2d rows by their 2d x 2d Gram system.
     """
-    d = smat.shape[1]
-    elems = _skew_basis(basis.shape[0])
+    d = coeffs.shape[1]
     for _ in range(rounds):
-        overlaps = np.einsum("ik,ik->k", smat.conj(), basis[:, :d])
-        if float(np.sum(np.abs(overlaps) ** 2)) <= 1e-30:
+        if value <= 1e-30:
             break
-        cols = []
-        for elem in elems:
-            moved = np.einsum("ik,ik->k", smat.conj(), (elem @ basis)[:, :d])
-            cols.append(np.concatenate([moved.real, moved.imag]))
-        coeffs, *_ = np.linalg.lstsq(
-            np.array(cols).T,
-            -np.concatenate([overlaps.real, overlaps.imag]),
-            rcond=None,
-        )
-        step = np.tensordot(coeffs, np.array(elems), axes=1)
-        trial = expm(step) @ basis
-        trial_value, _ = _value_and_direction(smat, trial)
-        if trial_value < value:
-            basis, value = trial, trial_value
-        else:
+        overlaps = np.einsum("ik,ik->k", coeffs.conj(), basis)
+        outer = coeffs.T[:, :, None] * basis.conj().T[:, None, :]
+        outer = np.concatenate([outer, 1j * outer])
+        rows = 0.5 * (outer - outer.conj().transpose(0, 2, 1)).reshape(2 * d, -1)
+        rhs = -np.concatenate([overlaps.real, overlaps.imag])
+        weights = np.linalg.lstsq((rows.conj() @ rows.T).real, rhs, rcond=None)[0]
+        trial = _geodesic(-(weights @ rows).reshape(d, d), basis)(1.0)
+        trial_value, _ = _value_and_direction(coeffs, trial)
+        if trial_value >= value:
             break
+        basis, value = trial, trial_value
     return value, basis
 
 
-def _descend(smat: np.ndarray, basis: np.ndarray, max_iters: int, grad_tol: float):
-    value, omega = _value_and_direction(smat, basis)
+def _descend(coeffs, basis, max_iters: int, grad_tol: float, stop_below: float):
+    """One descent: (value, basis, stop reason, history). The reason is
+    "gradient" when descent reached a stationary point (gradient norm at
+    most ``grad_tol``, or no Armijo step left) and "iterations" when
+    ``max_iters`` ran out, unless the value ended at most ``stop_below``."""
+    value, omega = _value_and_direction(coeffs, basis)
     history = [value]
     tau = 1.0
-    for _ in range(max_iters):
+    reason = "gradient"
+    for it in range(1, max_iters + 1):
         grad_sq = float(np.linalg.norm(omega) ** 2)
-        if np.sqrt(grad_sq) <= grad_tol:
+        if value <= stop_below or np.sqrt(grad_sq) <= grad_tol:
             break
+        if it >= 8 and it & (it - 1) == 0:  # polish at iterations 8, 16, 32, ...
+            polished, trial = _polish(coeffs, basis, value)
+            if polished < value:
+                basis, value = trial, polished
+                _, omega = _value_and_direction(coeffs, basis)
+                history.append(value)
+                continue
         tau = min(1.0, 2.0 * tau)
-        accepted = False
+        along = _geodesic(omega, basis)
         while tau >= 1e-14:
-            trial = expm(-tau * omega) @ basis
-            trial_value, trial_omega = _value_and_direction(smat, trial)
+            trial = along(tau)
+            trial_value, trial_omega = _value_and_direction(coeffs, trial)
             if trial_value <= value - ARMIJO_C * tau * grad_sq:
                 basis, value, omega = trial, trial_value, trial_omega
                 history.append(value)
-                accepted = True
                 break
             tau *= 0.5
-        if not accepted:
-            # line search exhausted: flat point or numerical noise
-            break
-    value, basis = _polish(smat, basis, value)
+        else:
+            break  # line search exhausted: flat point or numerical noise
+    else:
+        reason = "iterations"
+    value, basis = _polish(coeffs, basis, value)
     history.append(value)
     # remove orthonormality drift accumulated over many retractions; column
     # phases do not affect the value, so plain QR suffices
     q, _ = np.linalg.qr(basis)
-    value, omega = _value_and_direction(smat, q)
-    converged = float(np.linalg.norm(omega)) <= grad_tol
-    return value, q, converged, tuple(history)
+    value, _ = _value_and_direction(coeffs, q)
+    return value, q, "value" if value <= stop_below else reason, tuple(history)
+
+
+def _dual_bound(coeffs: np.ndarray, vectors: np.ndarray) -> float:
+    """Lower bound on every measurement's exclusion sum, from the r x d states
+    and outcome vectors written in an orthonormal basis of span(states).
+
+    The dual of min sum_k tr(rho_k E_k) is max tr Y s.t. Y <= rho_k for all k
+    (Bandyopadhyay, Jain, Oppenheim, Perry, arXiv:1306.4683). Y is the
+    Hermitian part of sum_k rho_k E_k (the optimum's dual point by
+    complementary slackness), shifted down by its worst violation: feasible.
+    """
+    overlaps = np.einsum("ik,ik->k", coeffs.conj(), vectors)
+    x = (coeffs * overlaps) @ vectors.conj().T
+    y = 0.5 * (x + x.conj().T)
+    rhos = coeffs.T[:, :, None] * coeffs.conj().T[:, None, :]
+    slack = float(np.linalg.eigvalsh(rhos - y).min())
+    return float(np.trace(y).real) + coeffs.shape[0] * min(0.0, slack)
 
 
 def _reference_basis(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -212,53 +199,59 @@ def optimize(
     """Best local optimum over seeded random restarts.
 
     Restart r starts from a column-permuted sample of the unitary Haar
-    measure drawn with seed + r; the winner is the lowest value, ties going
-    to the earliest restart. Stops early once a converged restart reaches
-    ``stop_below``. The reported value is recomputed from the returned
-    basis, so result and basis agree exactly.
+    measure on C^d drawn with seed + r; the winner is the lowest value, ties
+    going to the earliest restart. Restarts stop once the winner reaches
+    ``stop_below`` (stop reason "value") or lies within CERTIFICATE_GAP of
+    the best dual bound so far ("certificate"); otherwise the reason is the
+    winner's own. The reported value is recomputed from the returned
+    measurement, so result and basis agree exactly.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    smat = _state_matrix(problem)
-    dim = smat.shape[0]
-    best = None
-    used = 0
-    for r in range(restarts):
-        rng = np.random.default_rng(seed + r)
-        value, basis, converged, history = _descend(
-            smat, _reference_basis(dim, rng), max_iters, grad_tol
-        )
-        used += 1
-        if best is None or value < best[0]:
-            best = (value, basis, converged, history)
+    smat = np.array([s.amplitudes for s in problem.states]).T
+    q, _ = np.linalg.qr(smat)
+    r, d = q.shape[1], smat.shape[1]
+    coeffs = np.zeros((d, d), dtype=complex)
+    coeffs[:r] = q.conj().T @ smat
+    best, bound = None, -np.inf
+    for used in range(1, restarts + 1):
+        start = _reference_basis(d, np.random.default_rng(seed + used - 1))
+        run = _descend(coeffs, start, max_iters, grad_tol, stop_below)
+        bound = max(bound, _dual_bound(coeffs[:r], run[1][:r]))
+        if best is None or run[0] < best[0]:
+            best = run
         if best[0] <= stop_below:
+            reason = "value"
             break
-    value, basis, converged, history = best
-    return ExclusionResult(value, basis, used, converged, history)
+        if best[0] - bound <= CERTIFICATE_GAP:
+            reason = "certificate"
+            break
+    else:
+        reason = best[2]
+    lifted = q @ best[1][:r]
+    value = exclusion_value(problem.states, Povm.completion(lifted))
+    return ExclusionResult(value, lifted, used, reason, bound, best[3])
 
 
 def result_to_povm(result: ExclusionResult, outcome_states: int) -> Povm:
-    """Projective POVM from the basis: one rank-1 effect per assigned
-    outcome plus one lump effect for the discarded complement."""
-    dim = result.basis.shape[0]
-    if not 1 <= outcome_states <= dim:
-        raise ValueError(f"assigned outcomes must lie in [1, {dim}]")
-    effects = [
-        Operator(dim, np.outer(result.basis[:, k], result.basis[:, k].conj()))
-        for k in range(outcome_states)
-    ]
-    if outcome_states < dim:
-        rest = result.basis[:, outcome_states:]
-        effects.append(Operator(dim, rest @ rest.conj().T))
-    return Povm(dim, tuple(effects))
+    """``Povm.completion`` of the lifted basis: one outcome per state."""
+    if outcome_states != result.basis.shape[1]:
+        raise ValueError(f"the search assigned {result.basis.shape[1]} outcomes")
+    return Povm.completion(result.basis)
 
 
 def result_to_json(result: ExclusionResult) -> dict:
+    """The basis is the D x d lifted U: {"dim": D, "outcomes": d, "re", "im"}, row-major."""
+    flat = result.basis.reshape(-1)
+    dim, outcomes = result.basis.shape
+    basis = {"dim": dim, "outcomes": outcomes, "re": flat.real.tolist(), "im": flat.imag.tolist()}
     return {
         "best_value": result.best_value,
+        "dual_bound": result.dual_bound,
+        "gap": result.gap,
         "restarts_used": result.restarts_used,
-        "converged": result.converged,
-        "basis": operator_to_json(Operator(result.basis.shape[0], result.basis)),
+        "stop_reason": result.stop_reason,
+        "basis": basis,
     }

@@ -367,8 +367,8 @@ def delta_continuity_probe(
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
     if support_threshold <= 0.0:
         raise ValueError("support threshold must be positive")
-    if n_samples < 0:
-        raise ValueError("sample count must be >= 0")
+    if n_samples < 1:
+        raise ValueError("sample count must be >= 1")
     if family.dim != center.dim:
         raise ValueError(f"model dimension {family.dim} != center dimension {center.dim}")
     ball = Ball(center, delta)

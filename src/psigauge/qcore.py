@@ -153,16 +153,19 @@ class Povm:
     @classmethod
     def completion(cls, vectors) -> "Povm":
         """Factored POVM with effects |u_r><u_r| + (I - UU^dag)/m for the
-        columns u_r of the D x m array ``vectors`` (1 <= m <= D).
+        columns u_r of the D x m array ``vectors`` (m >= 1).
 
-        When U is square the complement term is left out: a square U gives
-        a valid POVM only if it is unitary, and then the complement is zero.
+        When m >= D the complement term is left out: such a U gives a valid
+        POVM only if UU^dag = I (checked here when m > D), and then the
+        complement is zero.
         """
         u = np.array(vectors, dtype=complex)
-        if u.ndim != 2 or not 1 <= u.shape[1] <= u.shape[0]:
-            raise ValueError(f"completion needs a D x m array, 1 <= m <= D; got shape {u.shape}")
+        if u.ndim != 2 or u.shape[1] < 1:
+            raise ValueError(f"completion needs a D x m array, m >= 1; got shape {u.shape}")
         if not np.all(np.isfinite(u)):
             raise ValueError("completion vectors have a non-finite entry")
+        if u.shape[1] > len(u) and np.abs(u @ u.conj().T - np.eye(len(u))).max() > OP_TOL:
+            raise ValueError(f"completion of {u.shape[1]} > D vectors needs UU^dag = I")
         povm = cls.__new__(cls)
         povm._dim, povm._effects, povm._vectors = u.shape[0], None, _frozen(u)
         return povm
@@ -425,9 +428,9 @@ def _completion_checks(u: np.ndarray) -> tuple:
     """(Hermiticity error, min eigenvalue, completeness error) of
     ``Povm.completion(u)``."""
     dim, m = u.shape
-    if dim == m:
+    if dim <= m:
         # effects |u_r><u_r| are rank one: eigenvalues |u_r|^2 and zeros
-        min_eig = float(_squared_norms(u).sum()) if m == 1 else 0.0
+        min_eig = float(_squared_norms(u).sum(axis=0).min()) if dim == 1 else 0.0
         return 0.0, min_eig, float(np.max(np.abs(u @ u.conj().T - np.eye(dim))))
     # with u = q r and orthonormal columns q, effect r acts on span(q) as the
     # m x m matrix r_r r_r^dag + (I - r r^dag)/m, and as I/m on the rest

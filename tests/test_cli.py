@@ -292,6 +292,15 @@ class TestExclusionCommand:
         assert "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("flags", [("--restarts", "0"), ("--max-iters", "0")])
+    def test_search_budget_out_of_range_exits_one(self, capsys, tmp_path, flags):
+        path = tmp_path / "states.json"
+        path.write_text(json.dumps([state_to_json(s) for s in theorem1_ensemble(2).states]))
+        rc, out, err = run(capsys, ["exclusion", "--states", str(path), *flags])
+        assert rc == 1
+        assert flags[0] in err
+        assert out == ""
+
     def test_wrong_payload_shape_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "weird.json"
         path.write_text(json.dumps({"not_states": 1}))
@@ -469,6 +478,7 @@ class TestModelFlagRanges:
             ("--check", "reproduce", "--pairs", "-3"),
             ("--check", "reproduce", "--pairs", "0"),
             ("--check", "continuity", "--samples", "-2"),
+            ("--check", "continuity", "--samples", "0"),
             ("--check", "continuity", "--delta", "1.5"),
             ("--check", "continuity", "--delta", "0"),
         ],
@@ -485,7 +495,7 @@ class TestModelFlagRanges:
             ("--check", "classify", "--fidelity", "0"),
             ("--check", "classify", "--fidelity", "1"),
             ("--check", "reproduce", "--pairs", "1"),
-            ("--check", "continuity", "--samples", "0"),
+            ("--check", "continuity", "--samples", "1"),
             ("--check", "continuity", "--delta", "1"),
         ],
     )
@@ -496,8 +506,6 @@ class TestModelFlagRanges:
 
 class TestStartup:
     def test_cli_starts_without_scipy(self):
-        # a fresh interpreter: this test process has long since loaded scipy
-        src = os.path.dirname(os.path.dirname(os.path.abspath(psigauge.__file__)))
         code = (
             "import contextlib, io, sys\n"
             "from psigauge.cli import build_parser, main\n"
@@ -507,6 +515,24 @@ class TestStartup:
             "    rc = main(['thm1', '--dim', '8', '--seed', '1'])\n"
             "print(rc, 'scipy.stats' in sys.modules)\n"
         )
+        assert self._fresh_run(code) == ["[]", "0 False"]
+
+    def test_exclusion_loads_no_scipy(self, tmp_path):
+        path = tmp_path / "states.json"
+        path.write_text(json.dumps([state_to_json(s) for s in theorem1_ensemble(3).states]))
+        code = (
+            "import contextlib, io, sys\n"
+            "from psigauge.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    rc = main(['exclusion', '--states', {str(path)!r}, '--restarts', '2'])\n"
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        assert self._fresh_run(code) == ["0 []"]
+
+    @staticmethod
+    def _fresh_run(code: str) -> list:
+        # a fresh interpreter: this test process has long since loaded scipy
+        src = os.path.dirname(os.path.dirname(os.path.abspath(psigauge.__file__)))
         proc = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,
@@ -514,4 +540,4 @@ class TestStartup:
             env={**os.environ, "PYTHONPATH": src},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]", "0 False"]
+        return proc.stdout.splitlines()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from psigauge import exclusion, qcore
 from psigauge.ensembles import theorem1_ensemble, theorem2_ensemble
@@ -12,6 +14,8 @@ from psigauge.exclusion import (
     result_to_povm,
 )
 from psigauge.qcore import ContractViolation, Operator, Povm, StateVector
+
+from conftest import haar_state
 
 
 class TestExclusionProblem:
@@ -55,7 +59,7 @@ class TestExclusionValue:
     def test_invalid_povm(self):
         broken = Povm(2, (Operator.identity(2), Operator.identity(2)))
         with pytest.raises(ContractViolation):
-            exclusion_value((StateVector.basis(2, 0),), broken)
+            exclusion_value((StateVector.basis(2, 0), StateVector.basis(2, 1)), broken)
 
     def test_validates_the_povm_once(self, monkeypatch):
         ens = theorem1_ensemble(5)
@@ -72,22 +76,30 @@ class TestOptimize:
         result = optimize(ExclusionProblem(ens.states), restarts=20, seed=0)
         assert result.best_value <= 1e-6
 
-    def test_single_state_is_trivially_excludable(self):
+    def test_single_state_cannot_be_excluded(self):
+        # one state gets one outcome, and the only one-outcome POVM is {I}
         result = optimize(ExclusionProblem((StateVector.basis(2, 0),)), restarts=3)
-        assert result.best_value <= 1e-12
+        assert abs(result.best_value - 1.0) <= 1e-12
+        assert result.stop_reason == "certificate"
 
     def test_identical_states_in_a_point_space_cannot_be_excluded(self):
         state = StateVector(1, np.array([1.0 + 0j]))
         result = optimize(ExclusionProblem((state, state)), restarts=3)
         assert abs(result.best_value - 1.0) <= 1e-9
 
-    def test_retractions_go_through_the_module_expm(self, monkeypatch):
-        # perfbench times expm where optimize looks it up
-        calls = []
-        real = exclusion.expm
-        monkeypatch.setattr(exclusion, "expm", lambda m: calls.append(m) or real(m))
-        optimize(ExclusionProblem(theorem1_ensemble(3).states), restarts=1, seed=0)
-        assert calls
+    def test_eigh_geodesic_is_the_matrix_exponential(self):
+        from scipy.linalg import expm
+
+        rng = np.random.default_rng(4)
+        for dim in (1, 3, 8):
+            raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            omega = raw - raw.conj().T
+            basis = np.linalg.qr(rng.standard_normal((dim, dim)) + 0j)[0]
+            along = exclusion._geodesic(omega, basis)
+            for tau in (1.0, 0.25, 1e-3):
+                moved = along(tau)
+                assert np.allclose(moved.conj().T @ moved, np.eye(dim), rtol=0, atol=1e-12)
+                assert np.allclose(moved, expm(-tau * omega) @ basis, rtol=0, atol=1e-12)
 
     def test_history_is_monotone_nonincreasing(self):
         ens = theorem1_ensemble(4)
@@ -123,27 +135,33 @@ class TestOptimize:
         assert result.restarts_used < 20
 
     def test_padded_embedding_for_more_states_than_dimensions(self):
-        # three qubit states force a 3-dimensional search space; the basis
-        # returned must still assemble into a valid POVM on that space
+        # three qubit states are searched in C^3; the lifted 2 x 3 basis
+        # must be a valid three-outcome POVM on the qubit
         rng = np.random.default_rng(2)
         states = []
         for _ in range(3):
             raw = rng.normal(size=2) + 1j * rng.normal(size=2)
             states.append(StateVector(2, raw / np.linalg.norm(raw)))
         result = optimize(ExclusionProblem(tuple(states)), restarts=8, seed=0)
-        assert result.basis.shape == (3, 3)
+        assert result.basis.shape == (2, 3)
         povm = result_to_povm(result, 3)
-        assert povm.dim == 3
-        assert 0.0 <= result.best_value <= 3.0
+        assert povm.dim == 2 and povm.outcome_count == 3
+        assert qcore.validate_povm(povm).passed
+        assert abs(exclusion_value(states, povm) - result.best_value) <= 1e-12
+        assert result.dual_bound <= result.best_value + 1e-12
 
 
 class TestResultExport:
-    def test_povm_includes_complement_lump(self):
-        result = optimize(ExclusionProblem((StateVector.basis(3, 0),)), restarts=2)
-        povm = result_to_povm(result, 1)
+    def test_povm_has_one_outcome_per_state(self):
+        states = (StateVector.basis(4, 0), StateVector.basis(4, 1))
+        result = optimize(ExclusionProblem(states), restarts=2)
+        assert result.basis.shape == (4, 2)
+        povm = result_to_povm(result, 2)
         assert povm.outcome_count == 2
         total = sum(e.entries for e in povm.effects)
-        assert np.allclose(total, np.eye(3), atol=1e-10)
+        assert np.allclose(total, np.eye(4), atol=1e-10)
+        # the complement of span(states) is split evenly and never fires
+        assert result.best_value <= 1e-12
 
     def test_povm_outcome_range_checked(self):
         result = optimize(ExclusionProblem((StateVector.basis(2, 0),)), restarts=2)
@@ -153,10 +171,82 @@ class TestResultExport:
     def test_json_keys(self):
         result = optimize(ExclusionProblem((StateVector.basis(2, 0),)), restarts=2)
         obj = result_to_json(result)
-        assert set(obj) == {"best_value", "restarts_used", "converged", "basis"}
-        assert obj["basis"]["dim"] == 2
+        assert set(obj) == {
+            "best_value", "dual_bound", "gap", "restarts_used", "stop_reason", "basis"
+        }
+        assert obj["gap"] == obj["best_value"] - obj["dual_bound"]
+        assert obj["stop_reason"] in ("value", "certificate", "gradient", "iterations")
+        assert (obj["basis"]["dim"], obj["basis"]["outcomes"]) == (2, 1)
+        assert len(obj["basis"]["re"]) == len(obj["basis"]["im"]) == 2
 
     def test_result_freezes_basis(self):
-        result = ExclusionResult(0.0, np.eye(2, dtype=complex), 1, True)
+        result = ExclusionResult(0.0, np.eye(2, 3, dtype=complex), 1, "value", 0.0)
         with pytest.raises(ValueError):
             result.basis[0, 0] = 5.0
+
+
+def _cfs_margin(vectors) -> float:
+    """Caves-Fuchs-Schack (arXiv:quant-ph/0206110): with x the squared
+    pairwise overlaps, three pure states are antidistinguishable iff
+    sum(x) < 1 and (sum(x) - 1)^2 >= 4 x1 x2 x3. The margin is positive
+    inside that region and negative outside it."""
+    x = [abs(np.vdot(vectors[i], vectors[j])) ** 2 for i, j in ((1, 2), (0, 2), (0, 1))]
+    total = sum(x)
+    return min(1.0 - total, (total - 1.0) ** 2 - 4.0 * x[0] * x[1] * x[2])
+
+
+def _random_povm(rng: np.random.Generator, outcomes: int, dim: int) -> Povm:
+    """S^(-1/2) A_k S^(-1/2) for random PSD A_k with sum S."""
+    raw = rng.standard_normal((outcomes, dim, dim)) + 1j * rng.standard_normal((outcomes, dim, dim))
+    psd = raw @ raw.conj().transpose(0, 2, 1)
+    w, v = np.linalg.eigh(psd.sum(axis=0))
+    root = (v / np.sqrt(w)) @ v.conj().T
+    return Povm(dim, tuple(Operator(dim, root @ a @ root) for a in psd))
+
+
+def _random_projective(rng: np.random.Generator, outcomes: int, dim: int) -> Povm:
+    """A Haar basis of C^dim with its vectors dealt at random to the outcomes,
+    some of which may get none."""
+    basis = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+    owner = rng.integers(0, outcomes, size=dim)
+    return Povm(
+        dim,
+        tuple(
+            Operator(dim, basis[:, owner == k] @ basis[:, owner == k].conj().T)
+            for k in range(outcomes)
+        ),
+    )
+
+
+class TestIndependentOracles:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_caves_fuchs_schack_criterion(self, seed):
+        # the answer must not depend on the space the triple is written in:
+        # C^3, zero-padded into C^4, or an isometric image in C^9
+        rng = np.random.default_rng(seed)
+        triple = [haar_state(rng, 3).amplitudes for _ in range(3)]
+        margin = _cfs_margin(triple)
+        assume(abs(margin) >= 0.02)
+        isometry = np.linalg.qr(rng.standard_normal((9, 3)) + 1j * rng.standard_normal((9, 3)))[0]
+        for vectors in (triple, [np.append(v, 0.0) for v in triple], [isometry @ v for v in triple]):
+            states = tuple(StateVector(v.size, v) for v in vectors)
+            result = optimize(ExclusionProblem(states), restarts=10)
+            if margin > 0:
+                assert result.best_value <= 1e-9
+            else:
+                assert result.best_value > 1e-6
+            assert result.dual_bound <= result.best_value + 1e-12
+
+    @pytest.mark.parametrize("count, dim", [(3, 3), (4, 6), (5, 3), (3, 2)])
+    def test_dual_bound_lies_below_every_measurement(self, count, dim):
+        rng = np.random.default_rng(10 * count + dim)
+        states = tuple(haar_state(rng, dim) for _ in range(count))
+        best = optimize(ExclusionProblem(states), restarts=5)
+        # a bound read off a basis far from optimal must hold as well
+        rough = optimize(ExclusionProblem(states), restarts=1, max_iters=2).dual_bound
+        values = [best.best_value]
+        for _ in range(20):
+            for povm in (_random_projective(rng, count, dim), _random_povm(rng, count, dim)):
+                values.append(exclusion_value(states, povm))
+        assert max(best.dual_bound, rough) <= min(values) + 1e-12

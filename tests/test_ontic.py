@@ -307,6 +307,8 @@ class TestContinuityProbe:
             delta_continuity_probe(ks10k, plus, 0.2, 10, support_threshold=0.0)
         with pytest.raises(ValueError):
             delta_continuity_probe(ks10k, StateVector.basis(3, 0), 0.2, 10)
+        with pytest.raises(ValueError):
+            delta_continuity_probe(ks10k, plus, 0.2, 0)
 
     def test_deterministic(self, ks10k):
         plus = normalized(np.array([1.0, 1.0]))

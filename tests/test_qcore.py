@@ -277,6 +277,20 @@ class TestFactoredPovm:
         fast, _ = _assert_reports_agree(m)
         assert fast.passed
 
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_wide_frame_agrees_with_its_dense_effects(self, rows):
+        # rows of a unitary: m > D vectors with UU^dag = I, as an exclusion
+        # search lifts them for more states than dimensions
+        rng = np.random.default_rng(rows)
+        unitary, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        m = Povm.completion(unitary[:rows])
+        dense = Povm(rows, m.effects)
+        states = [haar_state(rng, rows) for _ in range(3)]
+        assert np.abs(outcome_table(states, m) - outcome_table(states, dense)).max() <= 1e-12
+        assert np.abs(effect_traces(m) - effect_traces(dense)).max() <= 1e-12
+        fast, _ = _assert_reports_agree(m)
+        assert fast.passed
+
     @pytest.mark.parametrize("d", [3, 4])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_theorem2_table_is_the_theorem1_table(self, d, n):
