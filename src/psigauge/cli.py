@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: thm1, thm2, thm4, model, orbit, scaling, exclusion, sweep.
-Exit codes: 0 success, 1 usage error, 2 numerical-contract violation.
+Exit codes: 0 success, 1 usage error (a flag outside its FLAG_RULES range,
+or an unreadable file), 2 numerical-contract violation.
 Reports go to stdout unless --out is given. Every payload embeds the tool
 version and the full flag configuration; nothing embeds a timestamp, so
 identical invocations produce byte-identical output.
@@ -14,8 +15,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from dataclasses import asdict
 from itertools import islice
 
 import numpy as np
@@ -23,6 +26,7 @@ import numpy as np
 from . import __version__
 from ._geometry import bloch_from_state
 from .ensembles import (
+    MIN_SCALING_DELTA,
     TENSOR_CAP,
     ensemble_from_json,
     gamma_coefficient,
@@ -189,6 +193,84 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# a dense d-outcome measurement holds d*d amplitudes, kept within TENSOR_CAP
+MAX_DIM = math.isqrt(TENSOR_CAP)
+PROTOCOL = ("thm1", "thm2", "sweep")
+
+
+def _within_cap(base: int, exponent: int) -> bool:
+    """base**exponent <= TENSOR_CAP for base >= 2, never computing a huge power."""
+    return exponent <= TENSOR_CAP.bit_length() and base**exponent <= TENSOR_CAP
+
+
+# Every flag range of the CLI, as (subcommands, flag, predicate on the parsed
+# args, message). check_flags tests the rows in order and stops at the first
+# false predicate, so a row may assume that the rows above it hold. Messages
+# are formatted with the parsed flags.
+FLAG_RULES = (
+    # numpy's multinomial draws take the shot count as an int64
+    (PROTOCOL, "--shots", lambda a: 1 <= a.shots <= 2**63 - 1, "must lie in [1, 2**63 - 1]"),
+    (PROTOCOL, "--confidence", lambda a: 0.0 < a.confidence < 1.0, "must lie in (0, 1)"),
+    (PROTOCOL, "--noise-p", lambda a: 0.0 <= a.noise_p <= 1.0, "must lie in [0, 1]"),
+    (PROTOCOL, "--noise-q", lambda a: 0.0 <= a.noise_q <= 1.0, "must lie in [0, 1]"),
+    (("thm1", "thm4"), "--dim", lambda a: 2 <= a.dim <= MAX_DIM, f"must lie in [2, {MAX_DIM}]"),
+    (("thm2",), "--dim", lambda a: a.dim >= 3, "must be >= 3"),
+    (("thm2",), "--copies", lambda a: a.copies >= 1, "must be >= 1"),
+    (("thm2",), "--dim**--copies", lambda a: _within_cap(a.dim, a.copies),
+     f"= {{dim}}**{{copies}} exceeds the cap of {TENSOR_CAP}"),
+    (("thm4",), "--t",
+     lambda a: a.t is None or 0.0 < a.t <= math.sqrt((a.dim - 1) / a.dim) + 1e-12,
+     "must lie in (0, sqrt((d - 1)/d)] for --dim d = {dim}"),
+    (("thm4",), "--t", lambda a: a.t is None or a.dim > 2 or 1.0 - 2.0 * a.t**2 <= 1e-12,
+     "must be sqrt(1/2), the only real family, at --dim 2"),
+    (("model",), "--check",
+     lambda a: a.builtin is not None or not {"reproduce", "continuity"} & set(a.check or ()),
+     "reproduce and continuity need --builtin ks (a rule-based model)"),
+    (("model",), "--check", lambda a: a.builtin is None or "nogo" not in (a.check or ()),
+     "nogo needs --file with measurement tables"),
+    (("model", "orbit"), "--grid", lambda a: 100 <= a.grid <= TENSOR_CAP,
+     f"must lie in [100, {TENSOR_CAP}]"),
+    (("model",), "--pairs", lambda a: a.pairs >= 1, "must be >= 1"),
+    (("model",), "--fidelity", lambda a: 0.0 <= a.fidelity <= 1.0, "must lie in [0, 1]"),
+    (("model",), "--delta", lambda a: 0.0 < a.delta <= 1.0, "must lie in (0, 1]"),
+    # the continuity probe spawns one seed sequence per sample up front
+    (("model",), "--samples", lambda a: 1 <= a.samples <= TENSOR_CAP,
+     f"must lie in [1, {TENSOR_CAP}]"),
+    (("orbit",), "--theta", lambda a: 0.0 < a.theta <= math.pi, "must lie in (0, pi]"),
+    # islice takes at most sys.maxsize items, and the trajectory has steps + 1
+    (("orbit",), "--steps", lambda a: 0 <= a.steps <= sys.maxsize - 1,
+     f"must lie in [0, {sys.maxsize - 1}]"),
+    (("orbit",), "--tol", lambda a: 0.0 < a.tol <= math.pi, "must lie in (0, pi]"),
+    # each orbit step allocates one candidate point per rotation and pair
+    (("orbit",), "--rotations", lambda a: 4 <= a.rotations <= TENSOR_CAP,
+     f"must lie in [4, {TENSOR_CAP}]"),
+    (("orbit",), "--dedup-tol", lambda a: MIN_DEDUP_TOLERANCE <= a.dedup_tol <= math.pi,
+     f"must lie in [{MIN_DEDUP_TOLERANCE:g}, pi]"),
+    (("orbit",), "--theta", lambda a: a.theta > a.dedup_tol, "must exceed --dedup-tol"),
+    (("scaling",), "--delta", lambda a: MIN_SCALING_DELTA <= a.delta < 1.0,
+     f"must lie in [{MIN_SCALING_DELTA:g}, 1)"),
+    (("exclusion",), "--restarts", lambda a: a.restarts >= 1, "must be >= 1"),
+    (("exclusion",), "--max-iters", lambda a: a.max_iters >= 1, "must be >= 1"),
+    (("sweep",), "--dims", lambda a: a.dims, "must be nonempty"),
+    (("sweep",), "--dims", lambda a: min(a.dims) >= (2 if a.family == "thm1" else 3),
+     "must be >= 2 for --family thm1 and >= 3 for --family thm2"),
+    (("sweep",), "--dims", lambda a: max(a.dims) <= MAX_DIM, f"must be <= {MAX_DIM}"),
+    (("sweep",), "--copies", lambda a: a.copies, "must be nonempty"),
+    (("sweep",), "--copies", lambda a: min(a.copies) >= 1, "must be >= 1"),
+    (("sweep",), "--dims**--copies",
+     lambda a: a.family == "thm1" or _within_cap(max(a.dims), max(a.copies)),
+     f"with --family thm2 must keep max(dims)**max(copies) within {TENSOR_CAP}"),
+)
+
+
+def check_flags(args) -> None:
+    """Raise UsageError, naming the flag, at the first FLAG_RULES row that
+    the parsed args break."""
+    for commands, flag, ok, message in FLAG_RULES:
+        if args.command in commands and not ok(args):
+            raise UsageError(f"{flag} {message.format(**vars(args))}")
+
+
 def _config(args) -> dict:
     skip = {"handler", "out"}
     return {k: v for k, v in vars(args).items() if k not in skip}
@@ -214,22 +296,8 @@ def _render_csv(args, csv_text: str) -> str:
     return f"# psigauge {__version__} {args.command} {header}\n{csv_text}"
 
 
-def _protocol_noise(args) -> NoiseSpec:
-    """The noise model of the protocol flags, after range checks of all four."""
-    if args.shots < 1:
-        raise UsageError("--shots must be >= 1")
-    if not 0.0 < args.confidence < 1.0:
-        raise UsageError("--confidence must lie in (0, 1)")
-    for flag, value in (("--noise-p", args.noise_p), ("--noise-q", args.noise_q)):
-        if not 0.0 <= value <= 1.0:
-            raise UsageError(f"{flag} must lie in [0, 1]")
-    return NoiseSpec(args.noise_p, args.noise_q)
-
-
 def cmd_thm1(args) -> str:
-    if args.dim < 2:
-        raise UsageError("--dim must be >= 2")
-    noise = _protocol_noise(args)
+    noise = NoiseSpec(args.noise_p, args.noise_q)
     ensemble = theorem1_ensemble(args.dim)
     report = run_protocol(ensemble, noise, args.shots, args.confidence, args.seed)
     results = report_to_json(report)
@@ -239,15 +307,7 @@ def cmd_thm1(args) -> str:
 
 
 def cmd_thm2(args) -> str:
-    if args.dim < 3:
-        raise UsageError("--dim must be >= 3")
-    if args.copies < 1:
-        raise UsageError("--copies must be >= 1")
-    if args.dim**args.copies > TENSOR_CAP:
-        raise UsageError(
-            f"--dim**--copies = {args.dim}**{args.copies} exceeds the cap of {TENSOR_CAP}"
-        )
-    noise = _protocol_noise(args)
+    noise = NoiseSpec(args.noise_p, args.noise_q)
     ensemble = theorem2_ensemble(args.dim, args.copies)
     report = run_protocol(ensemble, noise, args.shots, args.confidence, args.seed)
     results = report_to_json(report)
@@ -267,12 +327,7 @@ def cmd_thm2(args) -> str:
 
 
 def cmd_thm4(args) -> str:
-    if args.dim < 2:
-        raise UsageError("--dim must be >= 2")
-    t_max = float(np.sqrt((args.dim - 1) / args.dim))
-    t = t_max if args.t is None else args.t
-    if not 0.0 < t <= t_max + 1e-12:
-        raise UsageError(f"--t must lie in (0, {t_max:.12f}] for dimension {args.dim}")
+    t = float(np.sqrt((args.dim - 1) / args.dim)) if args.t is None else args.t
     ensemble = theorem4_ensemble(args.dim, t)
     states = ensemble.states
     overlaps = [abs(inner(s, ensemble.center)) for s in states]
@@ -296,27 +351,12 @@ def _load_model(args):
 
 
 def cmd_model(args) -> str:
-    checks = args.check or ["validate"]
-    if args.builtin is None and any(c in checks for c in ("reproduce", "continuity")):
-        raise UsageError("reproduce and continuity need --builtin ks (a rule-based model)")
-    if args.builtin is not None and "nogo" in checks:
-        raise UsageError("nogo needs --file with measurement tables")
-    if args.pairs < 1:
-        raise UsageError("--pairs must be >= 1")
-    if not 0.0 <= args.fidelity <= 1.0:
-        raise UsageError("--fidelity must lie in [0, 1]")
-    if not 0.0 < args.delta <= 1.0:
-        raise UsageError("--delta must lie in (0, 1]")
-    if args.samples < 1:
-        raise UsageError("--samples must be >= 1")
     results = {"checks": []}
     family = None
     if args.builtin == "ks":
-        if args.grid < 100:
-            raise UsageError("--grid must be >= 100")
         family = ks_qubit_model(args.grid)
         results["model"] = {"builtin": "ks", "lambda_count": family.lambda_count}
-    for check in checks:
+    for check in args.check or ["validate"]:
         results["checks"].append(_run_model_check(check, args, family))
     return _render_json(args, results)
 
@@ -410,18 +450,6 @@ def _run_model_check(check: str, args, family) -> dict:
 
 
 def cmd_orbit(args) -> str:
-    if not 0.0 < args.theta <= np.pi:
-        raise UsageError("--theta must lie in (0, pi]")
-    if args.steps < 0:
-        raise UsageError("--steps must be >= 0")
-    if args.grid < 100:
-        raise UsageError("--grid must be >= 100")
-    if not 0.0 < args.tol <= np.pi:
-        raise UsageError("--tol must lie in (0, pi]")
-    if args.rotations < 4:
-        raise UsageError("--rotations must be >= 4")
-    if not MIN_DEDUP_TOLERANCE <= args.dedup_tol <= np.pi:
-        raise UsageError(f"--dedup-tol must lie in [{MIN_DEDUP_TOLERANCE:g}, pi]")
     trajectory = coverage_trajectory(
         initial_cloud(args.theta, args.dedup_tol), args.grid, args.tol, args.seed,
         step=orbit_step, measure=coverage,  # this module's names, which perfbench traces
@@ -443,25 +471,10 @@ def cmd_orbit(args) -> str:
 
 
 def cmd_scaling(args) -> str:
-    if not 0.0 < args.delta < 1.0:
-        raise UsageError("--delta must lie in (0, 1)")
-    report = scaling_report(args.delta)
-    results = {
-        "delta_target": report.delta_target,
-        "thm1_dim": report.thm1_dim,
-        "thm2_copies_d3": report.thm2_copies_d3,
-        "pbr_copies": report.pbr_copies,
-        "pbr_state_count": report.pbr_state_count,
-        "notes": report.notes,
-    }
-    return _render_json(args, results)
+    return _render_json(args, asdict(scaling_report(args.delta)))
 
 
 def cmd_exclusion(args) -> str:
-    if args.restarts < 1:
-        raise UsageError("--restarts must be >= 1")
-    if args.max_iters < 1:
-        raise UsageError("--max-iters must be >= 1")
     with open(args.states, encoding="utf-8") as fh:
         payload = json.load(fh)
     if isinstance(payload, dict) and "kind" in payload:
@@ -487,19 +500,8 @@ def cmd_exclusion(args) -> str:
 
 
 def cmd_sweep(args) -> str:
-    if not args.dims:
-        raise UsageError("--dims must be nonempty")
-    if not args.copies:
-        raise UsageError("--copies must be nonempty")
-    if args.family == "thm1":
-        if min(args.dims) < 2:
-            raise UsageError("thm1 dims must be >= 2")
-        factory = lambda d, n: theorem1_ensemble(d)  # noqa: E731
-    else:
-        if min(args.dims) < 3:
-            raise UsageError("thm2 dims must be >= 3")
-        factory = theorem2_ensemble
-    noise = _protocol_noise(args)
+    factory = theorem2_ensemble if args.family == "thm2" else lambda d, n: theorem1_ensemble(d)
+    noise = NoiseSpec(args.noise_p, args.noise_q)
     grid = [(d, n) for d in args.dims for n in args.copies]
     rows = sweep(factory, grid, noise, args.shots, args.confidence, args.seed)
     if args.format == "json":
@@ -511,18 +513,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_flags(args)
         text = args.handler(args)
-    except (UsageError, FileNotFoundError) as exc:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (UsageError, OSError) as exc:
         print(f"psigauge {args.command}: error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, ContractViolation) as exc:
         print(f"psigauge {args.command}: contract violation: {exc}", file=sys.stderr)
         return 2
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -35,6 +35,10 @@ KIND_THEOREM1 = "theorem1"
 KIND_THEOREM2 = "theorem2"
 KIND_THEOREM4 = "theorem4"
 
+# scaling_report's floor: below it 2**pbr_copies outgrows the 4,300 digits
+# the interpreter converts to a decimal string, so no report could be printed
+MIN_SCALING_DELTA = 1e-8
+
 
 @dataclass(frozen=True)
 class NoGoEnsemble:
@@ -263,42 +267,31 @@ def theorem4_ensemble(d: int, t: float) -> NoGoEnsemble:
     )
 
 
-def _thm1_reaches(d: int, delta: float) -> bool:
-    return 1.0 - math.sqrt((d - 1) / d) <= delta
-
-
 def scaling_report(delta_target: float) -> ScalingReport:
     """Resource counts to certify a continuity bound of delta_target.
 
-    thm1_dim and thm2_copies_d3 come from exact predicate searches over the
-    closed-form bounds; the product-qubit route is reported from its
-    asymptotic formula only (ceil(sqrt(2) ln 2 / sqrt(delta)) copies, 2^n
-    states) and is flagged as such in the notes.
+    With t = delta(2 - delta), the thm1 bound 1 - sqrt((d-1)/d) <= delta
+    holds exactly when d >= 1/t, and the d = 3 copies bound delta_nd <= delta
+    exactly when 2**(-1/n) >= 1 - 3t/2, so both counts are closed forms
+    (thm1_dim in exact rational arithmetic). The product-qubit route is
+    reported from its asymptotic formula only (ceil(sqrt(2) ln 2 /
+    sqrt(delta)) copies, 2^n states) and is flagged as such in the notes.
     """
-    if not 0.0 < delta_target < 1.0:
-        raise ValueError(f"delta target must lie in (0, 1), got {delta_target}")
-    d = max(2, math.ceil(1.0 / (delta_target * (2.0 - delta_target))))
-    while not _thm1_reaches(d, delta_target):
-        d += 1
-    while d > 2 and _thm1_reaches(d - 1, delta_target):
-        d -= 1
-    lo, hi = 0, 1
-    while theorem2_states(3, hi).delta_nd > delta_target:
-        lo = hi
-        hi *= 2
-        if hi > 2**40:
-            raise ValueError(f"copy-count search diverged for delta {delta_target!r}")
-    while hi - lo > 1:  # smallest n with delta_nd <= target; delta_nd decreases in n
-        mid = (lo + hi) // 2
-        if theorem2_states(3, mid).delta_nd <= delta_target:
-            hi = mid
-        else:
-            lo = mid
+    if not MIN_SCALING_DELTA <= delta_target < 1.0:
+        raise ValueError(
+            f"delta target must lie in [{MIN_SCALING_DELTA:g}, 1), got {delta_target}"
+        )
+    from fractions import Fraction  # here, so that start-up does not load decimal
+
+    t = Fraction(delta_target) * (2 - Fraction(delta_target))
+    copies = 1  # a single copy already reaches delta once t >= 1/3
+    if t < Fraction(1, 3):
+        copies = math.ceil(math.log(2.0) / -math.log1p(-1.5 * float(t)))
     pbr_copies = math.ceil(math.sqrt(2.0) * math.log(2.0) / math.sqrt(delta_target))
     return ScalingReport(
         delta_target=delta_target,
-        thm1_dim=d,
-        thm2_copies_d3=hi,
+        thm1_dim=max(2, math.ceil(1 / t)),
+        thm2_copies_d3=copies,
         pbr_copies=pbr_copies,
         pbr_state_count=2**pbr_copies,
         notes=(

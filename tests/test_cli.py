@@ -1,14 +1,27 @@
 import argparse
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import psigauge
-from psigauge.cli import _render_json, main
+from psigauge.cli import (
+    FLAG_RULES,
+    MODEL_CHECKS,
+    UsageError,
+    _render_json,
+    build_parser,
+    check_flags,
+    main,
+)
 from psigauge.ensembles import ensemble_to_json, theorem1_ensemble
 from psigauge.ontic import ks_qubit_model, model_from_parametric, model_to_json
 from psigauge.qcore import StateVector, state_to_json
@@ -541,3 +554,340 @@ class TestStartup:
         )
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.splitlines()
+
+
+def parsed(argv):
+    return build_parser().parse_args(argv)
+
+
+def first_broken_row(args):
+    """Index of the first FLAG_RULES row that args break, or None."""
+    for index, (commands, _, ok, _) in enumerate(FLAG_RULES):
+        if args.command in commands and not ok(args):
+            return index
+    return None
+
+
+PI = repr(math.pi)
+ULP_ABOVE_PI = repr(math.nextafter(math.pi, 4.0))
+KS = ["model", "--builtin", "ks"]
+FILE = ["model", "--file", "model.json"]
+ORBIT = ["orbit", "--theta", "1.0"]
+THM2_SWEEP = ["sweep", "--family", "thm2"]
+
+# (argv, the flag its first broken row names); nothing here is ever run
+OUT_OF_RANGE = [
+    (["thm1", "--shots", "0"], "--shots"),
+    (["thm2", "--shots", str(2**63)], "--shots"),
+    (["sweep", "--shots", "99999999999999999999"], "--shots"),
+    (["thm1", "--confidence", "1"], "--confidence"),
+    (["sweep", "--confidence", "0"], "--confidence"),
+    (["thm1", "--noise-p", "nan"], "--noise-p"),
+    (["thm2", "--noise-q", "-0.1"], "--noise-q"),
+    (["thm1", "--dim", "1001"], "--dim"),
+    (["thm4", "--dim", "1"], "--dim"),
+    (["thm2", "--dim", "2"], "--dim"),
+    (["thm2", "--copies", "0"], "--copies"),
+    (["thm2", "--dim", "3", "--copies", "13"], "--dim**--copies"),
+    (["thm2", "--dim", "1001", "--copies", "99999999999999999999"], "--dim**--copies"),
+    (["thm4", "--dim", "3", "--t", "0.8165"], "--t"),
+    (["thm4", "--t", "0"], "--t"),
+    (["thm4", "--t", "inf"], "--t"),
+    (["thm4", "--dim", "2", "--t", "0.5"], "--t"),
+    (FILE + ["--check", "continuity"], "--check"),
+    (KS + ["--check", "nogo"], "--check"),
+    (FILE + ["--grid", "50"], "--grid"),
+    (KS + ["--grid", "1000001"], "--grid"),
+    (KS + ["--pairs", "0"], "--pairs"),
+    (KS + ["--fidelity", "1.0000000000000002"], "--fidelity"),
+    (KS + ["--delta", "0"], "--delta"),
+    (KS + ["--samples", "1000001"], "--samples"),
+    (["orbit", "--theta", ULP_ABOVE_PI], "--theta"),
+    (ORBIT + ["--steps", "-1"], "--steps"),
+    (ORBIT + ["--steps", str(sys.maxsize)], "--steps"),
+    (ORBIT + ["--grid", "99"], "--grid"),
+    (ORBIT + ["--grid", "1000001"], "--grid"),
+    (ORBIT + ["--tol=-inf"], "--tol"),
+    (ORBIT + ["--rotations", "1000001"], "--rotations"),
+    (ORBIT + ["--dedup-tol", "1.9999999999999995e-06"], "--dedup-tol"),
+    (["orbit", "--theta", "0.02", "--dedup-tol", "0.02"], "--theta"),
+    (["scaling", "--delta", "9.999999999999999e-09"], "--delta"),
+    (["scaling", "--delta", "1"], "--delta"),
+    (["exclusion", "--states", "s.json", "--restarts", "0"], "--restarts"),
+    (["exclusion", "--states", "s.json", "--max-iters", "-1"], "--max-iters"),
+    (["sweep", "--dims", ""], "--dims"),
+    (["sweep", "--dims", "1,2"], "--dims"),
+    (THM2_SWEEP + ["--dims", "2,3"], "--dims"),
+    (["sweep", "--dims", "3,1001"], "--dims"),
+    (["sweep", "--copies", ","], "--copies"),
+    (["sweep", "--family", "thm1", "--copies", "0"], "--copies"),
+    (THM2_SWEEP + ["--dims", "3", "--copies", "0,1"], "--copies"),
+    (THM2_SWEEP + ["--dims", "3,4", "--copies", "13"], "--dims**--copies"),
+    (THM2_SWEEP + ["--dims", "1000", "--copies", "3"], "--dims**--copies"),
+]
+
+# range ends the table must accept; parsed and checked only, never run
+AT_THE_BOUNDS = [
+    ["thm1", "--shots", str(2**63 - 1), "--dim", "1000"],
+    ["thm1", "--shots", "1", "--confidence", "5e-324", "--noise-p", "1", "--noise-q", "0"],
+    ["thm2", "--dim", "3", "--copies", "12"],
+    ["thm2", "--dim", "1000", "--copies", "2"],
+    ["thm2", "--dim", "10", "--copies", "6"],
+    ["thm4", "--dim", "1000"],
+    ["thm4", "--dim", "3", "--t", repr(math.sqrt(2.0 / 3.0))],
+    ["thm4", "--dim", "2", "--t", repr(math.sqrt(0.5))],
+    ["thm4", "--dim", "3", "--t", "5e-324"],
+    KS + ["--grid", "100", "--pairs", "1", "--fidelity", "0", "--delta", "1", "--samples", "1"],
+    KS + ["--grid", "1000000", "--samples", "1000000", "--check", "continuity"],
+    FILE + ["--check", "nogo", "--grid", "100"],
+    ["orbit", "--theta", repr(math.pi), "--steps", str(sys.maxsize - 1), "--grid", "1000000"],
+    ORBIT + ["--steps", "0", "--tol", repr(math.pi), "--rotations", "4"],
+    ORBIT + ["--rotations", "1000000", "--dedup-tol", "2e-06"],
+    ["orbit", "--theta", PI, "--dedup-tol", repr(math.nextafter(math.pi, 0.0))],
+    ["scaling", "--delta", "1e-08"],
+    ["scaling", "--delta", "0.9999999999999999"],
+    ["exclusion", "--states", "s.json", "--restarts", "1", "--max-iters", "1"],
+    ["sweep", "--dims", "2,1000", "--copies", "1"],
+    THM2_SWEEP + ["--dims", "3,1000", "--copies", "1,2"],
+]
+
+
+class TestFlagTable:
+    @pytest.mark.parametrize("argv, flag", OUT_OF_RANGE)
+    def test_out_of_range_value_is_rejected_naming_its_flag(self, argv, flag):
+        args = parsed(argv)
+        with pytest.raises(UsageError) as info:
+            check_flags(args)
+        assert str(info.value).startswith(flag + " ")
+        assert FLAG_RULES[first_broken_row(args)][1] == flag
+
+    @pytest.mark.parametrize("argv", AT_THE_BOUNDS)
+    def test_range_ends_pass_the_table(self, argv):
+        assert check_flags(parsed(argv)) is None
+
+    def test_every_row_rejects_some_case(self):
+        fired = {first_broken_row(parsed(argv)) for argv, _ in OUT_OF_RANGE}
+        assert fired == set(range(len(FLAG_RULES)))
+
+    def test_table_runs_before_the_handler(self, capsys, monkeypatch):
+        import psigauge.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "cmd_thm1", lambda args: calls.append(args) or "")
+        rc, out, err = run(capsys, ["thm1", "--shots", "0"])
+        assert (rc, out, calls) == (1, "", [])
+        assert "--shots" in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (THM2_SWEEP + ["--dims", "3", "--copies", "13"], "--dims**--copies"),
+            (THM2_SWEEP + ["--dims", "3", "--copies", "0"], "--copies"),
+            (["thm1", "--shots", "99999999999999999999"], "--shots"),
+            (ORBIT + ["--steps", "99999999999999999999"], "--steps"),
+            (["scaling", "--delta", "1e-9"], "--delta"),
+            (["scaling", "--delta", "3e-13"], "--delta"),
+        ],
+    )
+    def test_former_contract_breaks_exit_one(self, capsys, argv, flag):
+        rc, out, err = run(capsys, argv)
+        assert rc == 1, err
+        assert out == ""
+        assert f"error: {flag} " in err
+
+    def test_scaling_dimension_is_exact_at_a_near_tie(self, capsys):
+        obj = run_json(capsys, ["scaling", "--delta", "1.294023331038712e-08"])
+        assert obj["results"]["thm1_dim"] == 38639180
+
+
+class TestFileErrors:
+    def test_directory_as_state_file_exits_one(self, tmp_path):
+        self._assert_usage_error(["exclusion", "--states", str(tmp_path)])
+
+    def test_directory_as_model_file_exits_one(self, tmp_path):
+        self._assert_usage_error(["model", "--file", str(tmp_path)])
+
+    def test_out_into_missing_directory_exits_one(self, tmp_path):
+        out = tmp_path / "missing" / "x.json"
+        self._assert_usage_error(["scaling", "--delta", "0.1", "--out", str(out)])
+
+    @staticmethod
+    def _assert_usage_error(argv):
+        rc, out, err = run_process(argv)
+        assert rc == 1, err
+        assert "Traceback" not in err
+        assert "error" in err
+        assert out == ""
+
+
+NON_FINITE = ("nan", "inf", "-inf")
+HUGE = str(10**20)
+NEG_HUGE = str(-(10**20))
+DEFAULT = ()  # leaves a flag at its default
+
+
+def _flag(flag, good, bad):
+    """A slot of argv fragments: values inside the flag's range, and values
+    past it. One token each, so that argparse takes "-inf" as a value."""
+    return [(f"{flag}={v}",) for v in good], [(f"{flag}={v}",) for v in bad]
+
+
+def _fuzz_slots(files) -> dict:
+    """Per subcommand, the slots to draw from: the table's range ends and one
+    step past them, 0, negatives, non-finite values and huge integers. Sizes
+    inside a range stay small, so that every case is cheap to run."""
+    seed = ([("--seed=0",), ("--seed=7",), DEFAULT], [("--seed=-1",), ("--seed=x",)])
+    protocol = [
+        _flag("--shots", ("1", "10", "1000"), ("0", "-1", str(2**63), HUGE, *NON_FINITE)),
+        _flag("--confidence", ("0.95", "5e-324", "0.9999999999999999"),
+              ("0", "1", "-0.5", *NON_FINITE)),
+        _flag("--noise-p", ("0", "0.5", "1"), ("-5e-324", "1.0000000000000002", *NON_FINITE)),
+        _flag("--noise-q", ("0", "0.25", "1"), ("-1", "1.0000000000000002", *NON_FINITE)),
+        seed,
+    ]
+    dim = _flag("--dim", ("3", "2", "8"), ("1", "0", "-3", "1001", HUGE, NEG_HUGE, "nan"))
+    model_sources = (
+        [("--builtin", "ks"), ("--file", files["model"])],
+        [("--file", files["dir"]), ("--file", files["missing"]), DEFAULT,
+         ("--builtin", "ks", "--file", files["model"])],
+    )
+    model_checks = (
+        [("--check", c) for c in MODEL_CHECKS]
+        + [DEFAULT, ("--check", "classify", "--check", "epsilon")],
+        [("--check", "bogus")],
+    )
+    return {
+        "thm1": [dim, *protocol],
+        "thm2": [
+            _flag("--dim", ("3", "4", "8"), ("2", "0", "-3", HUGE)),
+            _flag("--copies", ("1", "2", "3"), ("0", "-1", "13", HUGE)),
+            *protocol,
+        ],
+        "thm4": [
+            dim,
+            _flag("--t", ("0.5", repr(math.sqrt(0.5)), repr(math.sqrt(2 / 3)), "5e-324"),
+                  ("0", "-0.1", "1", *NON_FINITE)),
+            seed,
+        ],
+        "model": [
+            model_sources,
+            model_checks,
+            _flag("--grid", ("100", "1000"), ("99", "0", "-1", "1000001", HUGE, "nan")),
+            _flag("--pairs", ("1", "5"), ("0", "-1", NEG_HUGE, "inf")),
+            _flag("--fidelity", ("0", "0.9", "1"), ("-0.1", "1.0000000000000002", *NON_FINITE)),
+            _flag("--delta", ("5e-324", "0.25", "1"), ("0", "1.0000000000000002", *NON_FINITE)),
+            _flag("--center", ("plus", "one"), ("bogus",)),
+            _flag("--samples", ("1", "5"), ("0", "-2", "1000001", HUGE, "nan")),
+            seed,
+        ],
+        "orbit": [
+            _flag("--theta", ("1.0", PI, "5e-324"), (ULP_ABOVE_PI, "0", "-1", *NON_FINITE)),
+            _flag("--steps", ("0", "1", "2"), ("-1", str(sys.maxsize), HUGE, "nan")),
+            _flag("--grid", ("100", "1000"), ("99", "1000001", HUGE, "-inf")),
+            _flag("--tol", ("0.05", PI, "5e-324"), (ULP_ABOVE_PI, "0", *NON_FINITE)),
+            _flag("--rotations", ("4", "24"), ("3", "0", "1000001", HUGE)),
+            _flag("--dedup-tol", ("0.02", "2e-06", PI),
+                  ("1.9999999999999995e-06", ULP_ABOVE_PI, *NON_FINITE)),
+            _flag("--format", ("json", "csv"), ("xml",)),
+            seed,
+        ],
+        "scaling": [
+            _flag("--delta", ("1e-08", "0.5", "0.9999999999999999"),
+                  ("9.999999999999999e-09", "1", "0", "-0.1", "3e-13", *NON_FINITE)),
+            seed,
+        ],
+        "exclusion": [
+            _flag("--states", (files["states"],), (files["dir"], files["missing"], files["model"])),
+            _flag("--restarts", ("1", "2"), ("0", "-1", NEG_HUGE, "nan")),
+            _flag("--max-iters", ("1", "50"), ("0", "-1", NEG_HUGE, "inf")),
+            seed,
+        ],
+        "sweep": [
+            _flag("--family", ("thm2", "thm1"), ("thm3",)),
+            _flag("--dims", ("3", "3,4", "8"), ("1", "1,2", "2,3", "3,1001", HUGE, "", ",", "x")),
+            _flag("--copies", ("1", "1,3"), ("0", "-1", "13", HUGE, "", "x")),
+            *protocol,
+            _flag("--format", ("csv", "json"), ("tsv",)),
+        ],
+    }
+
+
+@st.composite
+def _invocations(draw, command, slots):
+    """argv with at most two slots drawn past their range."""
+    broken = draw(st.sets(st.integers(0, len(slots) - 1), max_size=2))
+    argv = [command]
+    for index, (good, bad) in enumerate(slots):
+        argv += draw(st.sampled_from(bad if index in broken else good))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    states = root / "states.json"
+    states.write_text(json.dumps([state_to_json(s) for s in theorem1_ensemble(3).states]))
+    discrete = model_from_parametric(
+        ks_qubit_model(200), {"q0": StateVector.basis(2, 0), "q1": StateVector.basis(2, 1)}
+    )
+    model = root / "model.json"
+    model.write_text(json.dumps(model_to_json(discrete)))
+    return {"states": str(states), "model": str(model), "dir": str(root),
+            "missing": str(root / "missing.json")}
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def _contract_exit(argv) -> int:
+    """main's exit code on argv, once what it printed is held to the
+    contract: main returns 0, 1 or 2 and raises nothing else; a failure
+    prints nothing on stdout, and a success strict JSON or the CSV header."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse rejected the command line
+            rc = exc.code
+    assert rc in (0, 1, 2), (argv, rc)
+    text = stdout.getvalue()
+    if rc:
+        assert text == "", argv
+    elif not text.startswith("# psigauge "):
+        json.loads(text, parse_constant=_reject_constant)
+    return rc
+
+
+COMMANDS = ["thm1", "thm2", "thm4", "model", "orbit", "scaling", "exclusion", "sweep"]
+
+
+class TestContractFuzz:
+    """Every subcommand, driven with values at and past the table's range ends."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_each_value_past_a_range_exits_one_on_its_own(self, command, fuzz_files):
+        slots = _fuzz_slots(fuzz_files)[command]
+
+        def argv(index=None, fragment=()):
+            return [command] + [
+                token for i, (good, _) in enumerate(slots)
+                for token in (fragment if i == index else good[0])
+            ]
+
+        assert _contract_exit(argv()) == 0, argv()
+        for index, (_, bad) in enumerate(slots):
+            for fragment in bad:
+                assert _contract_exit(argv(index, fragment)) == 1, argv(index, fragment)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_exit_code_contract(self, command, fuzz_files):
+        codes = []
+
+        @settings(max_examples=30, derandomize=True, deadline=None, database=None)
+        @given(_invocations(command, _fuzz_slots(fuzz_files)[command]))
+        def check(argv):
+            codes.append(_contract_exit(argv))
+
+        check()
+        assert {0, 1} <= set(codes), codes  # cases reach the handlers as well as the table

@@ -1,4 +1,6 @@
 import json
+import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from psigauge.ensembles import (
     KIND_THEOREM1,
     KIND_THEOREM2,
     KIND_THEOREM4,
+    MIN_SCALING_DELTA,
     ensemble_from_json,
     ensemble_to_json,
     gamma_coefficient,
@@ -200,6 +203,46 @@ class TestScalingReport:
         assert r.pbr_copies == int(np.ceil(np.sqrt(2.0) * np.log(2.0) / np.sqrt(0.01)))
         assert r.pbr_state_count == 2**r.pbr_copies
         assert "asymptotic" in r.notes
+
+
+class TestScalingClosedForms:
+    """thm1_dim and thm2_copies_d3 against their defining inequalities,
+    evaluated in 50-digit decimal arithmetic from the exact value of each
+    float delta: each count reaches delta, and one less does not."""
+
+    # log-spaced over the supported range, plus a near-tie that float
+    # arithmetic once put one dimension too high
+    DELTAS = [*map(float, np.geomspace(MIN_SCALING_DELTA, 0.99, 150)), 1.294023331038712e-08]
+
+    @staticmethod
+    def _thm1_bound(d: int) -> Decimal:
+        return 1 - (Decimal(d - 1) / d).sqrt()
+
+    @staticmethod
+    def _thm2_bound(n: int) -> Decimal:
+        # delta_nd at d = 3: Gram level c = 2**(-1/n), alpha**2 = 1 - c
+        c = Decimal(2) ** (Decimal(-1) / n)
+        return 1 - (1 - 2 * (1 - c) / 3).sqrt()
+
+    def test_counts_are_the_least_that_reach_delta(self):
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for delta in self.DELTAS:
+                report = scaling_report(delta)
+                target = Decimal(delta)
+                d, n = report.thm1_dim, report.thm2_copies_d3
+                assert self._thm1_bound(d) <= target, delta
+                assert d == 2 or self._thm1_bound(d - 1) > target, delta
+                assert self._thm2_bound(n) <= target, delta
+                assert n == 1 or self._thm2_bound(n - 1) > target, delta
+
+    def test_near_tie_dimension(self):
+        assert scaling_report(1.294023331038712e-08).thm1_dim == 38639180
+
+    def test_floor_keeps_the_state_count_printable(self):
+        assert len(str(scaling_report(MIN_SCALING_DELTA).pbr_state_count)) < 4300
+        with pytest.raises(ValueError):
+            scaling_report(math.nextafter(MIN_SCALING_DELTA, 0.0))
 
 
 class TestEnsembleJson:
