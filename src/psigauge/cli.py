@@ -28,9 +28,9 @@ from ._geometry import bloch_from_state
 from .ensembles import (
     MIN_SCALING_DELTA,
     TENSOR_CAP,
-    ensemble_from_json,
     gamma_coefficient,
     scaling_report,
+    states_from_json,
     theorem1_ensemble,
     theorem2_ensemble,
     theorem4_ensemble,
@@ -66,10 +66,7 @@ from .qcore import (
     inner,
     normalized,
     pair_at_fidelity,
-    state_from_json,
 )
-
-MODEL_CHECKS = ("validate", "reproduce", "classify", "epsilon", "nogo", "continuity")
 
 _CENTERS = {
     "plus": lambda: normalized(np.array([1.0, 1.0])),
@@ -149,7 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--file", type=str)
     p.add_argument("--grid", type=int, default=10_000, help="lattice size for --builtin ks")
     p.add_argument(
-        "--check", action="append", choices=MODEL_CHECKS, help="repeatable; default validate"
+        "--check", action="append", choices=tuple(MODEL_CHECKS),
+        help="repeatable; default validate",
     )
     p.add_argument("--pairs", type=int, default=100, help="sampled pairs for reproduce")
     p.add_argument("--fidelity", type=float, default=0.9, help="pair fidelity for classify")
@@ -345,108 +343,107 @@ def cmd_thm4(args) -> str:
     return _render_json(args, results)
 
 
-def _load_model(args):
-    with open(args.file, encoding="utf-8") as fh:
-        return model_from_json(json.load(fh))
+def _read_json(path: str):
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:  # the decoder recurses once per nesting level
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def cmd_model(args) -> str:
-    results = {"checks": []}
-    family = None
+    results = {}
     if args.builtin == "ks":
-        family = ks_qubit_model(args.grid)
-        results["model"] = {"builtin": "ks", "lambda_count": family.lambda_count}
-    for check in args.check or ["validate"]:
-        results["checks"].append(_run_model_check(check, args, family))
+        model = ks_qubit_model(args.grid)
+        results["model"] = {"builtin": "ks", "lambda_count": model.lambda_count}
+    else:
+        try:
+            model = model_from_json(_read_json(args.file))
+        except ValueError as exc:  # validate reports it; every other check raises it
+            model = exc
+    results["checks"] = []
+    for name in args.check or ["validate"]:
+        if isinstance(model, ValueError) and name != "validate":
+            raise model
+        results["checks"].append({"check": name, **MODEL_CHECKS[name](args, model)})
     return _render_json(args, results)
 
 
-def _run_model_check(check: str, args, family) -> dict:
+def _tabulated(args, model):
+    """The file's tables, or the built-in rules on a Haar pair at --fidelity."""
+    if not args.builtin:
+        return model
+    first, second = pair_at_fidelity(2, args.fidelity, np.random.default_rng(args.seed))
+    return model_from_parametric(model, {"q0": first, "q1": second})
+
+
+def _check_validate(args, model) -> dict:
+    if isinstance(model, ValueError):
+        return {"passed": False, "diagnostic": str(model)}
+    detail = model.description if args.builtin else {
+        "lambda_count": model.lambda_count,
+        "preparations": sorted(model.preparations),
+        "measurements": sorted(model.responses),
+    }
+    return {"passed": True, "detail": detail}
+
+
+def _check_reproduce(args, model) -> dict:
     rng = np.random.default_rng(args.seed)
-    if check == "validate":
-        if family is not None:
-            return {"check": check, "passed": True, "detail": family.description}
-        try:
-            model = _load_model(args)
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
-            return {"check": check, "passed": False, "diagnostic": str(exc)}
-        return {
-            "check": check,
-            "passed": True,
-            "detail": {
-                "lambda_count": model.lambda_count,
-                "preparations": sorted(model.preparations),
-                "measurements": sorted(model.responses),
-            },
-        }
+    worst = 0.0
+    for _ in range(args.pairs):
+        state = haar_state(2, rng)
+        axis = rng.standard_normal(3)
+        axis /= np.linalg.norm(axis)
+        predicted = model.predict(state, axis)
+        born_plus = (1.0 + bloch_from_state(state) @ axis) / 2.0
+        worst = max(worst, abs(predicted[0] - born_plus), abs(predicted[1] - (1.0 - born_plus)))
+    return {"pairs": args.pairs, "max_error": worst}
 
-    if check == "reproduce":
-        worst = 0.0
-        for _ in range(args.pairs):
-            state = haar_state(2, rng)
-            axis = rng.standard_normal(3)
-            axis /= np.linalg.norm(axis)
-            predicted = family.predict(state, axis)
-            born_plus = (1.0 + bloch_from_state(state) @ axis) / 2.0
-            worst = max(
-                worst, abs(predicted[0] - born_plus), abs(predicted[1] - (1.0 - born_plus))
-            )
-        return {"check": check, "pairs": args.pairs, "max_error": worst}
 
-    if check in ("classify", "epsilon"):
-        if family is not None:
-            first, second = pair_at_fidelity(2, args.fidelity, rng)
-            model = model_from_parametric(family, {"q0": first, "q1": second})
-        else:
-            model = _load_model(args)
-        labels = sorted(model.preparations)
-        if check == "classify":
-            verdict = classify(model, labels)
-            return {
-                "check": check,
-                "verdict": verdict.verdict,
-                "pair": list(verdict.pair) if verdict.pair else None,
-                "overlap": verdict.overlap,
-            }
-        report = epsilon_overlap(model, labels)
-        return {
-            "check": check,
-            "epsilon": report.epsilon,
-            "witness_count": len(report.witness_lambdas),
-        }
+def _check_classify(args, model) -> dict:
+    table = _tabulated(args, model)
+    return asdict(classify(table, sorted(table.preparations)))
 
-    if check == "nogo":
-        model = _load_model(args)
-        labels = sorted(model.preparations)
-        rows = []
-        for m in sorted(model.responses):
-            if model.responses[m].shape[1] < len(labels):
-                continue
-            res = nogo_check(model, labels, m)
-            rows.append(
-                {
-                    "measurement": m,
-                    "lhs": res.lhs,
-                    "epsilon": res.epsilon,
-                    "inequality_holds": res.inequality_holds,
-                }
-            )
-        return {"check": check, "results": rows}
 
-    if check == "continuity":
-        center = _CENTERS[args.center]()
-        report = delta_continuity_probe(
-            family, center, args.delta, args.samples, seed=args.seed
-        )
-        return {
-            "check": check,
-            "delta": report.delta,
-            "n_samples": report.n_samples,
-            "common_support_size": len(report.common_support),
-            "empirical_epsilon": report.empirical_epsilon,
-            "verdict": report.verdict,
-        }
-    raise UsageError(f"unknown check {check!r}")
+def _check_epsilon(args, model) -> dict:
+    table = _tabulated(args, model)
+    report = epsilon_overlap(table, sorted(table.preparations))
+    return {"epsilon": report.epsilon, "witness_count": len(report.witness_lambdas)}
+
+
+def _check_nogo(args, model) -> dict:
+    labels = sorted(model.preparations)
+    return {"results": [
+        {"measurement": m, **asdict(nogo_check(model, labels, m))}
+        for m in sorted(model.responses)
+        if model.responses[m].shape[1] >= len(labels)
+    ]}
+
+
+def _check_continuity(args, model) -> dict:
+    center = _CENTERS[args.center]()
+    report = delta_continuity_probe(model, center, args.delta, args.samples, seed=args.seed)
+    return {
+        "delta": report.delta,
+        "n_samples": report.n_samples,
+        "common_support_size": len(report.common_support),
+        "empirical_epsilon": report.empirical_epsilon,
+        "verdict": report.verdict,
+    }
+
+
+# each check maps (args, model) to its report, model being the built-in rules,
+# the file's tables, or (validate only) the ValueError that kept the file from
+# loading. A check that draws starts a fresh generator at --seed.
+MODEL_CHECKS = {
+    "validate": _check_validate,
+    "reproduce": _check_reproduce,
+    "classify": _check_classify,
+    "epsilon": _check_epsilon,
+    "nogo": _check_nogo,
+    "continuity": _check_continuity,
+}
 
 
 def cmd_orbit(args) -> str:
@@ -475,21 +472,10 @@ def cmd_scaling(args) -> str:
 
 
 def cmd_exclusion(args) -> str:
-    with open(args.states, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if isinstance(payload, dict) and "kind" in payload:
-        states = ensemble_from_json(payload).states
-    elif isinstance(payload, dict) and "states" in payload:
-        if not isinstance(payload["states"], list):
-            raise ValueError(f"{args.states}: 'states' must be a list of states")
-        states = tuple(state_from_json(o) for o in payload["states"])
-    elif isinstance(payload, list):
-        states = tuple(state_from_json(o) for o in payload)
-    else:
-        raise UsageError(
-            f"{args.states}: expected a state list, a {{'states': [...]}} object,"
-            " or an ensemble object"
-        )
+    try:
+        states = states_from_json(_read_json(args.states))
+    except TypeError as exc:  # a document of none of the three shapes
+        raise UsageError(f"{args.states}: {exc}") from None
     problem = ExclusionProblem(states)
     result = optimize(
         problem, restarts=args.restarts, max_iters=args.max_iters, seed=args.seed

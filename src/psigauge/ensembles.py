@@ -21,6 +21,8 @@ from .qcore import (
     RESIDUAL_TOL,
     StateVector,
     TENSOR_CAP,
+    _field,
+    _require,
     inner,
     outcome_table,
     povm_from_json,
@@ -74,7 +76,7 @@ def _assemble(kind, params, states, measurement, center, delta_star) -> NoGoEnse
     target = 1.0 - delta_star
     for k, s in enumerate(states):
         fid = abs(inner(s, center))
-        if abs(fid - target) > 1e-10:
+        if not abs(fid - target) <= 1e-10:  # a NaN delta_star fails here too
             raise ContractViolation(
                 f"state {k} sits at fidelity {fid!r}, expected {target!r}"
             )
@@ -295,7 +297,7 @@ def scaling_report(delta_target: float) -> ScalingReport:
         pbr_copies=pbr_copies,
         pbr_state_count=2**pbr_copies,
         notes=(
-            "dimension and copy counts are exact predicate searches; the "
+            "dimension and copy counts are closed forms; the "
             "product-qubit route uses its asymptotic formula only"
         ),
     )
@@ -313,17 +315,11 @@ def ensemble_to_json(e: NoGoEnsemble) -> dict:
 
 
 def ensemble_from_json(obj: dict) -> NoGoEnsemble:
-    for key in ("kind", "params", "states", "measurement", "center", "delta_star"):
-        if key not in obj:
-            raise ValueError(f"ensemble JSON: missing field {key!r}")
+    _require(obj, ("kind", "params", "states", "measurement", "center", "delta_star"), "ensemble")
     if not isinstance(obj["params"], dict):
         raise ValueError("ensemble JSON: params must be an object")
     if not isinstance(obj["states"], list) or not obj["states"]:
         raise ValueError("ensemble JSON: states must be a nonempty list")
-    try:
-        delta_star = float(obj["delta_star"])
-    except TypeError:
-        raise ValueError("ensemble JSON: delta_star must be a number") from None
     states = tuple(state_from_json(s) for s in obj["states"])
     dim = states[0].dim
     povm = povm_from_json({"dim": dim, "effects": obj["measurement"]})
@@ -335,5 +331,21 @@ def ensemble_from_json(obj: dict) -> NoGoEnsemble:
         states=states,
         measurement=povm,
         center=state_from_json(obj["center"]),
-        delta_star=delta_star,
+        delta_star=_field(obj, "delta_star", "ensemble", float),
     )
+
+
+def states_from_json(payload) -> tuple:
+    """The states of a list of states, a {"states": [...]} object or an ensemble
+    object; TypeError for any other shape, ValueError for a malformed one."""
+    if isinstance(payload, dict) and "kind" in payload:
+        return ensemble_from_json(payload).states
+    if isinstance(payload, dict) and "states" in payload:
+        payload = payload["states"]
+        if not isinstance(payload, list):
+            raise ValueError("states JSON: 'states' must be a list of states")
+    elif not isinstance(payload, list):
+        raise TypeError(
+            "expected a state list, a {'states': [...]} object, or an ensemble object"
+        )
+    return tuple(state_from_json(s) for s in payload)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -137,18 +137,7 @@ def run_protocol(
 
 
 def report_to_json(report: EstimateReport) -> dict:
-    return {
-        "ensemble_kind": report.ensemble_kind,
-        "shots_per_preparation": report.shots_per_preparation,
-        "counts": [[int(c) for c in row] for row in report.counts],
-        "epsilon_exp_hat": report.epsilon_exp_hat,
-        "epsilon_upper_bound": report.epsilon_upper_bound,
-        "confidence": report.confidence,
-        "n_copies": report.n_copies,
-        "epsilon_single_copy_bound": report.epsilon_single_copy_bound,
-        "assumes_preparation_independence": report.assumes_preparation_independence,
-        "seed": report.seed,
-    }
+    return {**asdict(report), "counts": report.counts.tolist()}
 
 
 SWEEP_FIELDS = (

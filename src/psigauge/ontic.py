@@ -17,6 +17,7 @@ import numpy as np
 
 from ._geometry import bloch_from_state, fibonacci_sphere
 from .qcore import Ball, Povm, StateVector, inner, outcome_table, sample_state_in_ball
+from .qcore import _field, _floats, _require
 
 SUM_TOL = 1e-10
 #: below this, a preparation weight counts as "not in the support"
@@ -66,8 +67,11 @@ class DiscreteOnticModel:
                     f"responses[{label!r}]: expected a {self.lambda_count}-row matrix,"
                     f" got shape {arr.shape}"
                 )
-            for i, row in enumerate(arr):
-                _check_distribution(row, f"responses[{label!r}] row {i}")
+            # a valid row has entries >= 0 (false for NaN) that sum to 1; the sums run
+            # over |entries|, so that no inf - inf raises a RuntimeWarning
+            bad = ~(arr >= 0.0).all(axis=1) | (np.abs(np.abs(arr).sum(axis=1) - 1.0) > SUM_TOL)
+            for i in np.flatnonzero(bad):  # the first bad row raises its own diagnostic
+                _check_distribution(arr[i], f"responses[{label!r}] row {i}")
             arr.flags.writeable = False
             resps[str(label)] = arr
         object.__setattr__(self, "preparations", preps)
@@ -396,11 +400,12 @@ def model_to_json(model: DiscreteOnticModel) -> dict:
 
 
 def model_from_json(obj: dict) -> DiscreteOnticModel:
-    for key in ("lambda_count", "preparations", "responses"):
-        if key not in obj:
-            raise ValueError(f"model JSON: missing field {key!r}")
+    _require(obj, ("lambda_count", "preparations", "responses"), "model")
+
+    def tables(field: str) -> dict:
+        _require(obj[field], (), f"model {field}")
+        return {str(k): _field(obj[field], k, f"model {field}", _floats) for k in obj[field]}
+
     return DiscreteOnticModel(
-        int(obj["lambda_count"]),
-        {str(k): np.asarray(v, dtype=float) for k, v in obj["preparations"].items()},
-        {str(k): np.asarray(v, dtype=float) for k, v in obj["responses"].items()},
+        _field(obj, "lambda_count", "model"), tables("preparations"), tables("responses")
     )

@@ -20,7 +20,7 @@ Tolerances follow a three-tier convention used across the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from typing import Sequence
 
 import numpy as np
@@ -526,24 +526,32 @@ def _require(obj: dict, keys: tuple, what: str) -> None:
             raise ValueError(f"{what} JSON: missing field {key!r}")
 
 
-def _numeric_fields(obj: dict, what: str) -> tuple:
-    """(dim, re, im) of a state or operator object, as an int and float arrays."""
-    _require(obj, ("dim", "re", "im"), what)
+_floats = partial(np.asarray, dtype=float)
+
+
+def _field(obj: dict, key: str, what: str, convert=int):
+    """convert(obj[key]), with a wrong type (a list or an object where a
+    number belongs) or an overflowing number (1e400) raised as ValueError."""
     try:
-        return (
-            int(obj["dim"]),
-            np.asarray(obj["re"], dtype=float),
-            np.asarray(obj["im"], dtype=float),
-        )
-    except TypeError as exc:  # a list or object where a number belongs
-        raise ValueError(f"{what} JSON: {exc}") from None
+        return convert(obj[key])
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"{what} JSON: {key}: {exc}") from None
+
+
+def _numeric_fields(obj: dict, what: str, count) -> tuple:
+    """(dim, entries) of a state or operator object: an int and the count(dim)
+    complex entries, row-major for a matrix."""
+    _require(obj, ("dim", "re", "im"), what)
+    dim = _field(obj, "dim", what)
+    re, im = _field(obj, "re", what, _floats), _field(obj, "im", what, _floats)
+    if re.shape != (count(dim),) or im.shape != (count(dim),):
+        raise ValueError(f"{what} JSON: expected {count(dim)} re/im entries")
+    with np.errstate(invalid="ignore"):  # 1j * inf; the constructors reject non-finite entries
+        return dim, re + 1j * im
 
 
 def state_from_json(obj: dict) -> StateVector:
-    dim, re, im = _numeric_fields(obj, "state")
-    if re.shape != (dim,) or im.shape != (dim,):
-        raise ValueError(f"state JSON: expected {dim} re/im entries")
-    return StateVector(dim, re + 1j * im)
+    return StateVector(*_numeric_fields(obj, "state", lambda dim: dim))
 
 
 def operator_to_json(op: Operator) -> dict:
@@ -552,10 +560,8 @@ def operator_to_json(op: Operator) -> dict:
 
 
 def operator_from_json(obj: dict) -> Operator:
-    dim, re, im = _numeric_fields(obj, "operator")
-    if re.shape != (dim * dim,) or im.shape != (dim * dim,):
-        raise ValueError(f"operator JSON: expected {dim * dim} re/im entries (row-major)")
-    return Operator(dim, (re + 1j * im).reshape(dim, dim))
+    dim, entries = _numeric_fields(obj, "operator", lambda dim: dim * dim)
+    return Operator(dim, entries.reshape(dim, dim))
 
 
 def povm_to_json(p: Povm) -> dict:
@@ -566,4 +572,4 @@ def povm_from_json(obj: dict) -> Povm:
     _require(obj, ("dim", "effects"), "povm")
     if not isinstance(obj["effects"], list):
         raise ValueError("povm JSON: effects must be a list")
-    return Povm(int(obj["dim"]), tuple(operator_from_json(e) for e in obj["effects"]))
+    return Povm(_field(obj, "dim", "povm"), tuple(operator_from_json(e) for e in obj["effects"]))

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -22,9 +23,11 @@ from psigauge.cli import (
     check_flags,
     main,
 )
-from psigauge.ensembles import ensemble_to_json, theorem1_ensemble
+from psigauge.ensembles import ensemble_to_json, theorem1_ensemble, theorem2_ensemble
 from psigauge.ontic import ks_qubit_model, model_from_parametric, model_to_json
 from psigauge.qcore import StateVector, state_to_json
+
+from conftest import random_discrete_model
 
 
 def run(capsys, argv):
@@ -891,3 +894,179 @@ class TestContractFuzz:
 
         check()
         assert {0, 1} <= set(codes), codes  # cases reach the handlers as well as the table
+
+
+def _write_json(path, obj) -> str:
+    """obj as a JSON file; the strings "HUGE" and "-HUGE" become the literals
+    1e400 and -1e400, which Python's json module reads as infinite floats."""
+    text = json.dumps(obj).replace('"-HUGE"', "-1e400").replace('"HUGE"', "1e400")
+    path.write_text(text)
+    return str(path)
+
+
+class TestMalformedModelFile:
+    """Fields of the wrong type or past float range, each of which raised a
+    Python exception that main did not map to an exit code."""
+
+    EDITS = {
+        "preparations-list": lambda obj: obj.update(preparations=[]),
+        "responses-number": lambda obj: obj.update(responses=5),
+        "preparation-object": lambda obj: obj["preparations"].update(q0={"x": 1}),
+        "lambda-count-list": lambda obj: obj.update(lambda_count=[2]),
+        "lambda-count-1e400": lambda obj: obj.update(lambda_count="HUGE"),
+    }
+
+    @pytest.fixture(params=sorted(EDITS))
+    def path(self, request, tmp_path):
+        obj = model_to_json(random_discrete_model(3))
+        self.EDITS[request.param](obj)
+        return _write_json(tmp_path / "model.json", obj)
+
+    def test_validate_reports_the_diagnostic(self, path):
+        rc, out, err = run_process(["model", "--file", path, "--check", "validate"])
+        assert rc == 0, err
+        check = json.loads(out)["results"]["checks"][0]
+        assert check["passed"] is False
+        assert "model" in check["diagnostic"] and "JSON" in check["diagnostic"]
+        assert err == ""
+
+    def test_other_checks_exit_two_without_traceback(self, path):
+        rc, out, err = run_process(["model", "--file", path, "--check", "epsilon"])
+        assert rc == 2, err
+        assert "contract violation" in err
+        assert "Traceback" not in err
+        assert out == ""
+
+
+class TestOverflowingStateDim:
+    def test_exits_two_without_traceback(self, tmp_path):
+        obj = state_to_json(StateVector.basis(2, 0))
+        path = _write_json(tmp_path / "states.json", [dict(obj, dim="HUGE"), obj])
+        rc, out, err = run_process(["exclusion", "--states", path])
+        assert rc == 2, err
+        assert "state JSON: dim" in err
+        assert "Traceback" not in err
+        assert out == ""
+
+
+class TestModelHandler:
+    def test_file_is_parsed_once_for_every_check(self, capsys, monkeypatch, tmp_path):
+        import psigauge.cli as cli
+
+        calls = []
+        real = cli.model_from_json
+        monkeypatch.setattr(cli, "model_from_json", lambda obj: calls.append(obj) or real(obj))
+        path = _write_json(tmp_path / "model.json", model_to_json(random_discrete_model(3)))
+        checks = ["validate", "nogo", "classify", "epsilon"]
+        argv = ["model", "--file", path] + [t for c in checks for t in ("--check", c)]
+        obj = run_json(capsys, argv)
+        assert [c["check"] for c in obj["results"]["checks"]] == checks
+        assert len(calls) == 1
+
+    def test_check_after_validate_raises_the_held_error(self, capsys, bad_model_file):
+        alone = run(capsys, ["model", "--file", bad_model_file, "--check", "classify"])
+        after = run(
+            capsys,
+            ["model", "--file", bad_model_file, "--check", "validate", "--check", "classify"],
+        )
+        assert alone[0] == after[0] == 2
+        assert alone[2] == after[2]
+        assert "sum" in after[2]
+        assert after[1] == ""
+
+
+# ---------------------------------------------------------------------------
+# payload fuzz: real serializer output with one field mutated
+# ---------------------------------------------------------------------------
+
+
+def _base_payloads() -> dict:
+    listed = [state_to_json(s) for s in theorem1_ensemble(3).states]
+    payloads = {
+        "state-list": listed,
+        "states-object": {"states": listed},
+        "thm1-ensemble": ensemble_to_json(theorem1_ensemble(3)),
+        "thm2-ensemble": ensemble_to_json(theorem2_ensemble(3, 2)),
+        "model": model_to_json(random_discrete_model(3)),
+    }
+    return json.loads(json.dumps(payloads))  # plain lists, dicts and numbers
+
+
+def _paths(node, prefix=()):
+    """Every field of a JSON tree, as the key or index path to it."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)) and child:
+            yield from _paths(child, prefix + (key,))
+
+
+DELETE = object()
+MUTATIONS = (DELETE, "x", {"x": 1}, [2], None, True, "HUGE", "-HUGE", float("nan"), 10**400, [])
+
+
+def _mutated(payload, path, value):
+    copy = json.loads(json.dumps(payload))
+    *parents, last = path
+    node = copy
+    for key in parents:
+        node = node[key]
+    if value is DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return copy
+
+
+@st.composite
+def _mutations(draw):
+    name = draw(st.sampled_from(sorted(BASE_PAYLOADS)))
+    payload = BASE_PAYLOADS[name]
+    path = draw(st.sampled_from(list(_paths(payload))))
+    return _mutated(payload, path, draw(st.sampled_from(MUTATIONS)))
+
+
+BASE_PAYLOADS = _base_payloads()
+PAYLOAD_COMMANDS = (
+    ["exclusion", "--restarts", "1", "--max-iters", "5", "--states"],
+    ["model", "--check", "validate", "--check", "epsilon", "--file"],
+)
+
+
+class TestPayloadFuzz:
+    """Each reader, fed serializer output with one field deleted, retyped or
+    put past float range, keeps the exit-code contract."""
+
+    def test_unmutated_payloads_run(self, tmp_path):
+        for name, payload in BASE_PAYLOADS.items():
+            path = _write_json(tmp_path / f"{name}.json", payload)
+            command = PAYLOAD_COMMANDS[name == "model"]
+            assert _contract_exit(command + [path]) == 0, name
+
+    def test_one_field_mutations_keep_the_contract(self, tmp_path):
+        path = tmp_path / "payload.json"
+        codes = []
+
+        @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+        @given(_mutations())
+        def check(payload):
+            _write_json(path, payload)
+            for command in PAYLOAD_COMMANDS:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    codes.append(_contract_exit(command + [str(path)]))
+
+        check()
+        assert {0, 1, 2} <= set(codes), codes
+
+
+class TestDeeplyNestedFile:
+    @pytest.mark.parametrize(
+        "argv, code", [(["exclusion", "--states"], 2), (["model", "--file"], 0)]
+    )
+    def test_is_a_malformed_file(self, capsys, tmp_path, argv, code):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        rc, out, err = run(capsys, argv + [str(path)])
+        assert rc == code, err
+        assert "nested too deeply" in (err if code else out)

@@ -14,6 +14,7 @@ from psigauge.ensembles import (
     ensemble_to_json,
     gamma_coefficient,
     scaling_report,
+    states_from_json,
     theorem1_ensemble,
     theorem2_ensemble,
     theorem2_states,
@@ -21,7 +22,7 @@ from psigauge.ensembles import (
     theorem4_states,
 )
 from psigauge.exclusion import exclusion_value
-from psigauge.qcore import StateVector, born_prob, gram, inner, validate_povm
+from psigauge.qcore import StateVector, born_prob, gram, inner, state_to_json, validate_povm
 
 # delta radius at which the d=2 extremal family sits: 1 - 1/sqrt(2)
 DELTA_STAR_D2 = 0.2928932188134524
@@ -291,4 +292,49 @@ class TestTamperResistance:
         from psigauge.qcore import ContractViolation
 
         with pytest.raises(ContractViolation):
+            ensemble_from_json(obj)
+
+
+class TestStatesFromJson:
+    def test_three_shapes_give_equal_states(self):
+        ens = theorem1_ensemble(3)
+        listed = [state_to_json(s) for s in ens.states]
+        shapes = [listed, {"states": listed}, ensemble_to_json(ens)]
+        for payload in shapes:
+            states = states_from_json(json.loads(json.dumps(payload)))
+            assert len(states) == 3
+            for got, want in zip(states, ens.states):
+                assert np.array_equal(got.amplitudes, want.amplitudes)
+
+    @pytest.mark.parametrize("payload", [5, "states", None, {"not_states": 1}])
+    def test_other_shapes_are_type_errors(self, payload):
+        with pytest.raises(TypeError, match="expected a state list"):
+            states_from_json(payload)
+
+    def test_states_field_must_be_a_list(self):
+        with pytest.raises(ValueError, match="must be a list"):
+            states_from_json({"states": {"dim": 2}})
+
+    @pytest.mark.parametrize("dim", [float("inf"), [2], {"d": 2}])
+    def test_overflowing_or_wrong_typed_dim_is_a_value_error(self, dim):
+        obj = state_to_json(StateVector.basis(2, 0))
+        obj["dim"] = dim
+        with pytest.raises(ValueError, match="state JSON: dim"):
+            states_from_json([obj])
+
+
+class TestEnsembleFieldCoercion:
+    @pytest.mark.parametrize("value", [10**400, {"x": 1}])
+    def test_delta_star_that_is_no_float_is_a_value_error(self, value):
+        obj = ensemble_to_json(theorem1_ensemble(3))
+        obj["delta_star"] = value
+        with pytest.raises(ValueError, match="ensemble JSON: delta_star"):
+            ensemble_from_json(obj)
+
+    def test_nan_delta_star_fails_the_fidelity_check(self):
+        obj = ensemble_to_json(theorem1_ensemble(3))
+        obj["delta_star"] = float("nan")
+        from psigauge.qcore import ContractViolation
+
+        with pytest.raises(ContractViolation, match="fidelity"):
             ensemble_from_json(obj)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -345,3 +347,58 @@ class TestModelJson:
     def test_missing_field(self):
         with pytest.raises(ValueError, match="responses"):
             model_from_json({"lambda_count": 1, "preparations": {}})
+
+
+class TestResponseTableCheck:
+    @staticmethod
+    def table(bad_rows, value):
+        rows = np.full((10, 2), 0.5)
+        for i in bad_rows:
+            rows[i] = value
+        return rows
+
+    def test_first_bad_row_is_named(self):
+        with pytest.raises(ValueError, match=r"responses\['m'\] row 3: entries sum"):
+            DiscreteOnticModel(10, {}, {"m": self.table([3, 7], [0.5, 0.6])})
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ([np.nan, 1.0], "row 3: non-finite"),
+            ([np.inf, -np.inf], "row 3: non-finite"),
+            ([1.5, -0.5], "row 3: negative entry"),
+        ],
+    )
+    def test_diagnostic_without_runtime_warning(self, value, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                DiscreteOnticModel(10, {}, {"m": self.table([3, 7], value)})
+
+    def test_valid_tables_are_frozen(self):
+        m = DiscreteOnticModel(10, {}, {"m": self.table([], 0.0)})
+        assert not m.responses["m"].flags.writeable
+
+
+class TestModelFromJsonFields:
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("preparations", [], "preparations JSON: expected an object"),
+            ("responses", 5, "responses JSON: expected an object"),
+            ("lambda_count", [2], "model JSON: lambda_count"),
+            ("lambda_count", float("inf"), "model JSON: lambda_count"),
+        ],
+    )
+    def test_wrong_field_is_a_value_error(self, field, value, message):
+        obj = model_to_json(random_discrete_model(3))
+        obj[field] = value
+        with pytest.raises(ValueError, match=message):
+            model_from_json(obj)
+
+    @pytest.mark.parametrize("value", [{"x": 1}, [10**400]])
+    def test_preparation_that_is_no_float_array_is_a_value_error(self, value):
+        obj = model_to_json(random_discrete_model(3))
+        obj["preparations"]["q0"] = value
+        with pytest.raises(ValueError, match=r"preparations JSON: q0"):
+            model_from_json(obj)
