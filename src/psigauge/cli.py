@@ -27,7 +27,6 @@ from . import __version__
 from ._geometry import bloch_from_state
 from .ensembles import (
     MIN_SCALING_DELTA,
-    TENSOR_CAP,
     gamma_coefficient,
     scaling_report,
     states_from_json,
@@ -60,6 +59,7 @@ from .orbit import (
     orbit_step,
 )
 from .qcore import (
+    TENSOR_CAP,
     ContractViolation,
     StateVector,
     haar_state,

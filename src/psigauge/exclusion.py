@@ -24,6 +24,8 @@ from .qcore import Povm, StateVector, outcome_table
 
 ARMIJO_C = 1e-4
 GRAD_TOL = 1e-8
+#: a descent, and the restarts, stop once the exclusion sum is this small
+STOP_VALUE = 1e-12
 #: restarts end once the best value is this close to the dual bound
 CERTIFICATE_GAP = 1e-9
 
@@ -92,8 +94,8 @@ def _geodesic(omega: np.ndarray, basis: np.ndarray):
     return lambda tau: (v * np.exp(1j * tau * w)) @ vb
 
 
-def _polish(coeffs: np.ndarray, basis: np.ndarray, value: float, rounds: int = 8):
-    """Gauss-Newton steps on the overlap residuals o_k = <c_k|b_k>.
+def _polish(coeffs: np.ndarray, basis: np.ndarray, value: float):
+    """Up to 8 Gauss-Newton steps on the overlap residuals o_k = <c_k|b_k>.
 
     The objective is quartic around a perfect-exclusion basis, where
     first-order descent decays only polynomially. The minimal-norm
@@ -104,7 +106,7 @@ def _polish(coeffs: np.ndarray, basis: np.ndarray, value: float, rounds: int = 8
     these 2d rows by their 2d x 2d Gram system.
     """
     d = coeffs.shape[1]
-    for _ in range(rounds):
+    for _ in range(8):
         if value <= 1e-30:
             break
         overlaps = np.einsum("ik,ik->k", coeffs.conj(), basis)
@@ -121,18 +123,18 @@ def _polish(coeffs: np.ndarray, basis: np.ndarray, value: float, rounds: int = 8
     return value, basis
 
 
-def _descend(coeffs, basis, max_iters: int, grad_tol: float, stop_below: float):
+def _descend(coeffs, basis, max_iters: int):
     """One descent: (value, basis, stop reason, history). The reason is
     "gradient" when descent reached a stationary point (gradient norm at
-    most ``grad_tol``, or no Armijo step left) and "iterations" when
-    ``max_iters`` ran out, unless the value ended at most ``stop_below``."""
+    most GRAD_TOL, or no Armijo step left) and "iterations" when
+    ``max_iters`` ran out, unless the value ended at most STOP_VALUE."""
     value, omega = _value_and_direction(coeffs, basis)
     history = [value]
     tau = 1.0
     reason = "gradient"
     for it in range(1, max_iters + 1):
         grad_sq = float(np.linalg.norm(omega) ** 2)
-        if value <= stop_below or np.sqrt(grad_sq) <= grad_tol:
+        if value <= STOP_VALUE or np.sqrt(grad_sq) <= GRAD_TOL:
             break
         if it >= 8 and it & (it - 1) == 0:  # polish at iterations 8, 16, 32, ...
             polished, trial = _polish(coeffs, basis, value)
@@ -161,7 +163,7 @@ def _descend(coeffs, basis, max_iters: int, grad_tol: float, stop_below: float):
     # phases do not affect the value, so plain QR suffices
     q, _ = np.linalg.qr(basis)
     value, _ = _value_and_direction(coeffs, q)
-    return value, q, "value" if value <= stop_below else reason, tuple(history)
+    return value, q, "value" if value <= STOP_VALUE else reason, tuple(history)
 
 
 def _dual_bound(coeffs: np.ndarray, vectors: np.ndarray) -> float:
@@ -193,15 +195,13 @@ def optimize(
     restarts: int = 20,
     max_iters: int = 500,
     seed: int = 0,
-    grad_tol: float = GRAD_TOL,
-    stop_below: float = 1e-12,
 ) -> ExclusionResult:
     """Best local optimum over seeded random restarts.
 
     Restart r starts from a column-permuted sample of the unitary Haar
     measure on C^d drawn with seed + r; the winner is the lowest value, ties
     going to the earliest restart. Restarts stop once the winner reaches
-    ``stop_below`` (stop reason "value") or lies within CERTIFICATE_GAP of
+    STOP_VALUE (stop reason "value") or lies within CERTIFICATE_GAP of
     the best dual bound so far ("certificate"); otherwise the reason is the
     winner's own. The reported value is recomputed from the returned
     measurement, so result and basis agree exactly.
@@ -218,11 +218,11 @@ def optimize(
     best, bound = None, -np.inf
     for used in range(1, restarts + 1):
         start = _reference_basis(d, np.random.default_rng(seed + used - 1))
-        run = _descend(coeffs, start, max_iters, grad_tol, stop_below)
+        run = _descend(coeffs, start, max_iters)
         bound = max(bound, _dual_bound(coeffs[:r], run[1][:r]))
         if best is None or run[0] < best[0]:
             best = run
-        if best[0] <= stop_below:
+        if best[0] <= STOP_VALUE:
             reason = "value"
             break
         if best[0] - bound <= CERTIFICATE_GAP:

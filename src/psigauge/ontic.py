@@ -31,7 +31,8 @@ def _check_distribution(vec: np.ndarray, what: str) -> np.ndarray:
         raise ValueError(f"{what}: non-finite entry")
     if float(vec.min(initial=0.0)) < 0.0:
         raise ValueError(f"{what}: negative entry {float(vec.min()):.3e}")
-    total = float(vec.sum())
+    with np.errstate(over="ignore"):  # an overflowing sum fails the check below
+        total = float(vec.sum())
     if abs(total - 1.0) > SUM_TOL:
         raise ValueError(f"{what}: entries sum to {total!r}, expected 1")
     vec.flags.writeable = False
@@ -68,8 +69,10 @@ class DiscreteOnticModel:
                     f" got shape {arr.shape}"
                 )
             # a valid row has entries >= 0 (false for NaN) that sum to 1; the sums run
-            # over |entries|, so that no inf - inf raises a RuntimeWarning
-            bad = ~(arr >= 0.0).all(axis=1) | (np.abs(np.abs(arr).sum(axis=1) - 1.0) > SUM_TOL)
+            # over |entries|, so that no inf - inf arises, and one past float range fails
+            with np.errstate(over="ignore"):
+                sums = np.abs(arr).sum(axis=1)
+            bad = ~(arr >= 0.0).all(axis=1) | (np.abs(sums - 1.0) > SUM_TOL)
             for i in np.flatnonzero(bad):  # the first bad row raises its own diagnostic
                 _check_distribution(arr[i], f"responses[{label!r}] row {i}")
             arr.flags.writeable = False
@@ -216,18 +219,19 @@ def total_variation(p: Sequence[float], q: Sequence[float]) -> float:
     return 0.5 * float(np.abs(pa - qa).sum())
 
 
-def product_model(model: DiscreteOnticModel, n: int, cap: int = 10**6) -> DiscreteOnticModel:
+def product_model(model: DiscreteOnticModel, n: int) -> DiscreteOnticModel:
     """n independent copies: ontic space Lambda^n, preparation distributions
     P(lambda^n|Q^n) = prod_i P(lambda_i|Q), response tables for the product
     measurements. Separable by construction: every single-copy support point
-    keeps nonzero probability on its diagonal n-tuple."""
+    keeps nonzero probability on its diagonal n-tuple. The product space
+    holds at most 10**6 ontic states."""
     if n < 1:
         raise ValueError(f"copy count must be >= 1, got {n}")
     if n == 1:
         return model
-    if model.lambda_count**n > cap:
+    if model.lambda_count**n > 10**6:
         raise ValueError(
-            f"product ontic space {model.lambda_count}**{n} exceeds the cap of {cap}"
+            f"product ontic space {model.lambda_count}**{n} exceeds the cap of {10**6}"
         )
     preps = {label: reduce(np.kron, [vec] * n) for label, vec in model.preparations.items()}
     resps = {label: reduce(np.kron, [mat] * n) for label, mat in model.responses.items()}
@@ -356,7 +360,6 @@ def delta_continuity_probe(
     center: StateVector,
     delta: float,
     n_samples: int,
-    support_threshold: float = SUPPORT_THRESHOLD,
     seed: int = 0,
 ) -> ContinuityReport:
     """Search one fidelity ball for an ontic state shared by every sampled
@@ -364,13 +367,11 @@ def delta_continuity_probe(
 
     Evaluates P(lambda|phi) for n_samples seeded ball states plus the
     deterministic extremal family (see :func:`_extremal_probe_states`) and
-    intersects the supports at ``support_threshold``. Per-sample seeds derive
+    intersects the supports at SUPPORT_THRESHOLD. Per-sample seeds derive
     from the master seed, so results are independent of evaluation order.
     """
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    if support_threshold <= 0.0:
-        raise ValueError("support threshold must be positive")
     if n_samples < 1:
         raise ValueError("sample count must be >= 1")
     if family.dim != center.dim:
@@ -384,7 +385,7 @@ def delta_continuity_probe(
     running_min = np.full(family.lambda_count, np.inf)
     for phi in probes:
         weights = family.preparation_rule(phi)
-        mask &= weights > support_threshold
+        mask &= weights > SUPPORT_THRESHOLD
         running_min = np.minimum(running_min, weights)
     support = tuple(int(i) for i in np.nonzero(mask)[0])
     verdict = "continuous-at-delta" if support else "no-witness-found"

@@ -25,6 +25,8 @@ from ._geometry import fibonacci_sphere, rodrigues_rotate
 # below this the dedup cell grid has over 2^21 cells per axis, and its
 # packed keys can outgrow an int64
 MIN_DEDUP_TOLERANCE = 2e-6
+#: candidates one orbit step generates at most, before dedup
+MAX_CANDIDATES = 200_000
 
 
 @dataclass(frozen=True)
@@ -120,7 +122,6 @@ def orbit_step(
     cloud: OrbitCloud,
     rotations_per_pair: int = 24,
     seed: int = 0,
-    max_candidates: int = 200_000,
     point_cap: int = 100_000,
 ) -> OrbitCloud:
     """One closure step: rotate points about other points' axes.
@@ -128,7 +129,7 @@ def orbit_step(
     For each selected (point, axis) pair, ``rotations_per_pair`` evenly
     spaced angles (offset by half a step so the identity rotation is never
     wasted) produce candidates. When the full quadratic pair set exceeds
-    ``max_candidates`` candidates, pairs are subsampled with a generator
+    MAX_CANDIDATES candidates, pairs are subsampled with a generator
     seeded by ``seed``; the grown cloud is likewise thinned to
     ``point_cap``. Existing points always survive dedup because they are
     listed first.
@@ -141,7 +142,7 @@ def orbit_step(
     rng = np.random.default_rng(seed)
     angles = 2.0 * np.pi * (np.arange(rotations_per_pair) + 0.5) / rotations_per_pair
 
-    pair_budget = max(1, max_candidates // rotations_per_pair)
+    pair_budget = max(1, MAX_CANDIDATES // rotations_per_pair)
     if n * (n - 1) <= pair_budget:
         idx_i, idx_j = np.nonzero(~np.eye(n, dtype=bool))
     else:
@@ -208,8 +209,6 @@ def steps_to_cover(
     dedup_tolerance: float = 0.02,
     grid_size: int = 4000,
     max_steps: int = 30,
-    max_candidates: int = 200_000,
-    point_cap: int = 100_000,
 ) -> CoverageTrajectory:
     """Grow the two-point seed cloud until the coverage target is reached.
 
@@ -222,8 +221,7 @@ def steps_to_cover(
         raise ValueError(f"target coverage must lie in (0, 1], got {target_coverage}")
     trajectory = coverage_trajectory(
         initial_cloud(theta, dedup_tolerance), grid_size, angular_tol, seed,
-        rotations_per_pair=rotations_per_pair, max_candidates=max_candidates,
-        point_cap=point_cap,
+        rotations_per_pair=rotations_per_pair,
     )
     rows = []
     for row in islice(trajectory, max(max_steps, 0) + 1):

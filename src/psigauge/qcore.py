@@ -1,8 +1,8 @@
 """Linear-algebra substrate: pure states, effects, POVMs, tensor powers,
 Gram matrices, and isometries built from state correspondences.
 
-States and operators are dense numpy arrays. A POVM is either dense (a
-tuple of D x D effects, the form every external input takes) or factored
+States and operators are dense numpy arrays. A POVM is either dense (one
+m x D x D stack of effects, the form every external input takes) or factored
 (:meth:`Povm.completion`: m vectors plus an even split of the leftover
 identity), which is how the package's own exclusion measurements are
 built; on a factored POVM, validation, Born tables and traces never form a
@@ -66,7 +66,8 @@ class StateVector:
             )
         if not np.all(np.isfinite(amps)):
             raise ValueError("state has a non-finite amplitude")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        with np.errstate(over="ignore"):  # an overflowing norm fails the check below
+            norm_sq = float(np.sum(np.abs(amps) ** 2))
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized: sum |a_j|^2 = {norm_sq!r}")
         object.__setattr__(self, "amplitudes", _frozen(amps))
@@ -129,14 +130,14 @@ def projector(state: StateVector) -> Operator:
 class Povm:
     """A measurement on C^dim, in one of two forms.
 
-    * Dense, ``Povm(dim, effects)``: a tuple of effect Operators, expected
-      to be Hermitian, PSD and summing to the identity. Every measurement
-      read from outside the program takes this form.
+    * Dense, ``Povm(dim, effects)``: effect Operators, expected to be
+      Hermitian, PSD and summing to the identity, held as one m x D x D
+      stack. Every measurement read from outside the program takes this form.
     * Factored, :meth:`completion`: a D x m array U standing for the
       effects |u_r><u_r| + (I - UU^dag)/m, which sum to the identity by
       construction. :func:`validate_povm`, :func:`outcome_table` and
       :func:`effect_traces` work on U and never form a D x D matrix;
-      :attr:`effects` builds the dense matrices on first read.
+      :attr:`effects` builds the dense stack on first read.
 
     Values are immutable after construction.
     """
@@ -145,10 +146,10 @@ class Povm:
         effs = tuple(effects)
         if not effs:
             raise ValueError("a POVM needs at least one effect")
-        for e in effs:
-            if not isinstance(e, Operator) or e.dim != dim:
-                raise ValueError("all effects must be Operators of the POVM dimension")
-        self._dim, self._effects, self._vectors = dim, effs, None
+        if any(not isinstance(e, Operator) or e.dim != dim for e in effs):
+            raise ValueError("all effects must be Operators of the POVM dimension")
+        self._dim, self._vectors, self._effects = dim, None, None
+        self._stack = _frozen(np.array([e.entries for e in effs]))
 
     @classmethod
     def completion(cls, vectors) -> "Povm":
@@ -167,7 +168,7 @@ class Povm:
         if u.shape[1] > len(u) and np.abs(u @ u.conj().T - np.eye(len(u))).max() > OP_TOL:
             raise ValueError(f"completion of {u.shape[1]} > D vectors needs UU^dag = I")
         povm = cls.__new__(cls)
-        povm._dim, povm._effects, povm._vectors = u.shape[0], None, _frozen(u)
+        povm._dim, povm._vectors, povm._effects, povm._stack = u.shape[0], _frozen(u), None, None
         return povm
 
     @classmethod
@@ -186,20 +187,22 @@ class Povm:
 
     @property
     def effects(self) -> tuple:
-        """The effects as dense Operators, built on first read when factored."""
+        """The effects as Operators viewing the dense stack, which a factored
+        POVM builds on first read; both are kept after it."""
         if self._effects is None:
-            u = self._vectors
-            dim, m = u.shape
-            mats = [np.outer(col, col.conj()) for col in u.T]
-            if dim > m:
-                rest = (np.eye(dim) - u @ u.conj().T) / m
-                mats = [mat + rest for mat in mats]
-            self._effects = tuple(Operator(dim, mat) for mat in mats)
+            if self._stack is None:
+                u = self._vectors
+                dim, m = u.shape
+                stack = u.T[:, :, None] * u.T.conj()[:, None, :]
+                if dim > m:
+                    stack += (np.eye(dim) - u @ u.conj().T) / m
+                self._stack = _frozen(stack)
+            self._effects = tuple(map(partial(Operator, self._dim), self._stack))
         return self._effects
 
     @property
     def outcome_count(self) -> int:
-        return len(self._effects) if self._vectors is None else self._vectors.shape[1]
+        return len(self._stack) if self._vectors is None else self._vectors.shape[1]
 
 
 @dataclass(frozen=True)
@@ -216,9 +219,9 @@ class Ball:
         if not 0.0 < self.radius <= 1.0:
             raise ValueError(f"ball radius must lie in (0, 1], got {self.radius}")
 
-    def contains(self, state: StateVector, slack: float = 1e-12) -> bool:
-        """Membership test, with a tiny slack so boundary states count."""
-        return abs(inner(state, self.center)) >= 1.0 - self.radius - slack
+    def contains(self, state: StateVector) -> bool:
+        """Membership test, with a slack of 1e-12 so boundary states count."""
+        return abs(inner(state, self.center)) >= 1.0 - self.radius - 1e-12
 
 
 @dataclass(frozen=True)
@@ -238,11 +241,18 @@ def inner(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def _clamped_born(amps: np.ndarray, mat: np.ndarray) -> float:
-    p = float(np.vdot(amps, mat @ amps).real)
-    if p < -OP_TOL or p > 1.0 + OP_TOL:
-        raise ContractViolation(f"effect gave probability {p!r} outside [0, 1]")
-    return min(1.0, max(0.0, p))
+def _probabilities(table: np.ndarray) -> np.ndarray:
+    """A Born table clamped to [0, 1], frozen; an entry straying more than
+    ``OP_TOL`` outside raises ContractViolation."""
+    stray = (table < -OP_TOL) | (table > 1.0 + OP_TOL)
+    if np.any(stray):
+        raise ContractViolation(f"effect gave probability {table[stray].item(0)!r} outside [0, 1]")
+    return _frozen(np.clip(table, 0.0, 1.0))
+
+
+def _dense_table(amps: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """<psi_k|E_r|psi_k> for the rows psi_k of ``amps`` and a stack of effects."""
+    return _probabilities(np.einsum("kd,rde,ke->kr", amps.conj(), stack, amps).real)
 
 
 def born_prob(state: StateVector, effect: Operator) -> float:
@@ -258,7 +268,7 @@ def born_prob(state: StateVector, effect: Operator) -> float:
     herm_err = float(np.max(np.abs(mat - mat.conj().T)))
     if herm_err > OP_TOL:
         raise ValueError(f"effect is not Hermitian (max |E - E^dag| = {herm_err:.3e})")
-    return _clamped_born(state.amplitudes, mat)
+    return float(_dense_table(state.amplitudes[None], mat[None])[0, 0])
 
 
 def _squared_norms(mat: np.ndarray) -> np.ndarray:
@@ -269,10 +279,9 @@ def outcome_table(states: Sequence[StateVector], povm: Povm) -> np.ndarray:
     """Frozen Born-rule table P[k, r] = <states[k]|E_r|states[k]>.
 
     The POVM is validated once (ContractViolation if :func:`validate_povm`
-    fails); each entry then follows :func:`born_prob`'s clamp and range
-    check, without repeating the Hermiticity check. A dense POVM uses
-    :func:`born_prob`'s formula entry by entry; a factored one reads
-    |<u_r|psi>|^2 + (1 - sum_m |<u_m|psi>|^2)/m off the m overlaps.
+    fails); the table then gets :func:`born_prob`'s kernel (on a dense POVM),
+    clamp and range check, without repeating the Hermiticity check. A factored
+    POVM reads |<u_r|psi>|^2 + (1 - sum_m |<u_m|psi>|^2)/m off the m overlaps.
     """
     if any(s.dim != povm.dim for s in states):
         raise ValueError(f"every state must live in the POVM dimension {povm.dim}")
@@ -283,45 +292,38 @@ def outcome_table(states: Sequence[StateVector], povm: Povm) -> np.ndarray:
             f" min eigenvalue {report.min_eigenvalue:.3e},"
             f" completeness error {report.completeness_error:.3e}"
         )
+    amps = np.array([s.amplitudes for s in states]).reshape(len(states), povm.dim)
     u = povm.vectors
     if u is None:
-        table = np.empty((len(states), povm.outcome_count))
-        for k, s in enumerate(states):
-            for r, effect in enumerate(povm.effects):
-                table[k, r] = _clamped_born(s.amplitudes, effect.entries)
-        return _frozen(table)
-    amps = np.array([s.amplitudes for s in states]).reshape(len(states), povm.dim)
+        return _dense_table(amps, povm._stack)
     table = _squared_norms(amps @ u.conj())
     if povm.dim > u.shape[1]:
         table += (1.0 - table.sum(axis=1, keepdims=True)) / u.shape[1]
-    stray = (table < -OP_TOL) | (table > 1.0 + OP_TOL)
-    if np.any(stray):
-        raise ContractViolation(f"effect gave probability {table[stray][0]!r} outside [0, 1]")
-    return _frozen(np.clip(table, 0.0, 1.0))
+    return _probabilities(table)
 
 
 def effect_traces(povm: Povm) -> np.ndarray:
     """tr(E_r) for every effect: |u_r|^2 + (D - sum_m |u_m|^2)/m when factored."""
     u = povm.vectors
     if u is None:
-        return np.array([np.trace(e.entries).real for e in povm.effects])
+        return np.trace(povm._stack, axis1=1, axis2=2).real
     traces = _squared_norms(u).sum(axis=0)
     if povm.dim > u.shape[1]:
         traces += (povm.dim - traces.sum()) / u.shape[1]
     return traces
 
 
-def tensor_power(state: StateVector, n: int, cap: int = TENSOR_CAP) -> StateVector:
+def tensor_power(state: StateVector, n: int) -> StateVector:
     """``n``-fold Kronecker power of a state.
 
     Raises ValueError if the resulting amplitude count ``dim**n`` exceeds
-    ``cap`` (default 10^6).
+    ``TENSOR_CAP``.
     """
     if n < 1:
         raise ValueError(f"tensor power needs n >= 1, got {n}")
-    if state.dim**n > cap:
+    if state.dim**n > TENSOR_CAP:
         raise ValueError(
-            f"tensor power dimension {state.dim}**{n} exceeds the cap of {cap} amplitudes"
+            f"tensor power dimension {state.dim}**{n} exceeds the cap of {TENSOR_CAP} amplitudes"
         )
     return StateVector(state.dim**n, reduce(np.kron, [state.amplitudes] * n))
 
@@ -353,7 +355,8 @@ def symmetric_frames(src: Sequence[StateVector], dst: Sequence[StateVector]) -> 
 
     Each family is orthonormalized symmetrically (through the inverse square
     root of its own Gram matrix), which pairs the two frames canonically:
-    f_src^dag src[k] = f_dst^dag dst[k] for every k. The families may live
+    f_src^dag src[k] = f_dst^dag dst[k] for every k, checked within
+    ``RESIDUAL_TOL`` (ContractViolation otherwise). The families may live
     in different ambient dimensions. Preconditions: Gram matrices equal
     within ``OP_TOL`` and both families linearly independent.
     """
@@ -368,7 +371,14 @@ def symmetric_frames(src: Sequence[StateVector], dst: Sequence[StateVector]) -> 
         )
     s_mat = np.array([s.amplitudes for s in src]).T  # (D, d) columns
     d_mat = np.array([s.amplitudes for s in dst]).T
-    return s_mat @ _inv_sqrt(g_src, OP_TOL), d_mat @ _inv_sqrt(g_dst, OP_TOL)
+    f_src, f_dst = s_mat @ _inv_sqrt(g_src, OP_TOL), d_mat @ _inv_sqrt(g_dst, OP_TOL)
+    miss = f_src.conj().T @ s_mat - f_dst.conj().T @ d_mat
+    worst = float(np.linalg.norm(miss, axis=0).max())
+    if worst > RESIDUAL_TOL:
+        raise ContractViolation(
+            f"constructed isometry misses a target by {worst:.3e} (> {RESIDUAL_TOL})"
+        )
+    return f_src, f_dst
 
 
 def unitary_from_correspondence(
@@ -381,23 +391,14 @@ def unitary_from_correspondence(
     projects onto span(src) and VV* onto span(dst).
 
     Preconditions: equal ambient dimensions, Gram matrices equal within
-    ``OP_TOL``, and both families linearly independent. The construction is
-    verified to reproduce dst within ``RESIDUAL_TOL`` before returning.
+    ``OP_TOL``, and both families linearly independent.
     """
     if src and dst and src[0].dim != dst[0].dim:
         raise ValueError(
             f"ambient dimensions differ: src {src[0].dim} vs dst {dst[0].dim}"
         )
     f_src, f_dst = symmetric_frames(src, dst)
-    v = f_dst @ f_src.conj().T
-    worst = max(
-        float(np.linalg.norm(v @ s.amplitudes - t.amplitudes)) for s, t in zip(src, dst)
-    )
-    if worst > RESIDUAL_TOL:
-        raise ContractViolation(
-            f"constructed isometry misses a target by {worst:.3e} (> {RESIDUAL_TOL})"
-        )
-    return Operator(src[0].dim, v)
+    return Operator(src[0].dim, f_dst @ f_src.conj().T)
 
 
 def validate_povm(p: Povm) -> PovmReport:
@@ -407,21 +408,24 @@ def validate_povm(p: Povm) -> PovmReport:
     is checked inside span(U) at O(D m^2 + m^4) cost, and gets the numbers
     the dense check of its effects would give, up to rounding.
     """
-    if p.vectors is not None:
-        herm, min_eig, comp = _completion_checks(p.vectors)
+    if p.vectors is None:
+        herm, min_eig, comp = _stack_checks(p._stack)
     else:
-        herm = 0.0
-        min_eig = np.inf
-        total = np.zeros((p.dim, p.dim), dtype=complex)
-        for e in p.effects:
-            mat = e.entries
-            herm = max(herm, float(np.max(np.abs(mat - mat.conj().T))))
-            sym = 0.5 * (mat + mat.conj().T)
-            min_eig = min(min_eig, float(np.linalg.eigvalsh(sym).min()))
-            total += mat
-        comp = float(np.max(np.abs(total - np.eye(p.dim))))
+        herm, min_eig, comp = _completion_checks(p.vectors)
     passed = herm <= OP_TOL and min_eig >= -OP_TOL and comp <= OP_TOL
-    return PovmReport(herm, float(min_eig), comp, passed)
+    return PovmReport(herm, min_eig, comp, passed)
+
+
+def _stack_checks(mats: np.ndarray) -> tuple:
+    """(Hermiticity error, min eigenvalue, completeness error) of an m x n x n
+    stack of effects. Overflow near the top of float range fails the check
+    quietly; the Hermitian parts add halves, so eigvalsh sees finite entries."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        adjoint = mats.conj().transpose(0, 2, 1)
+        herm = float(np.max(np.abs(mats - adjoint)))
+        min_eig = float(np.linalg.eigvalsh(0.5 * mats + 0.5 * adjoint).min())
+        comp = float(np.max(np.abs(mats.sum(axis=0) - np.eye(mats.shape[1]))))
+    return herm, min_eig, comp
 
 
 def _completion_checks(u: np.ndarray) -> tuple:
@@ -436,11 +440,8 @@ def _completion_checks(u: np.ndarray) -> tuple:
     # m x m matrix r_r r_r^dag + (I - r r^dag)/m, and as I/m on the rest
     _, r = np.linalg.qr(u)
     mats = r.T[:, :, None] * r.T.conj()[:, None, :] + (np.eye(m) - r @ r.conj().T) / m
-    adjoint = mats.conj().transpose(0, 2, 1)
-    herm = float(np.max(np.abs(mats - adjoint)))
-    min_eig = min(float(np.linalg.eigvalsh(0.5 * (mats + adjoint)).min()), 1.0 / m)
-    comp = float(np.max(np.abs(mats.sum(axis=0) - np.eye(m))))
-    return herm, min_eig, comp
+    herm, min_eig, comp = _stack_checks(mats)
+    return herm, min(min_eig, 1.0 / m), comp
 
 
 def sample_state_in_ball(ball: Ball, seed) -> StateVector:

@@ -949,6 +949,44 @@ class TestOverflowingStateDim:
         assert out == ""
 
 
+def _overflowing_payloads() -> dict:
+    """(argv, payload) by name: finite entries near the top of float range,
+    in payloads that fail their checks."""
+    state = state_to_json(StateVector.basis(2, 0))
+    diagonal, off_diagonal = (ensemble_to_json(theorem1_ensemble(3)) for _ in range(2))
+    diagonal["measurement"][0]["re"][0] = 1e308
+    off_diagonal["measurement"][0]["re"][1] = 1e308
+    off_diagonal["measurement"][0]["re"][3] = -1e308
+    preparation, response = (model_to_json(random_discrete_model(3)) for _ in range(2))
+    preparation["preparations"]["q0"] = [1e308] * len(preparation["preparations"]["q0"])
+    response["responses"]["m0"][0] = [1e308] * len(response["responses"]["m0"][0])
+    exclusion, model = ["exclusion", "--states"], ["model", "--check", "epsilon", "--file"]
+    return {
+        "state-1e308": (exclusion, [dict(state, re=[1e308, 0.0]), state]),
+        "state-1e200": (exclusion, [dict(state, re=[1e200, 0.0]), state]),
+        "effect-diagonal-1e308": (exclusion, diagonal),
+        "effect-off-diagonal-1e308": (exclusion, off_diagonal),
+        "preparation-1e308": (model, preparation),
+        "response-row-1e308": (model, response),
+    }
+
+
+OVERFLOWING = _overflowing_payloads()
+
+
+class TestOverflowingEntries:
+    """Sums and squares of finite entries past float range fail the input's
+    check without a RuntimeWarning on stderr."""
+
+    @pytest.mark.parametrize("name", sorted(OVERFLOWING))
+    def test_one_diagnostic_line(self, tmp_path, name):
+        argv, payload = OVERFLOWING[name]
+        rc, out, err = run_process(argv + [_write_json(tmp_path / "payload.json", payload)])
+        assert rc == 2, err
+        assert out == ""
+        assert err.startswith(f"psigauge {argv[0]}: ") and err.count("\n") == 1, err
+
+
 class TestModelHandler:
     def test_file_is_parsed_once_for_every_check(self, capsys, monkeypatch, tmp_path):
         import psigauge.cli as cli
@@ -1002,7 +1040,10 @@ def _paths(node, prefix=()):
 
 
 DELETE = object()
-MUTATIONS = (DELETE, "x", {"x": 1}, [2], None, True, "HUGE", "-HUGE", float("nan"), 10**400, [])
+MUTATIONS = (
+    DELETE, "x", {"x": 1}, [2], None, True, "HUGE", "-HUGE", float("nan"), 10**400, [],
+    1e308, -1e308, 1e200,
+)
 
 
 def _mutated(payload, path, value):

@@ -202,7 +202,7 @@ class TestProductModel:
     def test_cap_enforced(self):
         m = shared_core_model(0.5, n_prep=4)  # 5 ontic states
         with pytest.raises(ValueError):
-            product_model(m, 9, cap=10**6)
+            product_model(m, 9)
 
     def test_kron_structure(self):
         m = shared_core_model(0.5)
@@ -305,8 +305,6 @@ class TestContinuityProbe:
         plus = normalized(np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             delta_continuity_probe(ks10k, plus, 0.0, 10)
-        with pytest.raises(ValueError):
-            delta_continuity_probe(ks10k, plus, 0.2, 10, support_threshold=0.0)
         with pytest.raises(ValueError):
             delta_continuity_probe(ks10k, StateVector.basis(3, 0), 0.2, 10)
         with pytest.raises(ValueError):

@@ -329,6 +329,57 @@ class TestFactoredPovm:
             assert np.array_equal(effect.entries, projector(StateVector.basis(3, k)).entries)
 
 
+class TestDenseStack:
+    def test_dense_readers_do_not_walk_the_effects(self, monkeypatch):
+        ens = dense_measurement(theorem2_ensemble(3, 2))
+        expected = (
+            validate_povm(ens.measurement),
+            outcome_table(ens.states, ens.measurement),
+            effect_traces(ens.measurement),
+        )
+
+        def walked(self):
+            raise AssertionError("a reader walked Povm.effects")
+
+        monkeypatch.setattr(Povm, "effects", property(walked))
+        assert validate_povm(ens.measurement) == expected[0]
+        assert np.array_equal(outcome_table(ens.states, ens.measurement), expected[1])
+        assert np.array_equal(effect_traces(ens.measurement), expected[2])
+
+    def test_factored_effects_are_built_once(self):
+        u = theorem2_ensemble(3, 2).measurement.vectors
+        povm = Povm.completion(u)
+        first, second = povm.effects, povm.effects
+        assert second is first
+        stack = first[0].entries.base
+        assert stack is not None and all(e.entries.base is stack for e in first)
+        rest = (np.eye(9) - u @ u.conj().T) / 3
+        for effect, col in zip(first, u.T):
+            assert np.array_equal(effect.entries, np.outer(col, col.conj()) + rest)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: unitary_from_correspondence(
+                [StateVector.basis(2, 0), StateVector.basis(2, 1)],
+                [StateVector.basis(2, 1), StateVector.basis(2, 0)],
+            ),
+            lambda: theorem2_ensemble(3, 2),
+        ],
+        ids=["unitary_from_correspondence", "theorem2_ensemble"],
+    )
+    def test_frame_pairing_is_checked(self, monkeypatch, build):
+        real, calls = qcore._inv_sqrt, []
+
+        def perturbed(mat, floor):  # the first family's frame drifts by 1e-6
+            calls.append(mat)
+            return real(mat, floor) * (1.0 + 1e-6 * (len(calls) == 1))
+
+        monkeypatch.setattr(qcore, "_inv_sqrt", perturbed)
+        with pytest.raises(ContractViolation, match="constructed isometry misses a target"):
+            build()
+
+
 class TestHaarSamplers:
     def test_haar_state_draws_real_then_imaginary_parts(self):
         a = sample_haar_state(3, np.random.default_rng(4))
