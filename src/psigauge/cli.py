@@ -62,6 +62,7 @@ from .qcore import (
     TENSOR_CAP,
     ContractViolation,
     StateVector,
+    _amplitudes,
     haar_state,
     inner,
     normalized,
@@ -336,9 +337,7 @@ def cmd_thm4(args) -> str:
         "delta_star": ensemble.delta_star,
         "center_overlaps": overlaps,
         "exclusion_value": value,
-        "zero_amplitude_max": max(
-            float(abs(s.amplitudes[k])) for k, s in enumerate(states)
-        ),
+        "zero_amplitude_max": float(np.abs(_amplitudes(states).diagonal()).max()),
     }
     return _render_json(args, results)
 

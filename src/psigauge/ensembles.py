@@ -19,9 +19,10 @@ from .qcore import (
     ContractViolation,
     Povm,
     StateVector,
+    _amplitudes,
     _field,
     _require,
-    inner,
+    normalized,
     outcome_table,
     povm_from_json,
     povm_to_json,
@@ -71,13 +72,15 @@ class ScalingReport:
 
 def _assemble(kind, params, states, measurement, center, delta_star) -> NoGoEnsemble:
     """Bundle an ensemble after verifying its two defining guarantees."""
+    amps = _amplitudes(states)
+    if amps.shape[1] != center.dim:
+        raise ValueError(f"dimension mismatch: {amps.shape[1]} vs {center.dim}")
     target = 1.0 - delta_star
-    for k, s in enumerate(states):
-        fid = abs(inner(s, center))
-        if not abs(fid - target) <= 1e-10:  # a NaN delta_star fails here too
-            raise ContractViolation(
-                f"state {k} sits at fidelity {fid!r}, expected {target!r}"
-            )
+    fid = np.abs(amps @ center.amplitudes.conj())
+    for k in np.flatnonzero(~(np.abs(fid - target) <= 1e-10)):  # NaN delta_star fails too
+        raise ContractViolation(
+            f"state {k} sits at fidelity {float(fid[k])!r}, expected {target!r}"
+        )
     if measurement.outcome_count < len(states):
         raise ValueError(
             f"measurement has {measurement.outcome_count} outcomes for {len(states)} states"
@@ -98,11 +101,7 @@ def theorem1_ensemble(d: int) -> NoGoEnsemble:
     """
     if d < 2:
         raise ValueError(f"need dimension >= 2, got {d}")
-    states = []
-    for k in range(d):
-        amps = np.full(d, 1.0, dtype=complex)
-        amps[k] = 0.0
-        states.append(StateVector(d, amps / np.linalg.norm(amps)))
+    states = tuple(map(normalized, 1.0 - np.eye(d)))
     delta_star = 1.0 - math.sqrt((d - 1) / d)
     return _assemble(
         KIND_THEOREM1,
@@ -142,12 +141,10 @@ def theorem2_states(d: int, n: int) -> Theorem2Family:
     c = ((d - 2) / (d - 1)) ** (1.0 / n)
     alpha = -math.sqrt(1.0 - c)
     beta = -alpha / math.sqrt(d) + math.sqrt(alpha * alpha / d + c)
-    states = []
-    for k in range(d):
-        amps = np.full(d, beta / math.sqrt(d), dtype=complex)
-        amps[k] += alpha
-        states.append(StateVector(d, amps / np.linalg.norm(amps)))
-    return Theorem2Family(tuple(states), c, alpha, beta, _delta_from_alpha(d, alpha))
+    rows = np.full((d, d), beta / math.sqrt(d))
+    rows[np.diag_indices(d)] += alpha
+    states = tuple(map(normalized, rows))
+    return Theorem2Family(states, c, alpha, beta, _delta_from_alpha(d, alpha))
 
 
 def theorem2_ensemble(d: int, n: int) -> NoGoEnsemble:
@@ -236,11 +233,8 @@ def theorem4_states(d: int, t: float):
     if d >= 3:
         coeff[1] += r / math.sqrt(2.0)
         coeff[2] -= r / math.sqrt(2.0)
-    states = []
-    for k in range(d):
-        amps = np.roll(coeff, k).astype(complex)
-        states.append(StateVector(d, amps / np.linalg.norm(amps)))
-    return tuple(states), StateVector.uniform(d)
+    shifts = np.arange(d)[None, :] - np.arange(d)[:, None]  # row k is coeff rolled by k
+    return tuple(map(normalized, coeff[shifts % d])), StateVector.uniform(d)
 
 
 def theorem4_ensemble(d: int, t: float) -> NoGoEnsemble:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import Povm, StateVector, outcome_table
+from .qcore import Povm, StateVector, _amplitudes, _complex_json, _frozen, outcome_table
 
 ARMIJO_C = 1e-4
 GRAD_TOL = 1e-8
@@ -39,11 +39,7 @@ class ExclusionProblem:
 
     def __post_init__(self):
         states = tuple(self.states)
-        if not states:
-            raise ValueError("need at least one state")
-        dims = {s.dim for s in states}
-        if len(dims) != 1:
-            raise ValueError(f"states live in mixed dimensions {sorted(dims)}")
+        _amplitudes(states)  # a nonempty family of one dimension
         object.__setattr__(self, "states", states)
 
     @property
@@ -65,9 +61,7 @@ class ExclusionResult:
     history: tuple = ()  # per-iteration values of the winning descent
 
     def __post_init__(self):
-        arr = np.asarray(self.basis, dtype=complex)
-        arr.flags.writeable = False
-        object.__setattr__(self, "basis", arr)
+        object.__setattr__(self, "basis", _frozen(np.asarray(self.basis, dtype=complex)))
 
     @property
     def gap(self) -> float:
@@ -81,9 +75,14 @@ def exclusion_value(states: Sequence[StateVector], povm: Povm) -> float:
     return float(sum(outcome_table(states, povm).diagonal()))
 
 
-def _value_and_direction(coeffs: np.ndarray, basis: np.ndarray):
+def _overlaps(coeffs: np.ndarray, basis: np.ndarray) -> tuple:
+    """(o, X): the overlaps o_k = <c_k|b_k> and X = sum_k o_k c_k b_k^H."""
     overlaps = np.einsum("ik,ik->k", coeffs.conj(), basis)
-    x = (coeffs * overlaps) @ basis.conj().T
+    return overlaps, (coeffs * overlaps) @ basis.conj().T
+
+
+def _value_and_direction(coeffs: np.ndarray, basis: np.ndarray):
+    overlaps, x = _overlaps(coeffs, basis)
     return float(np.sum(np.abs(overlaps) ** 2)), x - x.conj().T
 
 
@@ -109,7 +108,7 @@ def _polish(coeffs: np.ndarray, basis: np.ndarray, value: float):
     for _ in range(8):
         if value <= 1e-30:
             break
-        overlaps = np.einsum("ik,ik->k", coeffs.conj(), basis)
+        overlaps, _ = _overlaps(coeffs, basis)
         outer = coeffs.T[:, :, None] * basis.conj().T[:, None, :]
         outer = np.concatenate([outer, 1j * outer])
         rows = 0.5 * (outer - outer.conj().transpose(0, 2, 1)).reshape(2 * d, -1)
@@ -175,8 +174,7 @@ def _dual_bound(coeffs: np.ndarray, vectors: np.ndarray) -> float:
     Hermitian part of sum_k rho_k E_k (the optimum's dual point by
     complementary slackness), shifted down by its worst violation: feasible.
     """
-    overlaps = np.einsum("ik,ik->k", coeffs.conj(), vectors)
-    x = (coeffs * overlaps) @ vectors.conj().T
+    _, x = _overlaps(coeffs, vectors)
     y = 0.5 * (x + x.conj().T)
     rhos = coeffs.T[:, :, None] * coeffs.conj().T[:, None, :]
     slack = float(np.linalg.eigvalsh(rhos - y).min())
@@ -210,7 +208,7 @@ def optimize(
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    smat = np.array([s.amplitudes for s in problem.states]).T
+    smat = _amplitudes(problem.states).T
     q, _ = np.linalg.qr(smat)
     r, d = q.shape[1], smat.shape[1]
     coeffs = np.zeros((d, d), dtype=complex)
@@ -244,14 +242,12 @@ def result_to_povm(result: ExclusionResult, outcome_states: int) -> Povm:
 
 def result_to_json(result: ExclusionResult) -> dict:
     """The basis is the D x d lifted U: {"dim": D, "outcomes": d, "re", "im"}, row-major."""
-    flat = result.basis.reshape(-1)
     dim, outcomes = result.basis.shape
-    basis = {"dim": dim, "outcomes": outcomes, "re": flat.real.tolist(), "im": flat.imag.tolist()}
     return {
         "best_value": result.best_value,
         "dual_bound": result.dual_bound,
         "gap": result.gap,
         "restarts_used": result.restarts_used,
         "stop_reason": result.stop_reason,
-        "basis": basis,
+        "basis": {**_complex_json(dim, result.basis), "outcomes": outcomes},
     }

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ensembles import KIND_THEOREM2, NoGoEnsemble
-from .qcore import Povm, StateVector, effect_traces, outcome_table
+from .qcore import Povm, StateVector, _frozen, effect_traces, outcome_table
 
 
 @dataclass(frozen=True)
@@ -110,10 +110,8 @@ def run_protocol(
     povm = ensemble.measurement
     dists = _noisy_rows(outcome_table(ensemble.states, povm), povm, noise)
     children = np.random.SeedSequence(seed).spawn(d)
-    counts = np.array(
-        [np.random.default_rng(c).multinomial(shots, row) for c, row in zip(children, dists)]
-    )
-    counts.flags.writeable = False
+    draws = [np.random.default_rng(c).multinomial(shots, row) for c, row in zip(children, dists)]
+    counts = _frozen(np.array(draws))
 
     eps_hat = float(sum(counts[k][k] for k in range(d))) / shots
     per_term = (1.0 - confidence) / d

@@ -16,8 +16,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ._geometry import bloch_from_state, fibonacci_sphere
-from .qcore import Ball, Povm, StateVector, inner, outcome_table, sample_state_in_ball
-from .qcore import _field, _floats, _require
+from .qcore import Ball, Povm, StateVector, gram, normalized, outcome_table, sample_state_in_ball
+from .qcore import _at_fidelity, _field, _floats, _frozen, _require
 
 SUM_TOL = 1e-10
 #: below this, a preparation weight counts as "not in the support"
@@ -25,8 +25,6 @@ SUPPORT_THRESHOLD = 1e-12
 
 
 def _check_distribution(vec: np.ndarray, what: str) -> np.ndarray:
-    if vec.ndim != 1:
-        raise ValueError(f"{what}: expected a probability vector, got shape {vec.shape}")
     if not np.all(np.isfinite(vec)):
         raise ValueError(f"{what}: non-finite entry")
     if float(vec.min(initial=0.0)) < 0.0:
@@ -35,8 +33,7 @@ def _check_distribution(vec: np.ndarray, what: str) -> np.ndarray:
         total = float(vec.sum())
     if abs(total - 1.0) > SUM_TOL:
         raise ValueError(f"{what}: entries sum to {total!r}, expected 1")
-    vec.flags.writeable = False
-    return vec
+    return _frozen(vec)
 
 
 @dataclass(frozen=True)
@@ -75,8 +72,7 @@ class DiscreteOnticModel:
             bad = ~(arr >= 0.0).all(axis=1) | (np.abs(sums - 1.0) > SUM_TOL)
             for i in np.flatnonzero(bad):  # the first bad row raises its own diagnostic
                 _check_distribution(arr[i], f"responses[{label!r}] row {i}")
-            arr.flags.writeable = False
-            resps[str(label)] = arr
+            resps[str(label)] = _frozen(arr)
         object.__setattr__(self, "preparations", preps)
         object.__setattr__(self, "responses", resps)
 
@@ -169,8 +165,7 @@ def epsilon_overlap(model: DiscreteOnticModel, qs: Sequence[str]) -> OverlapRepo
     stacked = np.array([_prep(model, q) for q in qs])
     per_min = np.min(stacked, axis=0)
     witnesses = tuple(int(i) for i in np.nonzero(per_min > 0.0)[0])
-    per_min.flags.writeable = False
-    return OverlapReport(_overlap_sum(per_min), witnesses, per_min)
+    return OverlapReport(_overlap_sum(per_min), witnesses, _frozen(per_min))
 
 
 def nogo_check(model: DiscreteOnticModel, qs: Sequence[str], m: str) -> NoGoCheck:
@@ -284,12 +279,8 @@ def psi_ontic_fixture(
     """One ontic state per quantum state; responses straight from the Born
     rule. Reproduces quantum statistics exactly on the given families and is
     psi-ontic by construction. Labels are q0..q{n-1} and m0..m{n-1}."""
-    if not states:
-        raise ValueError("need at least one state")
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            if abs(inner(states[i], states[j])) >= 1.0 - 1e-12:
-                raise ValueError(f"states {i} and {j} coincide up to phase")
+    for i, j in np.argwhere(np.abs(np.triu(gram(states), 1)) >= 1.0 - 1e-12):  # first pair
+        raise ValueError(f"states {i} and {j} coincide up to phase")
     count = len(states)
     preps = {f"q{k}": np.eye(count)[k] for k in range(count)}
     resps = {}
@@ -337,10 +328,7 @@ def _extremal_probe_states(center: StateVector, delta: float) -> list:
         householder = np.eye(d) - 2.0 * np.outer(v, v.conj()) / vnorm_sq
     else:
         householder = np.eye(d)
-    moved = [
-        StateVector(d, a / np.linalg.norm(a))
-        for a in (householder @ s.amplitudes for s in reference.states)
-    ]
+    moved = [normalized(householder @ s.amplitudes) for s in reference.states]
     if delta > reference.delta_star + 1e-12:
         return moved
     out = []
@@ -349,9 +337,7 @@ def _extremal_probe_states(center: StateVector, delta: float) -> list:
         z_k = complex(np.vdot(c, s.amplitudes))
         aligned = s.amplitudes * np.exp(-1j * np.angle(z_k))
         orth = aligned - abs(z_k) * c
-        orth /= np.linalg.norm(orth)
-        amps = target * c + np.sqrt(max(0.0, 1.0 - target * target)) * orth
-        out.append(StateVector(d, amps / np.linalg.norm(amps)))
+        out.append(_at_fidelity(c, orth / np.linalg.norm(orth), target))
     return out
 
 
@@ -370,8 +356,6 @@ def delta_continuity_probe(
     intersects the supports at SUPPORT_THRESHOLD. Per-sample seeds derive
     from the master seed, so results are independent of evaluation order.
     """
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must lie in (0, 1], got {delta}")
     if n_samples < 1:
         raise ValueError("sample count must be >= 1")
     if family.dim != center.dim:

@@ -21,12 +21,15 @@ from itertools import islice
 import numpy as np
 
 from ._geometry import fibonacci_sphere, rodrigues_rotate
+from .qcore import _frozen
 
 # below this the dedup cell grid has over 2^21 cells per axis, and its
 # packed keys can outgrow an int64
 MIN_DEDUP_TOLERANCE = 2e-6
 #: candidates one orbit step generates at most, before dedup
 MAX_CANDIDATES = 200_000
+#: points one orbit step keeps at most, after dedup
+POINT_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -50,8 +53,7 @@ class OrbitCloud:
         norms = np.linalg.norm(pts, axis=1)
         if pts.shape[0] and (np.abs(norms - 1.0) > 1e-9).any():
             raise ValueError("cloud contains non-unit vectors")
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", _frozen(pts))
 
     @property
     def size(self) -> int:
@@ -118,21 +120,16 @@ def initial_cloud(theta: float, dedup_tolerance: float = 0.02) -> OrbitCloud:
     return OrbitCloud(pts, 0, dedup_tolerance)
 
 
-def orbit_step(
-    cloud: OrbitCloud,
-    rotations_per_pair: int = 24,
-    seed: int = 0,
-    point_cap: int = 100_000,
-) -> OrbitCloud:
+def orbit_step(cloud: OrbitCloud, rotations_per_pair: int = 24, seed: int = 0) -> OrbitCloud:
     """One closure step: rotate points about other points' axes.
 
     For each selected (point, axis) pair, ``rotations_per_pair`` evenly
     spaced angles (offset by half a step so the identity rotation is never
     wasted) produce candidates. When the full quadratic pair set exceeds
     MAX_CANDIDATES candidates, pairs are subsampled with a generator
-    seeded by ``seed``; the grown cloud is likewise thinned to
-    ``point_cap``. Existing points always survive dedup because they are
-    listed first.
+    seeded by ``seed``; the grown cloud is likewise thinned to POINT_CAP
+    points. Existing points always survive dedup because they are listed
+    first.
     """
     if rotations_per_pair < 4:
         raise ValueError(f"rotations per pair must be >= 4, got {rotations_per_pair}")
@@ -158,8 +155,8 @@ def orbit_step(
 
     merged = np.concatenate([cloud.points, candidates], axis=0)
     deduped = _dedup(merged, cloud.dedup_tolerance)
-    if deduped.shape[0] > point_cap:
-        pick = rng.choice(deduped.shape[0], size=point_cap, replace=False)
+    if deduped.shape[0] > POINT_CAP:
+        pick = rng.choice(deduped.shape[0], size=POINT_CAP, replace=False)
         deduped = deduped[np.sort(pick)]
     return OrbitCloud(deduped, cloud.generation + 1, cloud.dedup_tolerance)
 

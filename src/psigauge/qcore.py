@@ -96,6 +96,24 @@ def normalized(amplitudes: Sequence[complex]) -> StateVector:
     return StateVector(arr.size, arr / norm)
 
 
+def _amplitudes(states: Sequence[StateVector]) -> np.ndarray:
+    """The k x D matrix whose rows are the amplitudes of a nonempty family of
+    states sharing one dimension; ValueError for any other family."""
+    if not states:
+        raise ValueError("need at least one state")
+    dims = {s.dim for s in states}
+    if len(dims) != 1:
+        raise ValueError(f"states live in mixed dimensions {sorted(dims)}")
+    return np.array([s.amplitudes for s in states])
+
+
+def _at_fidelity(center: np.ndarray, direction: np.ndarray, f: float) -> StateVector:
+    """The state f * center + sqrt(1 - f^2) * direction: on the geodesic from
+    a unit ``center`` towards a unit ``direction`` orthogonal to it, at
+    fidelity f from the center."""
+    return normalized(f * center + np.sqrt(max(0.0, 1.0 - f * f)) * direction)
+
+
 @dataclass(frozen=True)
 class Operator:
     """A square complex matrix. Hermiticity/positivity are checked only by
@@ -283,7 +301,8 @@ def outcome_table(states: Sequence[StateVector], povm: Povm) -> np.ndarray:
     clamp and range check, without repeating the Hermiticity check. A factored
     POVM reads |<u_r|psi>|^2 + (1 - sum_m |<u_m|psi>|^2)/m off the m overlaps.
     """
-    if any(s.dim != povm.dim for s in states):
+    amps = _amplitudes(states)
+    if amps.shape[1] != povm.dim:
         raise ValueError(f"every state must live in the POVM dimension {povm.dim}")
     report = validate_povm(povm)
     if not report.passed:
@@ -292,7 +311,6 @@ def outcome_table(states: Sequence[StateVector], povm: Povm) -> np.ndarray:
             f" min eigenvalue {report.min_eigenvalue:.3e},"
             f" completeness error {report.completeness_error:.3e}"
         )
-    amps = np.array([s.amplitudes for s in states]).reshape(len(states), povm.dim)
     u = povm.vectors
     if u is None:
         return _dense_table(amps, povm._stack)
@@ -330,12 +348,7 @@ def tensor_power(state: StateVector, n: int) -> StateVector:
 
 def gram(states: Sequence[StateVector]) -> np.ndarray:
     """Gram matrix G[k, l] = <states[k]|states[l]>. Hermitian PSD."""
-    if not states:
-        raise ValueError("gram of an empty family")
-    dim = states[0].dim
-    if any(s.dim != dim for s in states):
-        raise ValueError("all states must share one dimension")
-    a = np.array([s.amplitudes for s in states])
+    a = _amplitudes(states)
     return a.conj() @ a.T
 
 
@@ -360,17 +373,15 @@ def symmetric_frames(src: Sequence[StateVector], dst: Sequence[StateVector]) -> 
     in different ambient dimensions. Preconditions: Gram matrices equal
     within ``OP_TOL`` and both families linearly independent.
     """
-    if len(src) != len(dst) or not src:
-        raise ValueError("src and dst must be nonempty families of equal length")
-    g_src = gram(src)
-    g_dst = gram(dst)
+    if len(src) != len(dst):
+        raise ValueError("src and dst must be families of equal length")
+    g_src, g_dst = gram(src), gram(dst)
     mismatch = float(np.max(np.abs(g_src - g_dst)))
     if mismatch > OP_TOL:
         raise ValueError(
             f"Gram matrices differ by {mismatch:.3e}; no inner-product-preserving map exists"
         )
-    s_mat = np.array([s.amplitudes for s in src]).T  # (D, d) columns
-    d_mat = np.array([s.amplitudes for s in dst]).T
+    s_mat, d_mat = _amplitudes(src).T, _amplitudes(dst).T  # (D, d) columns
     f_src, f_dst = s_mat @ _inv_sqrt(g_src, OP_TOL), d_mat @ _inv_sqrt(g_dst, OP_TOL)
     miss = f_src.conj().T @ s_mat - f_dst.conj().T @ d_mat
     worst = float(np.linalg.norm(miss, axis=0).max())
@@ -461,9 +472,7 @@ def sample_state_in_ball(ball: Ball, seed) -> StateVector:
     if ball.center.dim == 1:
         return StateVector(1, center.copy())
     direction = _orthogonal_direction(rng, center)
-    f = float(rng.uniform(1.0 - ball.radius, 1.0))
-    amps = f * center + np.sqrt(max(0.0, 1.0 - f * f)) * direction
-    return StateVector(ball.center.dim, amps / np.linalg.norm(amps))
+    return _at_fidelity(center, direction, float(rng.uniform(1.0 - ball.radius, 1.0)))
 
 
 def _rng(seed) -> np.random.Generator:
@@ -487,8 +496,7 @@ def haar_state(dim: int, seed) -> StateVector:
     first, then imaginary parts), normalized. ``seed`` may be an int or a
     numpy Generator."""
     rng = _rng(seed)
-    raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return StateVector(dim, raw / np.linalg.norm(raw))
+    return normalized(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
 
 
 def pair_at_fidelity(dim: int, fidelity: float, seed) -> tuple:
@@ -502,8 +510,7 @@ def pair_at_fidelity(dim: int, fidelity: float, seed) -> tuple:
     rng = _rng(seed)
     first = haar_state(dim, rng)
     direction = _orthogonal_direction(rng, first.amplitudes)
-    amps = fidelity * first.amplitudes + np.sqrt(1.0 - fidelity**2) * direction
-    return first, StateVector(dim, amps / np.linalg.norm(amps))
+    return first, _at_fidelity(first.amplitudes, direction, fidelity)
 
 
 # ---------------------------------------------------------------------------
@@ -511,12 +518,14 @@ def pair_at_fidelity(dim: int, fidelity: float, seed) -> tuple:
 # ---------------------------------------------------------------------------
 
 
+def _complex_json(dim: int, array: np.ndarray) -> dict:
+    """{"dim", "re", "im"} of a complex array, flattened row-major."""
+    flat = array.reshape(-1)
+    return {"dim": dim, "re": flat.real.tolist(), "im": flat.imag.tolist()}
+
+
 def state_to_json(state: StateVector) -> dict:
-    return {
-        "dim": state.dim,
-        "re": state.amplitudes.real.tolist(),
-        "im": state.amplitudes.imag.tolist(),
-    }
+    return _complex_json(state.dim, state.amplitudes)
 
 
 def _require(obj: dict, keys: tuple, what: str) -> None:
@@ -556,8 +565,7 @@ def state_from_json(obj: dict) -> StateVector:
 
 
 def operator_to_json(op: Operator) -> dict:
-    flat = op.entries.reshape(-1)
-    return {"dim": op.dim, "re": flat.real.tolist(), "im": flat.imag.tolist()}
+    return _complex_json(op.dim, op.entries)
 
 
 def operator_from_json(obj: dict) -> Operator:

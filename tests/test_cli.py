@@ -317,6 +317,16 @@ class TestExclusionCommand:
         assert flags[0] in err
         assert out == ""
 
+    def test_center_of_another_dimension_exits_two(self, capsys, tmp_path):
+        obj = ensemble_to_json(theorem1_ensemble(3))
+        obj["center"] = state_to_json(StateVector.uniform(4))
+        path = tmp_path / "center.json"
+        path.write_text(json.dumps(obj))
+        rc, out, err = run(capsys, ["exclusion", "--states", str(path)])
+        assert rc == 2
+        assert err == "psigauge exclusion: contract violation: dimension mismatch: 3 vs 4\n"
+        assert out == ""
+
     def test_wrong_payload_shape_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "weird.json"
         path.write_text(json.dumps({"not_states": 1}))

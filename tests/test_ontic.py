@@ -21,7 +21,8 @@ from psigauge.ontic import (
     psi_ontic_fixture,
     total_variation,
 )
-from psigauge.qcore import StateVector, born_prob, normalized
+from psigauge.ontic import _extremal_probe_states
+from psigauge.qcore import StateVector, born_prob, gram, inner, normalized
 
 from conftest import haar_state, random_discrete_model
 
@@ -330,6 +331,22 @@ class TestContinuityProbe:
         rep = delta_continuity_probe(ks10k, center, 0.05, 50, seed=2)
         assert rep.verdict == "continuous-at-delta"
         assert rep.empirical_epsilon > 0.0
+
+
+class TestExtremalProbeStates:
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("radius", ["half", "at", "above", "wide"])
+    def test_probes_sit_at_the_clipped_radius(self, d, radius):
+        reference = theorem1_ensemble(d)
+        star = reference.delta_star
+        delta = {"half": star / 2, "at": star, "above": star + 0.01, "wide": 0.9}[radius]
+        center = haar_state(np.random.default_rng(d), d)
+        probes = _extremal_probe_states(center, delta)
+        assert len(probes) == d
+        for phi in probes:
+            assert abs(abs(inner(phi, center)) - (1.0 - min(delta, star))) <= 1e-12
+        if delta > star:
+            assert np.abs(gram(probes) - gram(reference.states)).max() <= 1e-12
 
 
 class TestModelJson:

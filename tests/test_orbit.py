@@ -69,9 +69,10 @@ class TestOrbitStep:
         chord = 2.0 * np.sin(grown.dedup_tolerance / 2.0)
         assert d2.min() > chord * 0.999
 
-    def test_point_cap_thins_cloud(self):
+    def test_point_cap_thins_cloud(self, monkeypatch):
         cloud = orbit_step(initial_cloud(1.0), seed=0)
-        capped = orbit_step(cloud, seed=1, point_cap=40)
+        monkeypatch.setattr(orbit_module, "POINT_CAP", 40)
+        capped = orbit_step(cloud, seed=1)
         assert capped.size == 40
 
 

@@ -30,6 +30,7 @@ from psigauge.qcore import (
     sample_state_in_ball,
     state_from_json,
     state_to_json,
+    symmetric_frames,
     tensor_power,
     unitary_from_correspondence,
     validate_povm,
@@ -164,6 +165,22 @@ class TestGram:
         states = [haar_state(rng, 4) for _ in range(5)]
         eigs = np.linalg.eigvalsh(gram(states))
         assert eigs.min() >= -1e-12
+
+
+@pytest.mark.parametrize(
+    "family, message",
+    [((), "need at least one state"),
+     ((StateVector.basis(2, 0), StateVector.basis(3, 0)), "mixed dimensions")],
+    ids=["empty", "mixed-dimensions"],
+)
+@pytest.mark.parametrize(
+    "reader",
+    [gram, lambda f: outcome_table(f, Povm.basis(2)), lambda f: symmetric_frames(f, f)],
+    ids=["gram", "outcome_table", "symmetric_frames"],
+)
+def test_family_readers_reject_empty_and_mixed_families(reader, family, message):
+    with pytest.raises(ValueError, match=message):
+        reader(family)
 
 
 class TestUnitaryFromCorrespondence:
