@@ -1,6 +1,10 @@
 """Command-line front end.
 
 Subcommands: thm1, thm2, thm4, model, orbit, scaling, exclusion, sweep.
+Each flag is declared once, as a row of FLAG_RULES that holds its argparse
+options and its range: build_parser reads the table to declare the flags, and
+check_flags reads it to test every range and every rule between flags before
+any handler runs.
 Exit codes: 0 success, 1 usage error (a flag outside its FLAG_RULES range,
 or an unreadable file), 2 numerical-contract violation.
 Reports go to stdout unless --out is given. Every payload embeds the tool
@@ -103,171 +107,6 @@ def _int_list(text: str) -> list:
         return [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-
-
-def _add_protocol_flags(sub):
-    sub.add_argument("--shots", type=int, default=100_000, help="shots per preparation")
-    sub.add_argument("--noise-p", type=float, default=0.0, help="depolarizing weight")
-    sub.add_argument("--noise-q", type=float, default=0.0, help="outcome flip weight")
-    sub.add_argument("--confidence", type=float, default=0.95)
-
-
-def _add_common_flags(sub):
-    sub.add_argument("--seed", type=_seed, default=os.environ.get("PSI_GAUGE_SEED", "0"))
-    sub.add_argument("--out", type=str, default=None, help="write report to PATH")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="psigauge", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version", version=f"psigauge {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("thm1", parents=[], help="exclusion ensemble in dimension d")
-    p.add_argument("--dim", type=int, default=3)
-    _add_protocol_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_thm1)
-
-    p = subs.add_parser("thm2", help="n-copy separable-model ensemble")
-    p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--copies", type=int, default=2)
-    _add_protocol_flags(p)
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_thm2)
-
-    p = subs.add_parser("thm4", help="tunable-overlap family with basis exclusion")
-    p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--t", type=float, default=None, help="center overlap (default max)")
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_thm4)
-
-    p = subs.add_parser("model", help="ontic-model checks")
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--builtin", choices=("ks",))
-    src.add_argument("--file", type=str)
-    p.add_argument("--grid", type=int, default=10_000, help="lattice size for --builtin ks")
-    p.add_argument(
-        "--check", action="append", choices=tuple(MODEL_CHECKS),
-        help="repeatable; default validate",
-    )
-    p.add_argument("--pairs", type=int, default=100, help="sampled pairs for reproduce")
-    p.add_argument("--fidelity", type=float, default=0.9, help="pair fidelity for classify")
-    p.add_argument("--delta", type=float, default=0.25, help="ball radius for continuity")
-    p.add_argument("--center", choices=sorted(_CENTERS), default="plus")
-    p.add_argument("--samples", type=int, default=200, help="ball samples for continuity")
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_model)
-
-    p = subs.add_parser("orbit", help="rotation-orbit sphere filling")
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--steps", type=int, default=4)
-    p.add_argument("--grid", type=int, default=4000)
-    p.add_argument("--tol", type=float, default=0.05, help="angular coverage tolerance")
-    p.add_argument("--rotations", type=int, default=24)
-    p.add_argument("--dedup-tol", type=float, default=0.02)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_orbit)
-
-    p = subs.add_parser("scaling", help="resource requirements at a target radius")
-    p.add_argument("--delta", type=float, required=True)
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_scaling)
-
-    p = subs.add_parser("exclusion", help="optimize a measurement against a state file")
-    p.add_argument("--states", type=str, required=True, help="JSON file of states")
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--max-iters", type=int, default=500)
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_exclusion)
-
-    p = subs.add_parser("sweep", help="protocol runs over a parameter grid")
-    p.add_argument("--family", choices=("thm1", "thm2"), default="thm1")
-    p.add_argument("--dims", type=_int_list, default=[2, 3, 4, 5, 6])
-    p.add_argument("--copies", type=_int_list, default=[1])
-    _add_protocol_flags(p)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_sweep)
-    return parser
-
-
-# a dense d-outcome measurement holds d*d amplitudes, kept within TENSOR_CAP
-MAX_DIM = math.isqrt(TENSOR_CAP)
-PROTOCOL = ("thm1", "thm2", "sweep")
-
-
-def _within_cap(base: int, exponent: int) -> bool:
-    """base**exponent <= TENSOR_CAP for base >= 2, never computing a huge power."""
-    return exponent <= TENSOR_CAP.bit_length() and base**exponent <= TENSOR_CAP
-
-
-# Every flag range of the CLI, as (subcommands, flag, predicate on the parsed
-# args, message). check_flags tests the rows in order and stops at the first
-# false predicate, so a row may assume that the rows above it hold. Messages
-# are formatted with the parsed flags.
-FLAG_RULES = (
-    # numpy's multinomial draws take the shot count as an int64
-    (PROTOCOL, "--shots", lambda a: 1 <= a.shots <= 2**63 - 1, "must lie in [1, 2**63 - 1]"),
-    (PROTOCOL, "--confidence", lambda a: 0.0 < a.confidence < 1.0, "must lie in (0, 1)"),
-    (PROTOCOL, "--noise-p", lambda a: 0.0 <= a.noise_p <= 1.0, "must lie in [0, 1]"),
-    (PROTOCOL, "--noise-q", lambda a: 0.0 <= a.noise_q <= 1.0, "must lie in [0, 1]"),
-    (("thm1", "thm4"), "--dim", lambda a: 2 <= a.dim <= MAX_DIM, f"must lie in [2, {MAX_DIM}]"),
-    (("thm2",), "--dim", lambda a: a.dim >= 3, "must be >= 3"),
-    (("thm2",), "--copies", lambda a: a.copies >= 1, "must be >= 1"),
-    (("thm2",), "--dim**--copies", lambda a: _within_cap(a.dim, a.copies),
-     f"= {{dim}}**{{copies}} exceeds the cap of {TENSOR_CAP}"),
-    (("thm4",), "--t",
-     lambda a: a.t is None or 0.0 < a.t <= math.sqrt((a.dim - 1) / a.dim) + 1e-12,
-     "must lie in (0, sqrt((d - 1)/d)] for --dim d = {dim}"),
-    (("thm4",), "--t", lambda a: a.t is None or a.dim > 2 or 1.0 - 2.0 * a.t**2 <= 1e-12,
-     "must be sqrt(1/2), the only real family, at --dim 2"),
-    (("model",), "--check",
-     lambda a: a.builtin is not None or not {"reproduce", "continuity"} & set(a.check or ()),
-     "reproduce and continuity need --builtin ks (a rule-based model)"),
-    (("model",), "--check", lambda a: a.builtin is None or "nogo" not in (a.check or ()),
-     "nogo needs --file with measurement tables"),
-    (("model", "orbit"), "--grid", lambda a: 100 <= a.grid <= TENSOR_CAP,
-     f"must lie in [100, {TENSOR_CAP}]"),
-    (("model",), "--pairs", lambda a: a.pairs >= 1, "must be >= 1"),
-    (("model",), "--fidelity", lambda a: 0.0 <= a.fidelity <= 1.0, "must lie in [0, 1]"),
-    (("model",), "--delta", lambda a: 0.0 < a.delta <= 1.0, "must lie in (0, 1]"),
-    # the continuity probe spawns one seed sequence per sample up front
-    (("model",), "--samples", lambda a: 1 <= a.samples <= TENSOR_CAP,
-     f"must lie in [1, {TENSOR_CAP}]"),
-    (("orbit",), "--theta", lambda a: 0.0 < a.theta <= math.pi, "must lie in (0, pi]"),
-    # islice takes at most sys.maxsize items, and the trajectory has steps + 1
-    (("orbit",), "--steps", lambda a: 0 <= a.steps <= sys.maxsize - 1,
-     f"must lie in [0, {sys.maxsize - 1}]"),
-    (("orbit",), "--tol", lambda a: 0.0 < a.tol <= math.pi, "must lie in (0, pi]"),
-    # each orbit step allocates one candidate point per rotation and pair
-    (("orbit",), "--rotations", lambda a: 4 <= a.rotations <= TENSOR_CAP,
-     f"must lie in [4, {TENSOR_CAP}]"),
-    (("orbit",), "--dedup-tol", lambda a: MIN_DEDUP_TOLERANCE <= a.dedup_tol <= math.pi,
-     f"must lie in [{MIN_DEDUP_TOLERANCE:g}, pi]"),
-    (("orbit",), "--theta", lambda a: a.theta > a.dedup_tol, "must exceed --dedup-tol"),
-    (("scaling",), "--delta", lambda a: MIN_SCALING_DELTA <= a.delta < 1.0,
-     f"must lie in [{MIN_SCALING_DELTA:g}, 1)"),
-    (("exclusion",), "--restarts", lambda a: a.restarts >= 1, "must be >= 1"),
-    (("exclusion",), "--max-iters", lambda a: a.max_iters >= 1, "must be >= 1"),
-    (("sweep",), "--dims", lambda a: a.dims, "must be nonempty"),
-    (("sweep",), "--dims", lambda a: min(a.dims) >= (2 if a.family == "thm1" else 3),
-     "must be >= 2 for --family thm1 and >= 3 for --family thm2"),
-    (("sweep",), "--dims", lambda a: max(a.dims) <= MAX_DIM, f"must be <= {MAX_DIM}"),
-    (("sweep",), "--copies", lambda a: a.copies, "must be nonempty"),
-    (("sweep",), "--copies", lambda a: min(a.copies) >= 1, "must be >= 1"),
-    (("sweep",), "--dims**--copies",
-     lambda a: a.family == "thm1" or _within_cap(max(a.dims), max(a.copies)),
-     f"with --family thm2 must keep max(dims)**max(copies) within {TENSOR_CAP}"),
-)
-
-
-def check_flags(args) -> None:
-    """Raise UsageError, naming the flag, at the first FLAG_RULES row that
-    the parsed args break."""
-    for commands, flag, ok, message in FLAG_RULES:
-        if args.command in commands and not ok(args):
-            raise UsageError(f"{flag} {message.format(**vars(args))}")
 
 
 def _config(args) -> dict:
@@ -492,6 +331,157 @@ def cmd_sweep(args) -> str:
     if args.format == "json":
         return _render_json(args, {"rows": rows})
     return _render_csv(args, sweep_to_csv(rows))
+
+
+# a dense d-outcome measurement holds d*d amplitudes, kept within TENSOR_CAP
+MAX_DIM = math.isqrt(TENSOR_CAP)
+# thm2 holds d tensor powers of D amplitudes each: at d * D = 10**7,
+# thm2 --dim 10 --copies 6 runs in 5 s at 1.3 GB peak RSS on 2 cores
+AMPLITUDE_CAP = 10**7
+PROTOCOL = ("thm1", "thm2", "sweep")
+_SOURCE = "model source"  # the model parser's required group of exclusive sources
+
+
+def _fits(d: int, n: int) -> bool:
+    """D = d**n <= TENSOR_CAP and d * D <= AMPLITUDE_CAP, for d >= 2, never
+    computing a huge power."""
+    return n < AMPLITUDE_CAP.bit_length() and d**n <= TENSOR_CAP and d ** (n + 1) <= AMPLITUDE_CAP
+
+
+COMMANDS = {
+    "thm1": (cmd_thm1, "exclusion ensemble in dimension d"),
+    "thm2": (cmd_thm2, "n-copy separable-model ensemble"),
+    "thm4": (cmd_thm4, "tunable-overlap family with basis exclusion"),
+    "model": (cmd_model, "ontic-model checks"),
+    "orbit": (cmd_orbit, "rotation-orbit sphere filling"),
+    "scaling": (cmd_scaling, "resource requirements at a target radius"),
+    "exclusion": (cmd_exclusion, "optimize a measurement against a state file"),
+    "sweep": (cmd_sweep, "protocol runs over a parameter grid"),
+}
+
+# Every flag of the CLI, as (subcommands, flag, add_argument options,
+# predicate on the parsed args, message). build_parser declares the rows with
+# options in table order, which is the --help order; a string default goes
+# through the flag's type. check_flags tests the rows with a predicate in the
+# same order and stops at the first false one, so a row may assume that the
+# rows above it hold. Messages are formatted with the parsed flags. A row
+# without options adds a range, or a rule between flags, to a flag above it.
+FLAG_RULES = (
+    (("thm1", "thm4"), "--dim", dict(type=int, default=3),
+     lambda a: 2 <= a.dim <= MAX_DIM, f"must lie in [2, {MAX_DIM}]"),
+    (("thm2",), "--dim", dict(type=int, default=3),
+     lambda a: 3 <= a.dim <= MAX_DIM, f"must lie in [3, {MAX_DIM}]"),
+    (("thm4",), "--t", dict(type=float, help="center overlap (default max)"),
+     lambda a: a.t is None or 0.0 < a.t <= math.sqrt((a.dim - 1) / a.dim) + 1e-12,
+     "must lie in (0, sqrt((d - 1)/d)] for --dim d = {dim}"),
+    (("thm2",), "--copies", dict(type=int, default=2), lambda a: a.copies >= 1, "must be >= 1"),
+    (("sweep",), "--family", dict(choices=("thm1", "thm2"), default="thm1"), None, None),
+    (("sweep",), "--dims", dict(type=_int_list, default="2,3,4,5,6"),
+     lambda a: a.dims, "must be nonempty"),
+    (("sweep",), "--dims", None, lambda a: max(a.dims) <= MAX_DIM, f"must be <= {MAX_DIM}"),
+    (("sweep",), "--copies", dict(type=_int_list, default="1"),
+     lambda a: a.copies, "must be nonempty"),
+    (("sweep",), "--copies", None, lambda a: min(a.copies) >= 1, "must be >= 1"),
+    ((_SOURCE,), "--builtin", dict(choices=("ks",)), None, None),
+    ((_SOURCE,), "--file", dict(), None, None),
+    (("model",), "--grid", dict(type=int, default=10_000, help="lattice size for --builtin ks"),
+     lambda a: 100 <= a.grid <= TENSOR_CAP, f"must lie in [100, {TENSOR_CAP}]"),
+    (("model",), "--check",
+     dict(action="append", choices=tuple(MODEL_CHECKS), help="repeatable; default validate"),
+     None, None),
+    # pairs, restarts and iterations only drive loops: the bound turns a typo
+    # into a usage error instead of a run without end
+    (("model",), "--pairs", dict(type=int, default=100, help="sampled pairs for reproduce"),
+     lambda a: 1 <= a.pairs <= TENSOR_CAP, f"must lie in [1, {TENSOR_CAP}]"),
+    (("model",), "--fidelity", dict(type=float, default=0.9, help="pair fidelity for classify"),
+     lambda a: 0.0 <= a.fidelity <= 1.0, "must lie in [0, 1]"),
+    (("model",), "--delta", dict(type=float, default=0.25, help="ball radius for continuity"),
+     lambda a: 0.0 < a.delta <= 1.0, "must lie in (0, 1]"),
+    (("model",), "--center", dict(choices=sorted(_CENTERS), default="plus"), None, None),
+    # the continuity probe spawns one seed sequence per sample up front
+    (("model",), "--samples", dict(type=int, default=200, help="ball samples for continuity"),
+     lambda a: 1 <= a.samples <= TENSOR_CAP, f"must lie in [1, {TENSOR_CAP}]"),
+    (("orbit",), "--theta", dict(type=float, required=True),
+     lambda a: 0.0 < a.theta <= math.pi, "must lie in (0, pi]"),
+    # islice takes at most sys.maxsize items, and the trajectory has steps + 1
+    (("orbit",), "--steps", dict(type=int, default=4),
+     lambda a: 0 <= a.steps <= sys.maxsize - 1, f"must lie in [0, {sys.maxsize - 1}]"),
+    (("orbit",), "--grid", dict(type=int, default=4000),
+     lambda a: 100 <= a.grid <= TENSOR_CAP, f"must lie in [100, {TENSOR_CAP}]"),
+    (("orbit",), "--tol", dict(type=float, default=0.05, help="angular coverage tolerance"),
+     lambda a: 0.0 < a.tol <= math.pi, "must lie in (0, pi]"),
+    # each orbit step allocates one candidate point per rotation and pair
+    (("orbit",), "--rotations", dict(type=int, default=24),
+     lambda a: 4 <= a.rotations <= TENSOR_CAP, f"must lie in [4, {TENSOR_CAP}]"),
+    (("orbit",), "--dedup-tol", dict(type=float, default=0.02),
+     lambda a: MIN_DEDUP_TOLERANCE <= a.dedup_tol <= math.pi,
+     f"must lie in [{MIN_DEDUP_TOLERANCE:g}, pi]"),
+    (("orbit",), "--format", dict(choices=("json", "csv"), default="json"), None, None),
+    (("scaling",), "--delta", dict(type=float, required=True),
+     lambda a: MIN_SCALING_DELTA <= a.delta < 1.0, f"must lie in [{MIN_SCALING_DELTA:g}, 1)"),
+    (("exclusion",), "--states", dict(required=True, help="JSON file of states"), None, None),
+    (("exclusion",), "--restarts", dict(type=int, default=20),
+     lambda a: 1 <= a.restarts <= TENSOR_CAP, f"must lie in [1, {TENSOR_CAP}]"),
+    (("exclusion",), "--max-iters", dict(type=int, default=500),
+     lambda a: 1 <= a.max_iters <= TENSOR_CAP, f"must lie in [1, {TENSOR_CAP}]"),
+    # numpy's multinomial draws take the shot count as an int64
+    (PROTOCOL, "--shots", dict(type=int, default=100_000, help="shots per preparation"),
+     lambda a: 1 <= a.shots <= 2**63 - 1, "must lie in [1, 2**63 - 1]"),
+    (PROTOCOL, "--noise-p", dict(type=float, default=0.0, help="depolarizing weight"),
+     lambda a: 0.0 <= a.noise_p <= 1.0, "must lie in [0, 1]"),
+    (PROTOCOL, "--noise-q", dict(type=float, default=0.0, help="outcome flip weight"),
+     lambda a: 0.0 <= a.noise_q <= 1.0, "must lie in [0, 1]"),
+    (PROTOCOL, "--confidence", dict(type=float, default=0.95),
+     lambda a: 0.0 < a.confidence < 1.0, "must lie in (0, 1)"),
+    (("sweep",), "--format", dict(choices=("csv", "json"), default="csv"), None, None),
+    (COMMANDS, "--seed", dict(type=_seed), None, None),  # default set by build_parser
+    (COMMANDS, "--out", dict(help="write report to PATH"), None, None),
+    # rules between flags
+    (("thm4",), "--t", None, lambda a: a.t is None or a.dim > 2 or 1.0 - 2.0 * a.t**2 <= 1e-12,
+     "must be sqrt(1/2), the only real family, at --dim 2"),
+    (("thm2",), "--dim**--copies", None, lambda a: _fits(a.dim, a.copies),
+     f"= {{dim}}**{{copies}} must be at most {TENSOR_CAP}, and {{dim}} times it at most "
+     f"{AMPLITUDE_CAP}"),
+    (("model",), "--check", None,
+     lambda a: a.builtin is not None or not {"reproduce", "continuity"} & set(a.check or ()),
+     "reproduce and continuity need --builtin ks (a rule-based model)"),
+    (("model",), "--check", None, lambda a: a.builtin is None or "nogo" not in (a.check or ()),
+     "nogo needs --file with measurement tables"),
+    (("orbit",), "--theta", None, lambda a: a.theta > a.dedup_tol, "must exceed --dedup-tol"),
+    (("sweep",), "--dims", None, lambda a: min(a.dims) >= (2 if a.family == "thm1" else 3),
+     "must be >= 2 for --family thm1 and >= 3 for --family thm2"),
+    # the thm1 family has no copy count: each of its rows reads copies 1
+    (("sweep",), "--copies", None, lambda a: a.family == "thm2" or a.copies == [1],
+     "must be 1 for --family thm1"),
+    (("sweep",), "--dims**--copies", None,
+     lambda a: a.family == "thm1" or _fits(max(a.dims), max(a.copies)),
+     f"with --family thm2 must keep max(dims)**max(copies) within {TENSOR_CAP}, and "
+     f"max(dims) times it within {AMPLITUDE_CAP}"),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="psigauge", description=__doc__.splitlines()[0])
+    parser.add_argument("--version", action="version", version=f"psigauge {__version__}")
+    subs = parser.add_subparsers(dest="command", required=True)
+    seed = os.environ.get("PSI_GAUGE_SEED", "0")  # read here, not at import
+    targets = {}
+    for name, (handler, text) in COMMANDS.items():
+        targets[name] = subs.add_parser(name, help=text)
+        targets[name].set_defaults(handler=handler, seed=seed)
+    targets[_SOURCE] = targets["model"].add_mutually_exclusive_group(required=True)
+    for commands, flag, options, _, _ in FLAG_RULES:
+        for command in commands if options is not None else ():
+            targets[command].add_argument(flag, **options)
+    return parser
+
+
+def check_flags(args) -> None:
+    """Raise UsageError, naming the flag, at the first FLAG_RULES row whose
+    predicate the parsed args break."""
+    for commands, flag, _, ok, message in FLAG_RULES:
+        if ok is not None and args.command in commands and not ok(args):
+            raise UsageError(f"{flag} {message.format(**vars(args))}")
 
 
 def main(argv=None) -> int:

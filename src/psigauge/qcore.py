@@ -29,10 +29,11 @@ NORM_TOL = 1e-12
 OP_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
 
-#: hard cap on the amplitude count of tensor powers. Every array the n-copy
-#: construction keeps is O(d * D) (states, frames, the factored measurement),
-#: so the cap is a promise a desk machine keeps: thm2 at D = 3**12 builds and
-#: runs its protocol in about 0.9 s at 280 MB peak RSS on 2 cores.
+#: hard cap on the amplitude count D of one tensor power. The n-copy
+#: construction keeps O(d * D) amplitudes (states, frames, the factored
+#: measurement), so the cap alone does not bound its memory; the CLI bounds
+#: d * D as well. thm2 at D = 3**12 builds and runs its protocol in about
+#: 0.9 s at 250 MB peak RSS on 2 cores.
 TENSOR_CAP = 10**6
 
 

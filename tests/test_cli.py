@@ -18,6 +18,7 @@ from psigauge.cli import (
     FLAG_RULES,
     MODEL_CHECKS,
     UsageError,
+    _int_list,
     _render_json,
     build_parser,
     check_flags,
@@ -575,8 +576,8 @@ def parsed(argv):
 
 def first_broken_row(args):
     """Index of the first FLAG_RULES row that args break, or None."""
-    for index, (commands, _, ok, _) in enumerate(FLAG_RULES):
-        if args.command in commands and not ok(args):
+    for index, (commands, _, _, ok, _) in enumerate(FLAG_RULES):
+        if ok is not None and args.command in commands and not ok(args):
             return index
     return None
 
@@ -602,7 +603,7 @@ OUT_OF_RANGE = [
     (["thm2", "--dim", "2"], "--dim"),
     (["thm2", "--copies", "0"], "--copies"),
     (["thm2", "--dim", "3", "--copies", "13"], "--dim**--copies"),
-    (["thm2", "--dim", "1001", "--copies", "99999999999999999999"], "--dim**--copies"),
+    (["thm2", "--dim", "1000", "--copies", "99999999999999999999"], "--dim**--copies"),
     (["thm4", "--dim", "3", "--t", "0.8165"], "--t"),
     (["thm4", "--t", "0"], "--t"),
     (["thm4", "--t", "inf"], "--t"),
@@ -637,6 +638,13 @@ OUT_OF_RANGE = [
     (THM2_SWEEP + ["--dims", "3", "--copies", "0,1"], "--copies"),
     (THM2_SWEEP + ["--dims", "3,4", "--copies", "13"], "--dims**--copies"),
     (THM2_SWEEP + ["--dims", "1000", "--copies", "3"], "--dims**--copies"),
+    (["thm2", "--dim", "1001"], "--dim"),
+    (["thm2", "--dim", "1000", "--copies", "2"], "--dim**--copies"),
+    (KS + ["--pairs", "1000001"], "--pairs"),
+    (["exclusion", "--states", "s.json", "--restarts", "1000001"], "--restarts"),
+    (["exclusion", "--states", "s.json", "--max-iters", "1000001"], "--max-iters"),
+    (["sweep", "--family", "thm1", "--copies", "1,2"], "--copies"),
+    (THM2_SWEEP + ["--dims", "3,1000", "--copies", "1,2"], "--dims**--copies"),
 ]
 
 # range ends the table must accept; parsed and checked only, never run
@@ -644,7 +652,7 @@ AT_THE_BOUNDS = [
     ["thm1", "--shots", str(2**63 - 1), "--dim", "1000"],
     ["thm1", "--shots", "1", "--confidence", "5e-324", "--noise-p", "1", "--noise-q", "0"],
     ["thm2", "--dim", "3", "--copies", "12"],
-    ["thm2", "--dim", "1000", "--copies", "2"],
+    ["thm2", "--dim", "1000", "--copies", "1"],
     ["thm2", "--dim", "10", "--copies", "6"],
     ["thm4", "--dim", "1000"],
     ["thm4", "--dim", "3", "--t", repr(math.sqrt(2.0 / 3.0))],
@@ -661,7 +669,9 @@ AT_THE_BOUNDS = [
     ["scaling", "--delta", "0.9999999999999999"],
     ["exclusion", "--states", "s.json", "--restarts", "1", "--max-iters", "1"],
     ["sweep", "--dims", "2,1000", "--copies", "1"],
-    THM2_SWEEP + ["--dims", "3,1000", "--copies", "1,2"],
+    THM2_SWEEP + ["--dims", "3,1000", "--copies", "1"],
+    KS + ["--pairs", "1000000"],
+    ["exclusion", "--states", "s.json", "--restarts", "1000000", "--max-iters", "1000000"],
 ]
 
 
@@ -680,7 +690,25 @@ class TestFlagTable:
 
     def test_every_row_rejects_some_case(self):
         fired = {first_broken_row(parsed(argv)) for argv, _ in OUT_OF_RANGE}
-        assert fired == set(range(len(FLAG_RULES)))
+        assert fired == {index for index, row in enumerate(FLAG_RULES) if row[3] is not None}
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (command, flag)
+            for commands, flag, options, _, _ in FLAG_RULES
+            if options and options.get("type") in (int, float, _int_list)
+            for command in commands
+        ],
+    )
+    def test_every_number_flag_has_an_upper_bound(self, capsys, command, flag):
+        required = {"model": KS[1:], "orbit": ORBIT[1:], "scaling": ["--delta", "0.5"],
+                    "exclusion": ["--states", "missing.json"],
+                    "sweep": THM2_SWEEP[1:] + ["--dims", "3"]}
+        rc, out, err = run(capsys, [command, *required.get(command, ()), flag, str(10**20)])
+        assert (rc, out) == (1, ""), err
+        named = err.split("error: ", 1)[1].split()[0]  # e.g. --dims**--copies
+        assert flag in named.split("**"), err
 
     def test_table_runs_before_the_handler(self, capsys, monkeypatch):
         import psigauge.cli as cli
@@ -786,7 +814,7 @@ def _fuzz_slots(files) -> dict:
             model_sources,
             model_checks,
             _flag("--grid", ("100", "1000"), ("99", "0", "-1", "1000001", HUGE, "nan")),
-            _flag("--pairs", ("1", "5"), ("0", "-1", NEG_HUGE, "inf")),
+            _flag("--pairs", ("1", "5"), ("0", "-1", "1000001", NEG_HUGE, "inf")),
             _flag("--fidelity", ("0", "0.9", "1"), ("-0.1", "1.0000000000000002", *NON_FINITE)),
             _flag("--delta", ("5e-324", "0.25", "1"), ("0", "1.0000000000000002", *NON_FINITE)),
             _flag("--center", ("plus", "one"), ("bogus",)),
@@ -811,8 +839,8 @@ def _fuzz_slots(files) -> dict:
         ],
         "exclusion": [
             _flag("--states", (files["states"],), (files["dir"], files["missing"], files["model"])),
-            _flag("--restarts", ("1", "2"), ("0", "-1", NEG_HUGE, "nan")),
-            _flag("--max-iters", ("1", "50"), ("0", "-1", NEG_HUGE, "inf")),
+            _flag("--restarts", ("1", "2"), ("0", "-1", "1000001", NEG_HUGE, "nan")),
+            _flag("--max-iters", ("1", "50"), ("0", "-1", "1000001", NEG_HUGE, "inf")),
             seed,
         ],
         "sweep": [
