@@ -4,7 +4,8 @@ Subcommands: thm1, thm2, thm4, model, orbit, scaling, exclusion, sweep.
 Each flag is declared once, as a row of FLAG_RULES that holds its argparse
 options and its range: build_parser reads the table to declare the flags, and
 check_flags reads it to test every range and every rule between flags before
-any handler runs.
+any handler runs. main declares only the invoked subcommand's rows;
+build_parser() with no command declares them all, for top-level help.
 Exit codes: 0 success, 1 usage error (a flag outside its FLAG_RULES range,
 or an unreadable file), 2 numerical-contract violation.
 Reports go to stdout unless --out is given. Every payload embeds the tool
@@ -361,11 +362,13 @@ COMMANDS = {
 
 # Every flag of the CLI, as (subcommands, flag, add_argument options,
 # predicate on the parsed args, message). build_parser declares the rows with
-# options in table order, which is the --help order; a string default goes
-# through the flag's type. check_flags tests the rows with a predicate in the
-# same order and stops at the first false one, so a row may assume that the
-# rows above it hold. Messages are formatted with the parsed flags. A row
-# without options adds a range, or a rule between flags, to a flag above it.
+# options in table order, which is the --help order: for main, only the rows
+# of the invoked subcommand (and the _SOURCE rows for model); with no command,
+# all of them. A string default goes through the flag's type. check_flags
+# tests the rows with a predicate in the same order and stops at the first
+# false one, so a row may assume that the rows above it hold. Messages are
+# formatted with the parsed flags. A row without options adds a range, or a
+# rule between flags, to a flag above it.
 FLAG_RULES = (
     (("thm1", "thm4"), "--dim", dict(type=int, default=3),
      lambda a: 2 <= a.dim <= MAX_DIM, f"must lie in [2, {MAX_DIM}]"),
@@ -460,19 +463,28 @@ FLAG_RULES = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one subcommand when command names one, else of them all
+    (for top-level help, --version and a missing or unknown command)."""
     parser = _Parser(prog="psigauge", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"psigauge {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
+    chosen, listed = COMMANDS, {}
+    if command in COMMANDS:
+        # the usage line still lists every choice; the full parser keeps
+        # argparse's own metavar, which its error messages read
+        chosen, listed = {command: COMMANDS[command]}, {"metavar": "{" + ",".join(COMMANDS) + "}"}
+    subs = parser.add_subparsers(dest="command", required=True, **listed)
     seed = os.environ.get("PSI_GAUGE_SEED", "0")  # read here, not at import
     targets = {}
-    for name, (handler, text) in COMMANDS.items():
+    for name, (handler, text) in chosen.items():
         targets[name] = subs.add_parser(name, help=text)
         targets[name].set_defaults(handler=handler, seed=seed)
-    targets[_SOURCE] = targets["model"].add_mutually_exclusive_group(required=True)
+    if "model" in targets:
+        targets[_SOURCE] = targets["model"].add_mutually_exclusive_group(required=True)
     for commands, flag, options, _, _ in FLAG_RULES:
-        for command in commands if options is not None else ():
-            targets[command].add_argument(flag, **options)
+        for target in commands if options is not None else ():
+            if target in targets:
+                targets[target].add_argument(flag, **options)
     return parser
 
 
@@ -485,8 +497,8 @@ def check_flags(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         check_flags(args)
         text = args.handler(args)

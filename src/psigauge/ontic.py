@@ -259,10 +259,7 @@ def ks_qubit_model(grid_size: int) -> ParametricModel:
             raise ValueError(f"measurement axis must be a 3-vector, got {axis.shape}")
         axis = axis / np.linalg.norm(axis)
         plus = points @ axis >= 0.0
-        table = np.zeros((grid_size, 2))
-        table[plus, 0] = 1.0
-        table[~plus, 1] = 1.0
-        return table
+        return np.stack([plus, ~plus], axis=1).astype(float)
 
     return ParametricModel(
         dim=2,

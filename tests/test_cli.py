@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import psigauge
 from psigauge.cli import (
+    COMMANDS,
     FLAG_RULES,
     MODEL_CHECKS,
     UsageError,
@@ -1149,3 +1150,59 @@ class TestDeeplyNestedFile:
         rc, out, err = run(capsys, argv + [str(path)])
         assert rc == code, err
         assert "nested too deeply" in (err if code else out)
+
+
+# per command, a value argparse itself rejects (a bad type, or a missing
+# required flag), so the parse ends in the subcommand's own error
+BAD_TYPE = {
+    "thm1": ["thm1", "--dim", "x"],
+    "thm2": ["thm2", "--copies", "x"],
+    "thm4": ["thm4", "--t", "x"],
+    "model": ["model"],
+    "orbit": ["orbit"],
+    "scaling": ["scaling", "--delta", "x"],
+    "exclusion": ["exclusion", "--states", "s.json", "--restarts", "x"],
+    "sweep": ["sweep", "--dims", "x"],
+}
+
+
+def _parse_output(parser, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as info:
+            parser.parse_args(argv)
+    return info.value.code, out.getvalue(), err.getvalue()
+
+
+class TestOneCommandParser:
+    """main builds the parser of the invoked command alone; every screen and
+    message it prints matches the full parser's."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_matches_the_full_parser(self, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert set(BAD_TYPE) == set(COMMANDS)
+        for argv in ([command, "-h"], [command, "--bogus"], BAD_TYPE[command]):
+            alone = _parse_output(build_parser(command), argv)
+            full = _parse_output(build_parser(), argv)
+            assert alone == full, argv
+            assert alone[0] in (0, 1), argv
+
+    @pytest.mark.parametrize(
+        "flag",
+        sorted(
+            {flag for commands, flag, options, _, _ in FLAG_RULES if options is not None}
+            - {flag for commands, flag, options, _, _ in FLAG_RULES if "thm1" in commands}
+        ),
+    )
+    def test_declares_no_flag_of_another_command(self, flag):
+        code, out, err = _parse_output(build_parser("thm1"), ["thm1", flag, "1"])
+        assert (code, out) == (1, ""), err
+        assert f"unrecognized arguments: {flag} 1" in err
+
+    def test_main_reads_sys_argv(self, capsys, monkeypatch):
+        argv = ["thm1", "--dim", "3", "--seed", "1"]
+        expected = run(capsys, argv)
+        monkeypatch.setattr(sys, "argv", ["psigauge", *argv])
+        assert run(capsys, None) == expected
+        assert expected[0] == 0

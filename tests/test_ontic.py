@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psigauge._geometry import fibonacci_sphere
 from psigauge.ensembles import theorem1_ensemble
 from psigauge.ontic import (
     DiscreteOnticModel,
@@ -255,6 +256,47 @@ class TestKsQubitModel:
         assert table.shape == (500, 2)
         assert np.array_equal(table.sum(axis=1), np.ones(500))
         assert set(np.unique(table)) <= {0.0, 1.0}
+
+    @staticmethod
+    def scatter_table(points, axis):
+        """The response table as two boolean-mask scatters into zeros."""
+        axis = np.asarray(axis, dtype=float)
+        plus = points @ (axis / np.linalg.norm(axis)) >= 0.0
+        table = np.zeros((len(points), 2))
+        table[plus, 0] = 1.0
+        table[~plus, 1] = 1.0
+        return table
+
+    def assert_same_table(self, fam, points, axis):
+        table = fam.response_rule(axis)
+        expected = self.scatter_table(points, axis)
+        assert table.dtype == expected.dtype and table.shape == expected.shape
+        assert table.tobytes() == expected.tobytes()
+        return table
+
+    @pytest.mark.parametrize("grid", [100, 1001, 10_000])
+    def test_response_table_equals_the_scatter_construction(self, grid):
+        fam = ks_qubit_model(grid)
+        points = fibonacci_sphere(grid)
+        rng = np.random.default_rng(grid)
+        for axis in [*rng.standard_normal((20, 3)), *np.eye(3), *-np.eye(3)]:
+            self.assert_same_table(fam, points, axis)
+
+    def test_middle_point_of_an_odd_grid_goes_to_plus(self):
+        # z of the middle point is cos(arccos(0)), 6e-17: the nearest tie
+        points = fibonacci_sphere(1001)
+        assert abs(points[500, 2]) < 1e-16
+        table = self.assert_same_table(ks_qubit_model(1001), points, [0.0, 0.0, 1.0])
+        assert table[500].tolist() == [1.0, 0.0]
+
+    def test_exact_ties_go_to_plus(self, monkeypatch):
+        import psigauge.ontic as ontic
+
+        points = fibonacci_sphere(200)
+        points[:4] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]
+        monkeypatch.setattr(ontic, "fibonacci_sphere", lambda n: points)
+        table = self.assert_same_table(ks_qubit_model(200), points, [0.0, 0.0, 2.0])
+        assert table[:4].tolist() == [[1.0, 0.0]] * 4
 
     def test_born_rule_reproduction_improves_with_grid(self):
         def worst(grid):
