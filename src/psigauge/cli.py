@@ -337,7 +337,7 @@ def cmd_sweep(args) -> str:
 # a dense d-outcome measurement holds d*d amplitudes, kept within TENSOR_CAP
 MAX_DIM = math.isqrt(TENSOR_CAP)
 # thm2 holds d tensor powers of D amplitudes each: at d * D = 10**7,
-# thm2 --dim 10 --copies 6 runs in 5 s at 1.3 GB peak RSS on 2 cores
+# thm2 --dim 10 --copies 6 runs in about 2 s at 826 MB peak RSS on 2 cores
 AMPLITUDE_CAP = 10**7
 PROTOCOL = ("thm1", "thm2", "sweep")
 _SOURCE = "model source"  # the model parser's required group of exclusive sources

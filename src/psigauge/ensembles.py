@@ -28,7 +28,6 @@ from .qcore import (
     povm_to_json,
     state_from_json,
     state_to_json,
-    symmetric_frames,
     tensor_power,
 )
 
@@ -77,6 +76,7 @@ def _assemble(kind, params, states, measurement, center, delta_star) -> NoGoEnse
         raise ValueError(f"dimension mismatch: {amps.shape[1]} vs {center.dim}")
     target = 1.0 - delta_star
     fid = np.abs(amps @ center.amplitudes.conj())
+    del amps  # outcome_table stacks its own copy; do not hold two at once
     for k in np.flatnonzero(~(np.abs(fid - target) <= 1e-10)):  # NaN delta_star fails too
         raise ContractViolation(
             f"state {k} sits at fidelity {float(fid[k])!r}, expected {target!r}"
@@ -151,10 +151,11 @@ def theorem2_ensemble(d: int, n: int) -> NoGoEnsemble:
     """n-copy ensemble: tensor powers of the theorem2_states family plus a
     d-outcome measurement on C_(d^n) that never fires outcome k on state k.
 
-    The measurement comes from the isometry V matching the tensor powers to
-    the theorem1_ensemble states embedded in C_(d^n) (legitimate because the
-    two families share one Gram matrix). With u_k the V-preimage of embedded
-    |k>, the effects are E_k = |u_k><u_k| + (1/d)(I - sum_m |u_m><u_m|); the
+    The tensor powers share the Gram matrix of the theorem1_ensemble states,
+    so the isometry V matching the two families exists, and the V-preimage of
+    |k> has the closed form u_k = (sum_j psi_j - (d-1) psi_k)/sqrt(d-1) in the
+    powers psi_j (see :func:`_theorem2_measurement`). The effects are
+    E_k = |u_k><u_k| + (1/d)(I - sum_m |u_m><u_m|); the
     complement never fires on the span of the tensor powers, so the
     zero-probability property survives the completion. The measurement is
     held in factored form (:meth:`Povm.completion` of the u_k), so time and
@@ -186,12 +187,17 @@ def theorem2_ensemble(d: int, n: int) -> NoGoEnsemble:
 
 
 def _theorem2_measurement(powers: list) -> Povm:
-    """The factored measurement of :func:`theorem2_ensemble`. With the frames
-    :func:`symmetric_frames` pairs for the powers and the theorem1 states,
-    column k of the D x d array U = f_src f_dst^dag is the preimage of |k>;
-    no D x D matrix is formed."""
-    f_src, f_dst = symmetric_frames(powers, theorem1_ensemble(len(powers)).states)
-    return Povm.completion(f_src @ f_dst.conj().T)
+    """The factored measurement of :func:`theorem2_ensemble`, in closed form.
+
+    Precondition: the d powers have the Gram matrix G = (1 - l)I + lJ,
+    l = (d-2)/(d-1), of the theorem1 states T (J the all-ones matrix). The
+    isometry taking the powers S to T gives U = S G^-1 T^dag, and
+    G^-1 T^dag = (J - (d-1)I)/sqrt(d-1), so
+    u_k = (sum_j psi_j - (d-1) psi_k)/sqrt(d-1). _assemble's POVM and
+    exclusion checks catch a family that misses the precondition."""
+    rows = _amplitudes(powers)
+    d = len(rows)
+    return Povm.completion(((rows.sum(axis=0) - (d - 1) * rows) / math.sqrt(d - 1)).T)
 
 
 def gamma_coefficient(d: int) -> float:

@@ -362,13 +362,10 @@ def delta_continuity_probe(
     for child in np.random.SeedSequence(seed).spawn(n_samples):
         probes.append(sample_state_in_ball(ball, np.random.default_rng(child)))
     probes.extend(_extremal_probe_states(center, delta))
-    mask = np.ones(family.lambda_count, dtype=bool)
     running_min = np.full(family.lambda_count, np.inf)
-    for phi in probes:
-        weights = family.preparation_rule(phi)
-        mask &= weights > SUPPORT_THRESHOLD
-        running_min = np.minimum(running_min, weights)
-    support = tuple(int(i) for i in np.nonzero(mask)[0])
+    for phi in probes:  # np.minimum keeps a NaN weight, which then fails the threshold
+        running_min = np.minimum(running_min, family.preparation_rule(phi))
+    support = tuple(int(i) for i in np.flatnonzero(running_min > SUPPORT_THRESHOLD))
     verdict = "continuous-at-delta" if support else "no-witness-found"
     return ContinuityReport(delta, n_samples, support, float(running_min.sum()), verdict)
 

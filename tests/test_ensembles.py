@@ -5,11 +5,15 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
+from psigauge import ensembles
+from psigauge.cli import main
 from psigauge.ensembles import (
     KIND_THEOREM1,
     KIND_THEOREM2,
     KIND_THEOREM4,
     MIN_SCALING_DELTA,
+    Theorem2Family,
+    _delta_from_alpha,
     ensemble_from_json,
     ensemble_to_json,
     gamma_coefficient,
@@ -22,7 +26,17 @@ from psigauge.ensembles import (
     theorem4_states,
 )
 from psigauge.exclusion import exclusion_value
-from psigauge.qcore import StateVector, born_prob, gram, inner, state_to_json, validate_povm
+from psigauge.qcore import (
+    ContractViolation,
+    StateVector,
+    born_prob,
+    gram,
+    inner,
+    normalized,
+    state_to_json,
+    unitary_from_correspondence,
+    validate_povm,
+)
 
 # delta radius at which the d=2 extremal family sits: 1 - 1/sqrt(2)
 DELTA_STAR_D2 = 0.2928932188134524
@@ -114,6 +128,43 @@ class TestTheorem2:
         g = gram(e.states)
         off = g[~np.eye(5, dtype=bool)]
         assert np.max(np.abs(off - 3 / 4)) <= 1e-10
+
+
+def off_level_family(d: int, n: int) -> Theorem2Family:
+    """theorem2_states with its Gram level c lowered by a factor 1 - 1e-6, and
+    alpha, beta and delta_nd recomputed from it, so every state still sits on
+    its ball but the tensor powers miss the theorem1 Gram matrix."""
+    c = ((d - 2) / (d - 1)) ** (1.0 / n) * (1.0 - 1e-6)
+    alpha = -math.sqrt(1.0 - c)
+    beta = -alpha / math.sqrt(d) + math.sqrt(alpha * alpha / d + c)
+    rows = np.full((d, d), beta / math.sqrt(d))
+    rows[np.diag_indices(d)] += alpha
+    return Theorem2Family(tuple(map(normalized, rows)), c, alpha, beta, _delta_from_alpha(d, alpha))
+
+
+class TestTheorem2ClosedForm:
+    @pytest.mark.parametrize("d, n", [(3, 1), (3, 2), (4, 3), (5, 2), (6, 1)])
+    def test_vectors_are_the_isometry_preimages(self, d, n):
+        ens = theorem2_ensemble(d, n)
+        embedded = []
+        for state in theorem1_ensemble(d).states:
+            amps = np.zeros(d**n, dtype=complex)
+            amps[:d] = state.amplitudes
+            embedded.append(StateVector(d**n, amps))
+        v = unitary_from_correspondence(list(ens.states), embedded).entries
+        # column k of V^dag is V^dag e_k, the preimage of embedded |k>
+        assert np.abs(ens.measurement.vectors - v.conj().T[:, :d]).max() <= 1e-12
+
+    @pytest.mark.parametrize("d", [170, 230, 300, 500])
+    def test_one_copy_builds_at_large_dimension(self, d):
+        assert validate_povm(theorem2_ensemble(d, 1).measurement).completeness_error <= 1e-12
+        assert main(["thm2", "--dim", str(d), "--copies", "1", "--shots", "100"]) == 0
+
+    @pytest.mark.parametrize("d, n", [(3, 1), (3, 2), (4, 3)])
+    def test_family_off_the_gram_level_is_rejected(self, d, n, monkeypatch):
+        monkeypatch.setattr(ensembles, "theorem2_states", off_level_family)
+        with pytest.raises(ContractViolation, match="invalid POVM"):
+            theorem2_ensemble(d, n)
 
 
 class TestGammaCoefficient:

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -22,7 +23,7 @@ from psigauge.ontic import (
     psi_ontic_fixture,
     total_variation,
 )
-from psigauge.ontic import _extremal_probe_states
+from psigauge.ontic import SUPPORT_THRESHOLD, _extremal_probe_states
 from psigauge.qcore import StateVector, born_prob, gram, inner, normalized
 
 from conftest import haar_state, random_discrete_model
@@ -373,6 +374,53 @@ class TestContinuityProbe:
         rep = delta_continuity_probe(ks10k, center, 0.05, 50, seed=2)
         assert rep.verdict == "continuous-at-delta"
         assert rep.empirical_epsilon > 0.0
+
+
+def recording(family, nan_call=None):
+    """family with a preparation rule that records every weight vector it
+    returns; call number nan_call (if any) gets a NaN at its largest weight."""
+    seen = []
+
+    def rule(phi):
+        weights = family.preparation_rule(phi).copy()
+        if len(seen) == nan_call:
+            weights[np.argmax(weights)] = np.nan
+        seen.append(weights)
+        return weights
+
+    return dataclasses.replace(family, preparation_rule=rule), seen
+
+
+def mask_support(seen) -> tuple:
+    """The support as the intersection of the per-probe threshold masks."""
+    mask = np.ones(seen[0].size, dtype=bool)
+    for weights in seen:
+        mask &= weights > SUPPORT_THRESHOLD
+    return tuple(int(i) for i in np.nonzero(mask)[0])
+
+
+@pytest.fixture(scope="module")
+def ks100k():
+    return ks_qubit_model(100_000)
+
+
+class TestContinuitySupport:
+    @pytest.mark.parametrize("delta", [0.10, 0.25, 0.28, 0.35])
+    def test_running_minimum_matches_the_mask_intersection(self, ks100k, delta):
+        family, seen = recording(ks100k)
+        plus = normalized(np.array([1.0, 1.0]))
+        report = delta_continuity_probe(family, plus, delta, 20, seed=3)
+        assert report.common_support == mask_support(seen)
+
+    def test_nan_weight_leaves_the_support(self, ks10k):
+        plus = normalized(np.array([1.0, 1.0]))
+        family, seen = recording(ks10k, nan_call=4)
+        report = delta_continuity_probe(family, plus, 0.1, 20, seed=3)
+        dropped = int(np.flatnonzero(np.isnan(seen[4]))[0])
+        assert report.common_support == mask_support(seen)
+        assert report.common_support and dropped not in report.common_support
+        clean = delta_continuity_probe(ks10k, plus, 0.1, 20, seed=3)
+        assert dropped in clean.common_support
 
 
 class TestExtremalProbeStates:

@@ -30,7 +30,6 @@ from psigauge.qcore import (
     sample_state_in_ball,
     state_from_json,
     state_to_json,
-    symmetric_frames,
     tensor_power,
     unitary_from_correspondence,
     validate_povm,
@@ -175,8 +174,8 @@ class TestGram:
 )
 @pytest.mark.parametrize(
     "reader",
-    [gram, lambda f: outcome_table(f, Povm.basis(2)), lambda f: symmetric_frames(f, f)],
-    ids=["gram", "outcome_table", "symmetric_frames"],
+    [gram, lambda f: outcome_table(f, Povm.basis(2)), lambda f: unitary_from_correspondence(f, f)],
+    ids=["gram", "outcome_table", "unitary_from_correspondence"],
 )
 def test_family_readers_reject_empty_and_mixed_families(reader, family, message):
     with pytest.raises(ValueError, match=message):
@@ -381,9 +380,8 @@ class TestDenseStack:
                 [StateVector.basis(2, 0), StateVector.basis(2, 1)],
                 [StateVector.basis(2, 1), StateVector.basis(2, 0)],
             ),
-            lambda: theorem2_ensemble(3, 2),
         ],
-        ids=["unitary_from_correspondence", "theorem2_ensemble"],
+        ids=["unitary_from_correspondence"],
     )
     def test_frame_pairing_is_checked(self, monkeypatch, build):
         real, calls = qcore._inv_sqrt, []
