@@ -106,6 +106,10 @@ def run_protocol(
         raise ValueError(f"shots must be >= 1, got {shots}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    n = ensemble.params.get("n", 1) if ensemble.kind == KIND_THEOREM2 else 1
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"copy count n must be an integer >= 1, got {n!r}")
+    n_copies = int(n)
     d = len(ensemble.states)
     povm = ensemble.measurement
     dists = _noisy_rows(outcome_table(ensemble.states, povm), povm, noise)
@@ -119,7 +123,6 @@ def run_protocol(
         sum(_clopper_pearson_upper(int(counts[k][k]), shots, per_term) for k in range(d))
     )
 
-    n_copies = int(ensemble.params.get("n", 1)) if ensemble.kind == KIND_THEOREM2 else 1
     return EstimateReport(
         ensemble_kind=ensemble.kind,
         shots_per_preparation=shots,

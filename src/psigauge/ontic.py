@@ -16,7 +16,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ._geometry import bloch_from_state, fibonacci_sphere
-from .qcore import Ball, Povm, StateVector, gram, normalized, outcome_table, sample_state_in_ball
+from .qcore import Ball, Povm, StateVector, gram, outcome_table, sample_state_in_ball
 from .qcore import _at_fidelity, _field, _floats, _frozen, _require
 
 SUM_TOL = 1e-10
@@ -243,7 +243,7 @@ def ks_qubit_model(grid_size: int) -> ParametricModel:
     version reproduces the Born rule exactly; the lattice version reproduces
     it up to discretization error that shrinks as the grid grows.
 
-    Measurement descriptions are unit Bloch 3-vectors (the + axis).
+    Measurement descriptions are finite nonzero Bloch 3-vectors (the + axis).
     """
     if grid_size < 100:
         raise ValueError(f"grid size must be >= 100, got {grid_size}")
@@ -257,8 +257,10 @@ def ks_qubit_model(grid_size: int) -> ParametricModel:
         axis = np.asarray(axis, dtype=float)
         if axis.shape != (3,):
             raise ValueError(f"measurement axis must be a 3-vector, got {axis.shape}")
-        axis = axis / np.linalg.norm(axis)
-        plus = points @ axis >= 0.0
+        if not (np.isfinite(axis).all() and axis.any()):
+            raise ValueError(f"measurement axis must be finite and nonzero, got {axis.tolist()}")
+        # only the sign counts; scaling by the largest entry keeps tiny and huge axes finite
+        plus = points @ (axis / np.abs(axis).max()) >= 0.0
         return np.stack([plus, ~plus], axis=1).astype(float)
 
     return ParametricModel(
@@ -303,39 +305,26 @@ def model_from_parametric(
 def _extremal_probe_states(center: StateVector, delta: float) -> list:
     """Worst-case deterministic probe family for one ball.
 
-    The theorem1_ensemble states are carried from the uniform center to the
-    probe center by a Householder swap. If the ball is smaller than their
-    natural fidelity radius they are pulled along the geodesic onto the ball
-    boundary; otherwise they are included unchanged (pushing them outward
-    would destroy extremal pairs such as the antipodal qubit pair).
+    The theorem1 omit-one states (sqrt(d) u - e_k)/sqrt(d - 1) sit at
+    fidelity f0 = sqrt((d-1)/d) from the uniform state u, along the unit
+    directions w_k = (u/sqrt(d) - e_k)/f0. The Householder reflection that
+    swaps u and the center c (its phase turned so that <c|u> is real)
+    carries them to f0 c + sqrt(1 - f0^2) H w_k. In a ball narrower than
+    1 - f0 they are pulled along those geodesics onto its boundary, at
+    fidelity 1 - delta; in a wider one they are never pushed outward, which
+    would destroy extremal pairs such as the antipodal qubit pair.
     """
-    from .ensembles import theorem1_ensemble  # local import to avoid a cycle
-
     d = center.dim
     if d < 2:
         return []
-    reference = theorem1_ensemble(d)
-    u = reference.center.amplitudes
-    c = center.amplitudes
-    z = complex(np.vdot(c, u))
-    c_aligned = c * np.exp(1j * np.angle(z)) if abs(z) > 0 else c
-    v = u - c_aligned
+    u = StateVector.uniform(d).amplitudes
+    c = center.amplitudes * np.exp(1j * np.angle(np.vdot(center.amplitudes, u)))
+    v = u - c
     vnorm_sq = float(np.vdot(v, v).real)
-    if vnorm_sq > 1e-24:
-        householder = np.eye(d) - 2.0 * np.outer(v, v.conj()) / vnorm_sq
-    else:
-        householder = np.eye(d)
-    moved = [normalized(householder @ s.amplitudes) for s in reference.states]
-    if delta > reference.delta_star + 1e-12:
-        return moved
-    out = []
-    target = 1.0 - delta
-    for s in moved:
-        z_k = complex(np.vdot(c, s.amplitudes))
-        aligned = s.amplitudes * np.exp(-1j * np.angle(z_k))
-        orth = aligned - abs(z_k) * c
-        out.append(_at_fidelity(c, orth / np.linalg.norm(orth), target))
-    return out
+    reflection = 2.0 * np.outer(v, v.conj()) / vnorm_sq if vnorm_sq > 1e-24 else 0.0
+    f0 = np.sqrt((d - 1) / d)
+    directions = (np.eye(d) - reflection) @ (1.0 / d - np.eye(d)) / f0  # column k is H w_k
+    return [_at_fidelity(c, w, max(1.0 - delta, f0)) for w in directions.T]
 
 
 def delta_continuity_probe(

@@ -1,10 +1,12 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from psigauge import experiment, qcore
 from psigauge.ensembles import theorem1_ensemble, theorem2_ensemble
+from psigauge.ensembles import ensemble_from_json, ensemble_to_json
 from psigauge.experiment import (
     SWEEP_FIELDS,
     NoiseSpec,
@@ -163,6 +165,24 @@ class TestRunProtocol:
         assert abs(
             report.epsilon_single_copy_bound - report.epsilon_upper_bound**0.5
         ) <= 1e-15
+
+    @pytest.mark.parametrize("n", [0, -1, 2.7, 2.0, None, True, "2"])
+    def test_copy_count_must_be_a_positive_integer(self, n):
+        payload = ensemble_to_json(theorem2_ensemble(3, 2))
+        payload["params"]["n"] = n
+        from_file = ensemble_from_json(json.loads(json.dumps(payload)))
+        built = theorem2_ensemble(3, 2)
+        replaced = dataclasses.replace(built, params={**built.params, "n": n})
+        for ens in (from_file, replaced):
+            with pytest.raises(ValueError, match="copy count n must be an integer >= 1"):
+                run_protocol(ens, QUIET, 100)
+
+    def test_numpy_integer_copy_count_is_accepted(self):
+        built = theorem2_ensemble(3, 2)
+        ens = dataclasses.replace(built, params={**built.params, "n": np.int64(2)})
+        report = run_protocol(ens, QUIET, 1_000, seed=0)
+        assert type(report.n_copies) is int and report.n_copies == 2
+        assert report_to_json(report) == report_to_json(run_protocol(built, QUIET, 1_000, seed=0))
 
     def test_one_copy_reports_bound_unchanged(self):
         report = run_protocol(theorem1_ensemble(3), QUIET, 1_000, seed=0)

@@ -318,6 +318,30 @@ class TestKsQubitModel:
         assert fine < coarse
         assert fine < 0.01
 
+    @pytest.mark.parametrize("axis", [[0.0, 0.0, 0.0], [np.inf, 0.0, 0.0], [np.nan, 0.0, 1.0]])
+    def test_undefined_axes_are_rejected(self, axis):
+        fam = ks_qubit_model(500)
+        state = normalized(np.array([1.0, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for call in (
+                lambda: fam.response_rule(axis),
+                lambda: fam.predict(state, axis),
+                lambda: model_from_parametric(fam, {"q": state}, {"m": axis}),
+            ):
+                with pytest.raises(ValueError, match="axis must be finite and nonzero"):
+                    call()
+
+    def test_axis_shape_message_is_kept(self):
+        with pytest.raises(ValueError, match=r"axis must be a 3-vector, got \(2,\)"):
+            ks_qubit_model(500).response_rule([1.0, 0.0])
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_axis_length_does_not_matter(self, scale):
+        fam = ks_qubit_model(500)
+        axis = np.array([0.3, -0.5, 0.8])
+        assert np.array_equal(fam.response_rule(scale * axis), fam.response_rule(axis))
+
 
 class TestPsiOnticFixture:
     def test_reproduces_born_rows(self):
@@ -437,6 +461,63 @@ class TestExtremalProbeStates:
             assert abs(abs(inner(phi, center)) - (1.0 - min(delta, star))) <= 1e-12
         if delta > star:
             assert np.abs(gram(probes) - gram(reference.states)).max() <= 1e-12
+
+    @staticmethod
+    def moved_then_pulled(center, delta):
+        """The probe family built the long way: theorem1_ensemble's states
+        carried to the center by the Householder swap of the uniform state
+        and the phase-turned center, then pulled along the geodesic onto the
+        ball boundary when the ball is no wider than their radius."""
+        reference = theorem1_ensemble(center.dim)
+        u, c = reference.center.amplitudes, center.amplitudes
+        z = complex(np.vdot(c, u))
+        v = u - (c * np.exp(1j * np.angle(z)) if abs(z) > 0 else c)
+        swap = np.eye(center.dim)
+        if np.vdot(v, v).real > 1e-24:
+            swap = swap - 2.0 * np.outer(v, v.conj()) / np.vdot(v, v).real
+        moved = [normalized(swap @ s.amplitudes).amplitudes for s in reference.states]
+        if delta > reference.delta_star + 1e-12:
+            return moved
+        pulled = []
+        for s in moved:
+            z_k = complex(np.vdot(c, s))
+            orth = s * np.exp(-1j * np.angle(z_k)) - abs(z_k) * c
+            orth /= np.linalg.norm(orth)
+            pulled.append((1.0 - delta) * c + np.sqrt(1.0 - (1.0 - delta) ** 2) * orth)
+        return pulled
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_closed_form_matches_the_moved_theorem1_states(self, d):
+        star = 1.0 - np.sqrt((d - 1) / d)
+        deltas = [star / 2, star - 1e-13, star, star + 1e-13, star + 0.01, 0.9, 1.0]
+        worst = 0.0
+        for seed in range(20):
+            rng = np.random.default_rng([d, seed])
+            phase = np.exp(2j * np.pi * rng.random())
+            centers = [
+                haar_state(rng, d),
+                StateVector(d, phase * StateVector.uniform(d).amplitudes),
+                StateVector.basis(d, 0),
+            ]
+            for center in centers:
+                for delta in deltas:
+                    new = _extremal_probe_states(center, delta)
+                    old = self.moved_then_pulled(center, delta)
+                    assert len(new) == len(old) == d
+                    for a, b in zip(old, new):
+                        worst = max(worst, 1.0 - abs(np.vdot(a, b.amplitudes)))
+        assert worst <= 1e-12
+
+    def test_probe_builds_no_theorem1_ensemble(self, monkeypatch, ks10k):
+        import psigauge.ensembles
+
+        def refuse(d):
+            raise AssertionError("the probe built a theorem1 ensemble")
+
+        monkeypatch.setattr(psigauge.ensembles, "theorem1_ensemble", refuse)
+        plus = normalized(np.array([1.0, 1.0]))
+        report = delta_continuity_probe(ks10k, plus, 0.2, 5)
+        assert report.n_samples == 5 and report.verdict == "continuous-at-delta"
 
 
 class TestModelJson:
