@@ -115,19 +115,15 @@ def _config(args) -> dict:
     return {k: v for k, v in vars(args).items() if k not in skip}
 
 
-def _envelope(args, results: dict) -> dict:
-    return {
+def _render_json(args, results: dict) -> str:
+    envelope = {
         "tool": "psigauge",
         "version": __version__,
         "command": args.command,
         "config": _config(args),
         "results": results,
     }
-
-
-def _render_json(args, results: dict) -> str:
-    text = json.dumps(_envelope(args, results), indent=2, sort_keys=True, allow_nan=False)
-    return text + "\n"
+    return json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _render_csv(args, csv_text: str) -> str:

@@ -96,25 +96,24 @@ def _geodesic(omega: np.ndarray, basis: np.ndarray):
 def _polish(coeffs: np.ndarray, basis: np.ndarray, value: float):
     """Up to 8 Gauss-Newton steps on the overlap residuals o_k = <c_k|b_k>.
 
-    The objective is quartic around a perfect-exclusion basis, where
-    first-order descent decays only polynomially. The minimal-norm
-    skew-Hermitian X solving <c_k|X b_k> = -o_k converges quadratically when
-    a zero-residual basis is near, and a step is kept only if it lowers the
-    value. Under Re tr(A^H X), Re and Im of <c_k|X b_k> are products with
-    the skew-Hermitian parts of c_k b_k^H and i c_k b_k^H, so X combines
-    these 2d rows by their 2d x 2d Gram system.
+    The objective is quartic near a perfect-exclusion basis, where descent is
+    slow and the minimal-norm skew-Hermitian X solving <c_k|X b_k> = -o_k
+    converges quadratically; a step is kept only if it lowers the value. X is
+    the skew part of C diag(a + ib) B^H, where [a; b] solves the Re and Im of
+    ((H - S) a + i (H + S) b)_k = -2 o_k for the d x d H = C^H C * (B^H B)^T,
+    S = R * R^T and R = C^H B, * entrywise (B^H B is kept, not taken as I).
     """
-    d = coeffs.shape[1]
     for _ in range(8):
         if value <= 1e-30:
             break
-        overlaps, _ = _overlaps(coeffs, basis)
-        outer = coeffs.T[:, :, None] * basis.conj().T[:, None, :]
-        outer = np.concatenate([outer, 1j * outer])
-        rows = 0.5 * (outer - outer.conj().transpose(0, 2, 1)).reshape(2 * d, -1)
-        rhs = -np.concatenate([overlaps.real, overlaps.imag])
-        weights = np.linalg.lstsq((rows.conj() @ rows.T).real, rhs, rcond=None)[0]
-        trial = _geodesic(-(weights @ rows).reshape(d, d), basis)(1.0)
+        cross = coeffs.conj().T @ basis
+        h = (coeffs.conj().T @ coeffs) * (basis.conj().T @ basis).T
+        s = cross * cross.T
+        system = np.block([[(h - s).real, -(h + s).imag], [(h - s).imag, (h + s).real]])
+        rhs = -2.0 * np.concatenate([cross.diagonal().real, cross.diagonal().imag])
+        a, b = np.split(np.linalg.lstsq(system, rhs, rcond=None)[0], 2)
+        y = (coeffs * (a + 1j * b)) @ basis.conj().T
+        trial = _geodesic(0.5 * (y.conj().T - y), basis)(1.0)
         trial_value, _ = _value_and_direction(coeffs, trial)
         if trial_value >= value:
             break
@@ -176,8 +175,8 @@ def _dual_bound(coeffs: np.ndarray, vectors: np.ndarray) -> float:
     """
     _, x = _overlaps(coeffs, vectors)
     y = 0.5 * (x + x.conj().T)
-    rhos = coeffs.T[:, :, None] * coeffs.conj().T[:, None, :]
-    slack = float(np.linalg.eigvalsh(rhos - y).min())
+    # one state at a time holds no d x r x r stack; np.min keeps a NaN
+    slack = float(np.min([np.linalg.eigvalsh(np.outer(c, c.conj()) - y)[0] for c in coeffs.T]))
     return float(np.trace(y).real) + coeffs.shape[0] * min(0.0, slack)
 
 

@@ -102,7 +102,6 @@ class OverlapReport:
 
     epsilon: float
     witness_lambdas: tuple
-    per_lambda_min: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -165,7 +164,7 @@ def epsilon_overlap(model: DiscreteOnticModel, qs: Sequence[str]) -> OverlapRepo
     stacked = np.array([_prep(model, q) for q in qs])
     per_min = np.min(stacked, axis=0)
     witnesses = tuple(int(i) for i in np.nonzero(per_min > 0.0)[0])
-    return OverlapReport(_overlap_sum(per_min), witnesses, _frozen(per_min))
+    return OverlapReport(_overlap_sum(per_min), witnesses)
 
 
 def nogo_check(model: DiscreteOnticModel, qs: Sequence[str], m: str) -> NoGoCheck:

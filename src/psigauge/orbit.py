@@ -86,8 +86,6 @@ def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
     """
     from scipy.spatial import cKDTree
 
-    if points.shape[0] == 0:
-        return points
     chord = _chord(tol)
     cell = chord / np.sqrt(3.0)
     keys = np.floor(points / cell).astype(np.int64)
@@ -202,8 +200,6 @@ def steps_to_cover(
     target_coverage: float,
     angular_tol: float,
     seed: int = 0,
-    rotations_per_pair: int = 24,
-    dedup_tolerance: float = 0.02,
     grid_size: int = 4000,
     max_steps: int = 30,
 ) -> CoverageTrajectory:
@@ -216,10 +212,7 @@ def steps_to_cover(
     """
     if not 0.0 < target_coverage <= 1.0:
         raise ValueError(f"target coverage must lie in (0, 1], got {target_coverage}")
-    trajectory = coverage_trajectory(
-        initial_cloud(theta, dedup_tolerance), grid_size, angular_tol, seed,
-        rotations_per_pair=rotations_per_pair,
-    )
+    trajectory = coverage_trajectory(initial_cloud(theta), grid_size, angular_tol, seed)
     rows = []
     for row in islice(trajectory, max(max_steps, 0) + 1):
         rows.append(row)

@@ -525,10 +525,22 @@ def _require(obj: dict, keys: tuple, what: str) -> None:
             raise ValueError(f"{what} JSON: missing field {key!r}")
 
 
-_floats = partial(np.asarray, dtype=float)
+def _int(value) -> int:
+    """A JSON integer; a bool, a string or a float such as 2.9 raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r:.40}")
+    return value
 
 
-def _field(obj: dict, key: str, what: str, convert=int):
+def _floats(value) -> np.ndarray:
+    """A JSON number array as floats; bools, strings or nulls raise TypeError."""
+    array = np.asarray(value)
+    if array.dtype.kind not in "iuf":
+        raise TypeError(f"expected numbers, got {value!r:.40}")
+    return array.astype(float, copy=False)
+
+
+def _field(obj: dict, key: str, what: str, convert=_int):
     """convert(obj[key]), with a wrong type (a list or an object where a
     number belongs) or an overflowing number (1e400) raised as ValueError."""
     try:

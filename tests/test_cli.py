@@ -477,8 +477,24 @@ class TestMalformedEnsembleFile:
 class TestMalformedStateFile:
     @pytest.mark.parametrize(
         "payload",
-        [{"states": 5}, [5], {"states": [5]}],
-        ids=["states-not-a-list", "list-of-numbers", "states-of-numbers"],
+        [
+            {"states": 5},
+            [5],
+            {"states": [5]},
+            [{"dim": 2.5, "re": [1, 0], "im": [0, 0]}],
+            [{"dim": "2", "re": [1, 0], "im": [0, 0]}],
+            [{"dim": 2, "re": ["1", "0"], "im": [0, 0]}],
+            [{"dim": 2, "re": [True, False], "im": [0, 0]}],
+        ],
+        ids=[
+            "states-not-a-list",
+            "list-of-numbers",
+            "states-of-numbers",
+            "fractional-dim",
+            "string-dim",
+            "string-amplitudes",
+            "bool-amplitudes",
+        ],
     )
     def test_exits_two_without_traceback(self, tmp_path, payload):
         path = tmp_path / "states.json"
@@ -953,6 +969,10 @@ class TestMalformedModelFile:
         "preparation-object": lambda obj: obj["preparations"].update(q0={"x": 1}),
         "lambda-count-list": lambda obj: obj.update(lambda_count=[2]),
         "lambda-count-1e400": lambda obj: obj.update(lambda_count="HUGE"),
+        "lambda-count-fraction": lambda obj: obj.update(lambda_count=obj["lambda_count"] + 0.7),
+        "preparation-bools": lambda obj: obj["preparations"].update(
+            q0=[True] + [False] * (obj["lambda_count"] - 1)
+        ),
     }
 
     @pytest.fixture(params=sorted(EDITS))

@@ -250,3 +250,102 @@ class TestIndependentOracles:
             for povm in (_random_projective(rng, count, dim), _random_povm(rng, count, dim)):
                 values.append(exclusion_value(states, povm))
         assert max(best.dual_bound, rough) <= min(values) + 1e-12
+
+
+def _padded_coeffs(states) -> np.ndarray:
+    """The d x d coefficients ``optimize`` searches on: Q^H S zero-padded to d rows."""
+    smat = qcore._amplitudes(states).T
+    q, _ = np.linalg.qr(smat)
+    coeffs = np.zeros((smat.shape[1], smat.shape[1]), dtype=complex)
+    coeffs[: q.shape[1]] = q.conj().T @ smat
+    return coeffs
+
+
+def _stacked_polish(coeffs: np.ndarray, basis: np.ndarray, value: float):
+    """The polish built from the 2d rank-one generators c_k b_k^H and
+    i c_k b_k^H stacked into a (2d, d, d) array: their skew-Hermitian parts
+    are the rows, and the rows' 2d x 2d Gram system gives the step. Only the
+    system differs from ``exclusion._polish``; the geodesic and the value are
+    shared."""
+    d = coeffs.shape[1]
+    for _ in range(8):
+        if value <= 1e-30:
+            break
+        overlaps = np.einsum("ik,ik->k", coeffs.conj(), basis)
+        outer = coeffs.T[:, :, None] * basis.conj().T[:, None, :]
+        outer = np.concatenate([outer, 1j * outer])
+        rows = 0.5 * (outer - outer.conj().transpose(0, 2, 1)).reshape(2 * d, -1)
+        rhs = -np.concatenate([overlaps.real, overlaps.imag])
+        weights = np.linalg.lstsq((rows.conj() @ rows.T).real, rhs, rcond=None)[0]
+        trial = exclusion._geodesic(-(weights @ rows).reshape(d, d), basis)(1.0)
+        trial_value, _ = exclusion._value_and_direction(coeffs, trial)
+        if trial_value >= value:
+            break
+        basis, value = trial, trial_value
+    return value, basis
+
+
+class TestClosedFormSystems:
+    """The polish and the dual bound, built from d x d overlap matrices, held
+    to the stacked constructions they replace. Where the first Gauss-Newton
+    system is near-singular (two non-orthogonal qubit states far from their
+    positive minimum), either construction amplifies rounding by its condition
+    number, and an accepted step can leave the two 4e-8 apart in basis; at
+    these seeded starts they agree to about 1e-14."""
+
+    @staticmethod
+    def assert_polish_matches(coeffs, basis):
+        value, _ = exclusion._value_and_direction(coeffs, basis)
+        got_value, got_basis = exclusion._polish(coeffs, basis, value)
+        want_value, want_basis = _stacked_polish(coeffs, basis, value)
+        assert abs(got_value - want_value) <= 1e-10
+        assert np.abs(got_basis - want_basis).max() <= 1e-9
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16])
+    def test_polish_matches_the_stacked_generators(self, d):
+        for dim in sorted({1, d - 1, d, d + 2} - {0}):
+            rng = np.random.default_rng([d, dim])
+            coeffs = _padded_coeffs([haar_state(rng, dim) for _ in range(d)])
+            self.assert_polish_matches(coeffs, exclusion._reference_basis(d, rng))
+
+    @pytest.mark.parametrize("d, dim", [(3, 3), (5, 4), (8, 10)])
+    def test_polish_keeps_an_inexact_basis_gram(self, d, dim):
+        rng = np.random.default_rng([d, dim, 1])
+        coeffs = _padded_coeffs([haar_state(rng, dim) for _ in range(d)])
+        raw = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        drift = 0.5e-8 * (raw + raw.conj().T) / np.linalg.norm(raw)
+        basis = exclusion._reference_basis(d, rng) @ (np.eye(d) + drift)
+        off = np.abs(basis.conj().T @ basis - np.eye(d)).max()
+        assert 1e-9 <= off <= 1e-7
+        self.assert_polish_matches(coeffs, basis)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 4), st.integers(0, 2**32 - 1))
+    def test_dual_bound_equals_the_stacked_eigvalsh(self, r, extra, seed):
+        rng = np.random.default_rng(seed)
+        d = r + extra
+        coeffs = rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d))
+        vectors = rng.standard_normal((r, d)) + 1j * rng.standard_normal((r, d))
+        _, x = exclusion._overlaps(coeffs, vectors)
+        y = 0.5 * (x + x.conj().T)
+        rhos = coeffs.T[:, :, None] * coeffs.conj().T[:, None, :]
+        slack = float(np.linalg.eigvalsh(rhos - y).min())
+        expected = float(np.trace(y).real) + r * min(0.0, slack)
+        assert exclusion._dual_bound(coeffs, vectors) == expected
+
+
+def test_search_over_many_qubit_states_holds_no_cubic_buffer():
+    """100 states in C^2 with one short descent. One complex d x d x d
+    buffer is 15.3 MiB, so no such buffer fits beside the search's own
+    d x d arrays within the 16 MiB budget."""
+    import tracemalloc
+
+    rng = np.random.default_rng(0)
+    problem = ExclusionProblem(tuple(haar_state(rng, 2) for _ in range(100)))
+    tracemalloc.start()
+    try:
+        optimize(problem, restarts=1, max_iters=10, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

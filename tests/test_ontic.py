@@ -582,6 +582,20 @@ class TestModelFromJsonFields:
         with pytest.raises(ValueError, match=message):
             model_from_json(obj)
 
+    @pytest.mark.parametrize("edit", [float, str, lambda count: count + 0.7, bool])
+    def test_lambda_count_must_be_a_json_integer(self, edit):
+        obj = model_to_json(random_discrete_model(3))
+        obj["lambda_count"] = edit(obj["lambda_count"])
+        with pytest.raises(ValueError, match="model JSON: lambda_count: expected an integer"):
+            model_from_json(obj)
+
+    @pytest.mark.parametrize("one, zero", [(True, False), ("1", "0")], ids=["bool", "string"])
+    def test_preparation_entries_must_be_numbers(self, one, zero):
+        obj = model_to_json(random_discrete_model(3))
+        obj["preparations"]["q0"] = [one] + [zero] * (obj["lambda_count"] - 1)
+        with pytest.raises(ValueError, match="preparations JSON: q0: expected numbers"):
+            model_from_json(obj)
+
     @pytest.mark.parametrize("value", [{"x": 1}, [10**400]])
     def test_preparation_that_is_no_float_array_is_a_value_error(self, value):
         obj = model_to_json(random_discrete_model(3))

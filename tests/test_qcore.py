@@ -450,6 +450,29 @@ class TestJson:
         with pytest.raises(ValueError, match="state JSON"):
             state_from_json(obj)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("dim", 1.9),
+            ("dim", 1.0),
+            ("dim", "1"),
+            ("dim", " 1 "),
+            ("dim", True),
+            ("re", ["1"]),
+            ("re", [True]),
+            ("im", [False]),
+        ],
+    )
+    def test_numbers_must_be_json_numbers(self, field, value):
+        # int() or float() would turn each value into a valid |0> of C^1
+        obj = dict(state_to_json(StateVector.basis(1, 0)), **{field: value})
+        with pytest.raises(ValueError, match=f"state JSON: {field}: expected"):
+            state_from_json(obj)
+
+    def test_povm_dim_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="povm JSON: dim: expected an integer"):
+            povm_from_json(dict(povm_to_json(Povm.basis(3)), dim=3.0))
+
     def test_povm_effects_must_be_a_list(self):
         with pytest.raises(ValueError, match="effects must be a list"):
             povm_from_json({"dim": 2, "effects": 5})
