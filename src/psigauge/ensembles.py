@@ -21,6 +21,7 @@ from .qcore import (
     StateVector,
     _amplitudes,
     _field,
+    _float,
     _require,
     normalized,
     outcome_table,
@@ -313,7 +314,7 @@ def ensemble_from_json(obj: dict) -> NoGoEnsemble:
         states=states,
         measurement=povm,
         center=state_from_json(obj["center"]),
-        delta_star=_field(obj, "delta_star", "ensemble", float),
+        delta_star=_field(obj, "delta_star", "ensemble", _float),
     )
 
 

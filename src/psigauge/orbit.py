@@ -4,10 +4,11 @@ sphere.
 
 Points are unit 3-vectors. Each growth step is quadratic in the cloud size
 before budgeting, so candidate generation is capped and subsampled with a
-seeded generator. Dedup has no Python loop: a grid pass keeps the first
-point under each packed int64 cell key, then a greedy pass over the
-KD-tree's pair list runs in vectorized rounds, so steps stay near-linear in
-the candidate count.
+seeded generator. Dedup has no Python loop: a grid pass sorts packed int64
+cell keys and keeps the first point under each, then a greedy pass over the
+pair list of a sliding-midpoint KD-tree runs in vectorized rounds, so steps
+stay near-linear in the candidate count. Coverage bounds each grid point's
+nearest-neighbour query just above the tolerance's chord.
 
 ``cKDTree`` is imported inside the two functions that build one, so that
 importing this module (and with it the CLI) loads no scipy module.
@@ -76,25 +77,40 @@ def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
     """Keep earliest representatives of clusters closer than the angular tol.
 
     Pass 1 snaps points to a grid with cells small enough that cell-mates are
-    always within tol (cell diagonal = chord), packs each cell into one int64
-    key and keeps the first point per key. Pass 2 resolves neighbors that
-    pass 1 put in different cells: it keeps each representative that no kept
-    earlier one lies within the chord of. It does so in rounds over the pair
-    list: a point with no open smaller neighbour is kept and drops its larger
-    neighbours, then pairs touching a dropped point go. Below
-    MIN_DEDUP_TOLERANCE, ``np.ravel_multi_index`` may raise ValueError.
+    always within tol (cell diagonal = chord). It packs each cell into one
+    int64 key over a cube of cells spanning the smallest to the largest
+    coordinate, sorts the keys, and keeps the smallest index under each key,
+    in input order. Pass 2 resolves neighbors that pass 1 put in different
+    cells: it keeps each representative that no kept earlier one lies within
+    the chord of. It does so in rounds over the pair list of a
+    sliding-midpoint KD-tree: a point with no open smaller neighbour is kept
+    and drops its larger neighbours, then pairs touching a dropped point go.
+    The rounds depend only on the set of pairs, not on their order. A cube
+    whose cell count overflows an int64, which a tol below
+    MIN_DEDUP_TOLERANCE can give, raises ValueError.
     """
     from scipy.spatial import cKDTree
 
     chord = _chord(tol)
     cell = chord / np.sqrt(3.0)
     keys = np.floor(points / cell).astype(np.int64)
-    low = keys.min(axis=0)
-    packed = np.ravel_multi_index((keys - low).T, keys.max(axis=0) - low + 1)
-    # 1-D unique sorts stably, so each index is the cell's first occurrence
-    _, first = np.unique(packed, return_index=True)
-    reps = points[np.sort(first)]
-    pairs = cKDTree(reps).query_pairs(chord, output_type="ndarray")  # rows i < j
+    low = int(keys.min())
+    side = int(keys.max()) - low + 1
+    if side**3 > np.iinfo(np.int64).max:
+        raise ValueError(f"{side}^3 grid cells overflow an int64 key; tol {tol} is too small")
+    keys -= low
+    packed = keys @ np.array([side * side, side, 1])
+    del keys
+    order = np.argsort(packed)
+    packed = packed[order]
+    starts = np.flatnonzero(np.concatenate(([True], packed[1:] != packed[:-1])))
+    del packed
+    # the sort is unstable, so each cell's first occurrence is its smallest index
+    first = np.minimum.reduceat(order, starts)
+    first.sort()
+    reps = points[first]
+    tree = cKDTree(reps, balanced_tree=False, compact_nodes=False)
+    pairs = tree.query_pairs(chord, output_type="ndarray")  # rows i < j
     keep = np.ones(reps.shape[0], dtype=bool)
     while pairs.size:
         blocked = np.zeros(reps.shape[0], dtype=bool)
@@ -160,7 +176,11 @@ def orbit_step(cloud: OrbitCloud, rotations_per_pair: int = 24, seed: int = 0) -
 
 
 def coverage(cloud: OrbitCloud, grid_size: int, angular_tol: float) -> float:
-    """Fraction of a reference Fibonacci grid within angular_tol of the cloud."""
+    """Fraction of a reference Fibonacci grid within angular_tol of the cloud.
+
+    Each grid point's nearest-neighbour search stops beyond the chord. The
+    bound sits just above it because cKDTree's bound is strict.
+    """
     from scipy.spatial import cKDTree
 
     if grid_size < 100:
@@ -169,10 +189,10 @@ def coverage(cloud: OrbitCloud, grid_size: int, angular_tol: float) -> float:
         raise ValueError(f"angular tolerance must lie in (0, pi], got {angular_tol}")
     if cloud.size == 0:
         return 0.0
-    grid = fibonacci_sphere(grid_size)
+    chord = _chord(angular_tol)
     tree = cKDTree(cloud.points)
-    dist, _ = tree.query(grid, k=1)
-    return float(np.mean(dist <= _chord(angular_tol)))
+    dist, _ = tree.query(fibonacci_sphere(grid_size), k=1, distance_upper_bound=chord * (1 + 1e-9))
+    return float(np.mean(dist <= chord))
 
 
 def coverage_trajectory(

@@ -35,6 +35,11 @@ RESIDUAL_TOL = 1e-9
 #: d * D as well. thm2 at D = 3**12 builds and runs its protocol in about
 #: 0.7 s at 162 MB peak RSS on 2 cores.
 TENSOR_CAP = 10**6
+#: matrix entries in one block of effects that validating a completion
+#: stacks, so its memory is O(m^2) where the whole m x m x m stack grew as
+#: m^3. Up to m = 40 outcomes one block holds every effect, so small
+#: measurements keep one batched eigvalsh call instead of a Python loop.
+EFFECT_BLOCK = 2**16
 
 
 class ContractViolation(RuntimeError):
@@ -409,28 +414,32 @@ def validate_povm(p: Povm) -> PovmReport:
     the dense check of its effects would give, up to rounding.
     """
     if p.vectors is None:
-        herm, min_eig, comp = _stack_checks(p._stack)
+        herm, min_eig, comp = _stack_checks([p._stack], p.dim)
     else:
         herm, min_eig, comp = _completion_checks(p.vectors)
     passed = herm <= OP_TOL and min_eig >= -OP_TOL and comp <= OP_TOL
     return PovmReport(herm, min_eig, comp, passed)
 
 
-def _stack_checks(mats: np.ndarray) -> tuple:
-    """(Hermiticity error, min eigenvalue, completeness error) of an m x n x n
-    stack of effects. Overflow near the top of float range fails the check
-    quietly; the Hermitian parts add halves, so eigvalsh sees finite entries."""
+def _stack_checks(blocks, n: int) -> tuple:
+    """(Hermiticity error, min eigenvalue, completeness error) of effects
+    given as k x n x n stacks, one stack at a time. Overflow near the top of
+    float range fails the check quietly; the Hermitian parts add halves, so
+    eigvalsh sees finite entries."""
+    herm, min_eig, total = [], [], 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        adjoint = mats.conj().transpose(0, 2, 1)
-        herm = float(np.max(np.abs(mats - adjoint)))
-        min_eig = float(np.linalg.eigvalsh(0.5 * mats + 0.5 * adjoint).min())
-        comp = float(np.max(np.abs(mats.sum(axis=0) - np.eye(mats.shape[1]))))
-    return herm, min_eig, comp
+        for mats in blocks:
+            adjoint = mats.conj().transpose(0, 2, 1)
+            herm.append(np.max(np.abs(mats - adjoint)))
+            min_eig.append(np.linalg.eigvalsh(0.5 * mats + 0.5 * adjoint).min())
+            total = total + mats.sum(axis=0)
+        comp = float(np.max(np.abs(total - np.eye(n))))
+    return float(np.max(herm)), float(np.min(min_eig)), comp  # both keep a NaN
 
 
 def _completion_checks(u: np.ndarray) -> tuple:
     """(Hermiticity error, min eigenvalue, completeness error) of
-    ``Povm.completion(u)``."""
+    ``Povm.completion(u)``, in O(D m + m^2) memory."""
     dim, m = u.shape
     if dim <= m:
         # effects |u_r><u_r| are rank one: eigenvalues |u_r|^2 and zeros
@@ -438,9 +447,14 @@ def _completion_checks(u: np.ndarray) -> tuple:
         return 0.0, min_eig, float(np.max(np.abs(u @ u.conj().T - np.eye(dim))))
     # with u = q r and orthonormal columns q, effect r acts on span(q) as the
     # m x m matrix r_r r_r^dag + (I - r r^dag)/m, and as I/m on the rest
-    r = np.linalg.qr(u, mode="r")
-    mats = r.T[:, :, None] * r.T.conj()[:, None, :] + (np.eye(m) - r @ r.conj().T) / m
-    herm, min_eig, comp = _stack_checks(mats)
+    rows = np.linalg.qr(u, mode="r").T
+    rest = (np.eye(m) - rows.T @ rows.conj()) / m
+    step = max(1, EFFECT_BLOCK // (m * m))
+    blocks = (
+        rows[k : k + step, :, None] * rows[k : k + step].conj()[:, None, :] + rest
+        for k in range(0, m, step)
+    )
+    herm, min_eig, comp = _stack_checks(blocks, m)
     return herm, min(min_eig, 1.0 / m), comp
 
 
@@ -530,6 +544,13 @@ def _int(value) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"expected an integer, got {value!r:.40}")
     return value
+
+
+def _float(value) -> float:
+    """A JSON number as a float; a bool, a string or a null raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r:.40}")
+    return float(value)
 
 
 def _floats(value) -> np.ndarray:

@@ -1101,7 +1101,7 @@ def _paths(node, prefix=()):
 DELETE = object()
 MUTATIONS = (
     DELETE, "x", {"x": 1}, [2], None, True, "HUGE", "-HUGE", float("nan"), 10**400, [],
-    1e308, -1e308, 1e200,
+    1e308, -1e308, 1e200, "3", "0.5",
 )
 
 
@@ -1158,6 +1158,23 @@ class TestPayloadFuzz:
 
         check()
         assert {0, 1, 2} <= set(codes), codes
+
+    @pytest.mark.parametrize(
+        "name, path",
+        [
+            ("thm1-ensemble", ("delta_star",)),
+            ("state-list", (0, "dim")),
+            ("model", ("lambda_count",)),
+        ],
+    )
+    def test_number_written_as_a_string_exits_two(self, tmp_path, name, path):
+        # "0.18350341907227397" for delta_star; int() or float() would accept it
+        payload = BASE_PAYLOADS[name]
+        value = payload
+        for key in path:
+            value = value[key]
+        mutated = _write_json(tmp_path / "payload.json", _mutated(payload, path, repr(value)))
+        assert _contract_exit(PAYLOAD_COMMANDS[name == "model"] + [mutated]) == 2
 
 
 class TestDeeplyNestedFile:

@@ -375,7 +375,7 @@ class TestStatesFromJson:
 
 
 class TestEnsembleFieldCoercion:
-    @pytest.mark.parametrize("value", [10**400, {"x": 1}])
+    @pytest.mark.parametrize("value", [10**400, {"x": 1}, "0.18350341907227397", True, None])
     def test_delta_star_that_is_no_float_is_a_value_error(self, value):
         obj = ensemble_to_json(theorem1_ensemble(3))
         obj["delta_star"] = value

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import psigauge.orbit as orbit_module
+from psigauge._geometry import fibonacci_sphere, rodrigues_rotate
 from psigauge.orbit import (
     CoverageTrajectory,
     OrbitCloud,
@@ -76,6 +79,30 @@ class TestOrbitStep:
         assert capped.size == 40
 
 
+def _rotated_by(points, angle, rng):
+    """Each point turned by ``angle`` about its own random perpendicular axis,
+    so it lands at the chord of ``angle`` from where it was."""
+    axes = np.cross(points, rng.standard_normal(points.shape))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    moved = rodrigues_rotate(points, axes, np.full(points.shape[0], angle))
+    return moved / np.linalg.norm(moved, axis=1, keepdims=True)
+
+
+@st.composite
+def _coverage_cases(draw):
+    """(cloud points, grid size, angular tolerance): random unit vectors, or
+    reference-grid points rotated by exactly the tolerance."""
+    grid_size = draw(st.integers(100, 600))
+    tol = np.pi if draw(st.integers(0, 4)) == 0 else 10.0 ** draw(st.floats(-3.0, 0.4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        points = rng.standard_normal((draw(st.integers(1, 300)), 3))
+        return points / np.linalg.norm(points, axis=1, keepdims=True), grid_size, tol
+    grid = fibonacci_sphere(grid_size)
+    pick = rng.choice(grid_size, size=draw(st.integers(1, grid_size)), replace=False)
+    return _rotated_by(grid[pick], tol, rng), grid_size, tol
+
+
 class TestCoverage:
     def test_empty_cloud_covers_nothing(self):
         empty = OrbitCloud(np.zeros((0, 3)), 0, 0.02)
@@ -93,6 +120,15 @@ class TestCoverage:
 
         dense = OrbitCloud(fibonacci_sphere(3000), 0, 0.02)
         assert coverage(dense, 1000, 0.1) == 1.0
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(_coverage_cases())
+    def test_equals_brute_force_nearest_distance(self, case):
+        points, grid_size, tol = case
+        grid = fibonacci_sphere(grid_size)
+        nearest = np.sqrt(((grid[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1)).min(axis=1)
+        cloud = OrbitCloud(points, 0, 0.02)
+        assert coverage(cloud, grid_size, tol) == np.mean(nearest <= _chord(tol))
 
 
 class TestStepsToCover:
@@ -176,6 +212,57 @@ class TestDedupMatchesGreedy:
         chord = _chord(grown.dedup_tolerance)
         assert len(cKDTree(grown.points).query_pairs(chord)) == 0
 
+    @pytest.mark.parametrize("tol", [0.02, 0.3])
+    @pytest.mark.parametrize("layout", ["repeated", "octants", "cell-edges"])
+    def test_equals_reference_on_constructed_clouds(self, layout, tol):
+        rng = np.random.default_rng(11)
+        if layout == "repeated":
+            # each point three times, in shuffled order
+            points = np.repeat(fibonacci_sphere(400), 3, axis=0)[rng.permutation(1200)]
+        elif layout == "octants":
+            # one patch reflected into all eight octants, axis-plane points included
+            patch = np.abs(rng.standard_normal((150, 3)))
+            patch[:10, 0] = 0.0
+            signs = np.array(np.meshgrid([1, -1], [1, -1], [1, -1])).reshape(3, -1).T
+            points = (patch[None, :, :] * signs[:, None, :]).reshape(-1, 3)
+            points /= np.linalg.norm(points, axis=1, keepdims=True)
+        else:
+            # x and y exact multiples of the cell side chord/sqrt(3), where
+            # grid cells meet, and z completing a unit vector
+            cell = _chord(tol) / np.sqrt(3.0)
+            steps = np.arange(-int(1 / cell), int(1 / cell) + 1)
+            xy = np.stack(np.meshgrid(steps, steps), axis=-1).reshape(-1, 2) * cell
+            xy = xy[(xy**2).sum(axis=1) <= 1.0][:3000]
+            z = np.sqrt(1.0 - (xy**2).sum(axis=1))
+            points = np.concatenate([np.c_[xy, z], np.c_[xy, -z]])
+        assert np.array_equal(_dedup(points, tol), _greedy_reference(points, tol))
+
+    def test_holds_no_more_memory_than_before(self):
+        """The 209,135 points of the third step from theta 0.5. Under
+        tracemalloc a grid pass through np.unique peaks at 12.8 MiB here,
+        the sorted pass at 9.6 MiB."""
+        import tracemalloc
+
+        inputs = []
+
+        def record(points, tol):
+            inputs.append((points.copy(), tol))
+            return _dedup(points, tol)
+
+        cloud = orbit_step(orbit_step(initial_cloud(0.5), seed=1), seed=2)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(orbit_module, "_dedup", record)
+            orbit_step(cloud, seed=3)
+        points, tol = inputs[0]
+        assert points.shape[0] > 200_000
+        tracemalloc.start()
+        try:
+            _dedup(points, tol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 13 * 2**20
+
     def test_key_space_beyond_int64_raises(self):
         from psigauge._geometry import fibonacci_sphere
 
@@ -211,6 +298,28 @@ class TestTrajectory:
             for theta in (np.pi / 2, np.pi / 4, np.pi / 8, np.pi / 16)
         ]
         assert steps == [2, 2, 3, 4]
+
+    @pytest.mark.parametrize(
+        "theta, grid_size, rows",
+        [
+            (np.pi / 2, 4000, ((0, 2, 0.00125), (1, 50, 0.0305), (2, 9647, 0.9995))),
+            (
+                np.pi / 8,
+                4000,
+                ((0, 2, 0.00125), (1, 50, 0.02875), (2, 7220, 0.55275), (3, 16861, 1.0)),
+            ),
+            (
+                0.5,
+                100_000,
+                ((0, 2, 0.00123), (1, 50, 0.02982), (2, 9143, 0.76516), (3, 16986, 1.0)),
+            ),
+        ],
+        ids=["pi/2", "pi/8", "0.5-grid-100k"],
+    )
+    def test_pinned_rows_at_seed_zero(self, theta, grid_size, rows):
+        # every (generation, cloud size, coverage) row, exactly as first recorded
+        trajectory = coverage_trajectory(initial_cloud(theta), grid_size, 0.05, seed=0)
+        assert tuple(next(trajectory) for _ in rows) == rows
 
     def test_rows_match_steps_to_cover(self):
         traj = steps_to_cover(np.pi / 8, 0.99, 0.05, seed=5)

@@ -325,6 +325,37 @@ class TestFactoredPovm:
         assert fast.min_eigenvalue < -OP_TOL and dense.min_eigenvalue < -OP_TOL
         assert not fast.passed
 
+    @pytest.mark.parametrize("block", [1, 20, qcore.EFFECT_BLOCK])
+    @pytest.mark.parametrize("longer", [None, 0, 2])
+    def test_blocks_of_effects_agree_with_the_dense_effects(self, monkeypatch, block, longer):
+        # 3 effects of 3 x 3 in blocks of one, of two and a short last one,
+        # or all in one; a lengthened column makes its effect fail positivity
+        monkeypatch.setattr(qcore, "EFFECT_BLOCK", block)
+        rng = np.random.default_rng(1)
+        frame, _ = np.linalg.qr(rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)))
+        if longer is not None:
+            frame[:, longer] *= 1.1
+        fast, _ = _assert_reports_agree(Povm.completion(frame))
+        assert fast.passed == (longer is None)
+
+    def test_many_states_in_one_more_dimension_hold_no_cubic_stack(self):
+        """150 orthonormal columns in C^151, as an exclusion search lifts 150
+        states spanning C^151. One complex 150 x 150 x 150 stack is 51.5 MiB;
+        checking it as a stack peaked at 206 MiB under tracemalloc."""
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        z = rng.standard_normal((151, 150)) + 1j * rng.standard_normal((151, 150))
+        povm = Povm.completion(np.linalg.qr(z)[0])
+        tracemalloc.start()
+        try:
+            report = validate_povm(povm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 16 * 2**20
+
     def test_square_non_unitary_fails_on_completeness(self):
         # the complement of a square U is dropped, so 0.9 I leaves 0.19 missing
         fast, _ = _assert_reports_agree(Povm.completion(0.9 * np.eye(3)))
