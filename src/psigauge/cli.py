@@ -397,7 +397,7 @@ FLAG_RULES = (
     (("model",), "--delta", dict(type=float, default=0.25, help="ball radius for continuity"),
      lambda a: 0.0 < a.delta <= 1.0, "must lie in (0, 1]"),
     (("model",), "--center", dict(choices=sorted(_CENTERS), default="plus"), None, None),
-    # the continuity probe spawns one seed sequence per sample up front
+    # samples only drive the probe loop, which draws each seed sequence when it evaluates it
     (("model",), "--samples", dict(type=int, default=200, help="ball samples for continuity"),
      lambda a: 1 <= a.samples <= TENSOR_CAP, f"must lie in [1, {TENSOR_CAP}]"),
     (("orbit",), "--theta", dict(type=float, required=True),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -82,7 +83,8 @@ class ParametricModel:
     """Model defined by rules instead of tables: maps any pure state to a
     preparation distribution over a fixed ontic space, and any measurement
     description to a response table. Needed wherever a whole ball of states
-    must be evaluated."""
+    must be evaluated. ``preparation_rule`` must return a distribution: the
+    continuity probe stops once its running minimum is zero everywhere."""
 
     dim: int
     lambda_count: int
@@ -122,7 +124,9 @@ class Classification:
 class ContinuityReport:
     """Result of probing one fidelity ball. A nonempty common support is a
     witness of continuity at this radius; an empty one is evidence against
-    it (the ball was only sampled), never proof."""
+    it (the ball was only sampled), never proof. So the support and
+    empirical_epsilon are upper bounds on the ball's exact ones. n_samples is
+    the requested count; the probe may stop before drawing them all."""
 
     delta: float
     n_samples: int
@@ -163,7 +167,7 @@ def epsilon_overlap(model: DiscreteOnticModel, qs: Sequence[str]) -> OverlapRepo
         raise ValueError("overlap needs at least two preparations")
     stacked = np.array([_prep(model, q) for q in qs])
     per_min = np.min(stacked, axis=0)
-    witnesses = tuple(int(i) for i in np.nonzero(per_min > 0.0)[0])
+    witnesses = tuple(np.flatnonzero(per_min > 0.0).tolist())
     return OverlapReport(_overlap_sum(per_min), witnesses)
 
 
@@ -338,22 +342,25 @@ def delta_continuity_probe(
 
     Evaluates P(lambda|phi) for n_samples seeded ball states plus the
     deterministic extremal family (see :func:`_extremal_probe_states`) and
-    intersects the supports at SUPPORT_THRESHOLD. Per-sample seeds derive
-    from the master seed, so results are independent of evaluation order.
+    intersects the supports at SUPPORT_THRESHOLD, stopping once the running
+    minimum is zero everywhere. Per-sample seeds derive from the master
+    seed, so results are independent of evaluation order.
     """
     if n_samples < 1:
         raise ValueError("sample count must be >= 1")
     if family.dim != center.dim:
         raise ValueError(f"model dimension {family.dim} != center dimension {center.dim}")
     ball = Ball(center, delta)
-    probes = []
-    for child in np.random.SeedSequence(seed).spawn(n_samples):
-        probes.append(sample_state_in_ball(ball, np.random.default_rng(child)))
-    probes.extend(_extremal_probe_states(center, delta))
+    seeds = np.random.SeedSequence(seed)  # spawn(1) per draw yields the children of spawn(n)
+    draws = (np.random.default_rng(seeds.spawn(1)[0]) for _ in range(n_samples))
+    samples = (sample_state_in_ball(ball, rng) for rng in draws)
     running_min = np.full(family.lambda_count, np.inf)
-    for phi in probes:  # np.minimum keeps a NaN weight, which then fails the threshold
-        running_min = np.minimum(running_min, family.preparation_rule(phi))
-    support = tuple(int(i) for i in np.flatnonzero(running_min > SUPPORT_THRESHOLD))
+    for phi in chain(samples, _extremal_probe_states(center, delta)):
+        # np.minimum keeps a NaN weight, which then fails the threshold
+        np.minimum(running_min, family.preparation_rule(phi), out=running_min)
+        if not running_min.any():  # no distribution lifts a zero, so no later probe counts
+            break
+    support = tuple(np.flatnonzero(running_min > SUPPORT_THRESHOLD).tolist())
     verdict = "continuous-at-delta" if support else "no-witness-found"
     return ContinuityReport(delta, n_samples, support, float(running_min.sum()), verdict)
 

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -229,6 +230,22 @@ class TestModelChecks:
         assert near["results"]["checks"][0]["verdict"] == "continuous-at-delta"
         assert near["results"]["checks"][0]["common_support_size"] > 0
         assert far["results"]["checks"][0]["verdict"] == "no-witness-found"
+
+    @pytest.mark.parametrize("delta, row, digest", [
+        ("0.25", dict(common_support_size=538, empirical_epsilon=0.0009830232065341964,
+                      verdict="continuous-at-delta"),
+         "d082e308cf8a8a91fb7ebb3885af99c9748d06383802e2614ea36948d52ad4e8"),
+        ("0.35", dict(common_support_size=0, empirical_epsilon=0.0, verdict="no-witness-found"),
+         "3d1318edcc57420781f37107d07eada9a3438118108dcfbb6fce24ae4a805ccd"),
+    ])
+    def test_continuity_stdout_pinned_at_seed_zero(self, capsys, delta, row, digest):
+        # the probe's output, exactly as first recorded: a speed-up must keep every byte
+        rc, out, err = run(capsys, ["model", "--builtin", "ks", "--grid", "100000", "--check",
+                                    "continuity", "--delta", delta, "--seed", "0"])
+        assert rc == 0, err
+        check = dict(check="continuity", delta=float(delta), n_samples=200, **row)
+        assert json.loads(out)["results"]["checks"] == [check]
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_classify_close_pair_as_epistemic(self, capsys):
         obj = run_json(

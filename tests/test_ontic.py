@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psigauge._geometry import fibonacci_sphere
+from psigauge._geometry import bloch_from_state, fibonacci_sphere
 from psigauge.ensembles import theorem1_ensemble
 from psigauge.ontic import (
+    ContinuityReport,
     DiscreteOnticModel,
+    ParametricModel,
     classify,
     delta_continuity_probe,
     epsilon_overlap,
@@ -24,7 +26,8 @@ from psigauge.ontic import (
     total_variation,
 )
 from psigauge.ontic import SUPPORT_THRESHOLD, _extremal_probe_states
-from psigauge.qcore import StateVector, born_prob, gram, inner, normalized
+from psigauge.qcore import Ball, StateVector, born_prob, gram, inner, normalized
+from psigauge.qcore import sample_state_in_ball
 
 from conftest import haar_state, random_discrete_model
 
@@ -445,6 +448,106 @@ class TestContinuitySupport:
         assert report.common_support and dropped not in report.common_support
         clean = delta_continuity_probe(ks10k, plus, 0.1, 20, seed=3)
         assert dropped in clean.common_support
+
+
+def probe_every_state(family, center, delta, n_samples, seed=0) -> ContinuityReport:
+    """The probe without its early stop: draw every sample from the seeds of
+    one spawn(n_samples), append the extremal family, then take the running
+    minimum over all of them."""
+    ball = Ball(center, delta)
+    children = np.random.SeedSequence(seed).spawn(n_samples)
+    probes = [sample_state_in_ball(ball, np.random.default_rng(c)) for c in children]
+    probes.extend(_extremal_probe_states(center, delta))
+    running_min = np.full(family.lambda_count, np.inf)
+    for phi in probes:
+        running_min = np.minimum(running_min, family.preparation_rule(phi))
+    support = tuple(int(i) for i in np.flatnonzero(running_min > SUPPORT_THRESHOLD))
+    verdict = "continuous-at-delta" if support else "no-witness-found"
+    return ContinuityReport(delta, n_samples, support, float(running_min.sum()), verdict)
+
+
+def sharpened_hemisphere(grid_size: int, power: int) -> ParametricModel:
+    """Hemisphere model with weights max(0, b_psi . b_lambda)**power: the
+    same exact supports as the KS model, but lattice points near a
+    hemisphere's rim keep positive weights below SUPPORT_THRESHOLD."""
+    points = fibonacci_sphere(grid_size)
+
+    def rule(state):
+        weights = np.maximum(0.0, points @ bloch_from_state(state)) ** power
+        return weights / weights.sum()
+
+    return dataclasses.replace(ks_qubit_model(grid_size), preparation_rule=rule)
+
+
+DELTA_STAR_2 = 1.0 - 1.0 / np.sqrt(2.0)
+PROBE_CENTERS = {
+    "plus": lambda: normalized(np.array([1.0, 1.0])),
+    "basis0": lambda: StateVector.basis(2, 0),
+    "haar": lambda: haar_state(np.random.default_rng(2024), 2),
+}
+
+
+class TestEarlyStop:
+    @pytest.mark.parametrize("center", sorted(PROBE_CENTERS))
+    @pytest.mark.parametrize("delta", [0.25, 0.28, DELTA_STAR_2 + 0.001, 0.35, 0.5, 1.0])
+    def test_report_equals_the_probe_that_evaluates_every_state(self, ks10k, center, delta):
+        for seed in (0, 1, 13644731):
+            args = (PROBE_CENTERS[center](), delta, 60, seed)
+            assert delta_continuity_probe(ks10k, *args) == probe_every_state(ks10k, *args)
+
+    @pytest.mark.parametrize("delta", [0.26, 0.28, DELTA_STAR_2 + 0.001, 0.35])
+    def test_sub_threshold_weights_do_not_stop_the_probe(self, delta):
+        # an empty thresholded support is not yet a zero running minimum:
+        # later probes still lower empirical_epsilon
+        family = sharpened_hemisphere(10_000, 8)
+        plus = PROBE_CENTERS["plus"]()
+        for seed in (0, 1, 2):
+            want = probe_every_state(family, plus, delta, 60, seed)
+            assert delta_continuity_probe(family, plus, delta, 60, seed) == want
+
+    @pytest.mark.parametrize("delta, stops", [(0.25, False), (0.35, True)])
+    def test_rule_calls_stop_at_a_zero_running_minimum(self, ks100k, delta, stops):
+        family, seen = recording(ks100k)
+        plus = PROBE_CENTERS["plus"]()
+        report = delta_continuity_probe(family, plus, delta, 200, seed=0)
+        assert report.n_samples == 200
+        if stops:
+            assert len(seen) < 200 + 2
+            assert not np.minimum.reduce(seen).any() and np.minimum.reduce(seen[:-1]).any()
+        else:
+            assert len(seen) == 200 + 2
+
+    def test_samples_are_drawn_only_until_the_stop(self, monkeypatch, ks100k):
+        import psigauge.ontic
+
+        draws = []
+
+        def counted(ball, rng):
+            draws.append(rng)
+            return sample_state_in_ball(ball, rng)
+
+        monkeypatch.setattr(psigauge.ontic, "sample_state_in_ball", counted)
+        family, seen = recording(ks100k)
+        delta_continuity_probe(family, PROBE_CENTERS["plus"](), 0.35, 200, seed=0)
+        assert len(draws) == len(seen) < 200
+
+    def test_seeds_are_not_spawned_up_front(self):
+        """spawn(n) up front held one SeedSequence and one state per sample:
+        5,000 samples peaked at 3.5 MiB under tracemalloc; drawn one at a
+        time they peak near 12 KiB."""
+        import tracemalloc
+
+        family = ks_qubit_model(100)
+        plus = PROBE_CENTERS["plus"]()
+        delta_continuity_probe(family, plus, 0.01, 10)  # warm every import and cache
+        tracemalloc.start()
+        try:
+            report = delta_continuity_probe(family, plus, 0.01, 5000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.verdict == "continuous-at-delta"
+        assert peak < 512 * 1024
 
 
 class TestExtremalProbeStates:
