@@ -131,34 +131,24 @@ def _render_csv(args, csv_text: str) -> str:
     return f"# psigauge {__version__} {args.command} {header}\n{csv_text}"
 
 
-def cmd_thm1(args) -> str:
+def _protocol_report(args, ensemble, **fields) -> str:
+    """The finite-shot exclusion run of thm1 and thm2, reported with dim, delta_star and fields."""
     noise = NoiseSpec(args.noise_p, args.noise_q)
-    ensemble = theorem1_ensemble(args.dim)
     report = run_protocol(ensemble, noise, args.shots, args.confidence, args.seed)
-    results = report_to_json(report)
-    results["dim"] = args.dim
-    results["delta_star"] = ensemble.delta_star
-    return _render_json(args, results)
+    fields.update(dim=args.dim, delta_star=ensemble.delta_star)
+    return _render_json(args, {**report_to_json(report), **fields})
+
+
+def cmd_thm1(args) -> str:
+    return _protocol_report(args, theorem1_ensemble(args.dim))
 
 
 def cmd_thm2(args) -> str:
-    noise = NoiseSpec(args.noise_p, args.noise_q)
     ensemble = theorem2_ensemble(args.dim, args.copies)
-    report = run_protocol(ensemble, noise, args.shots, args.confidence, args.seed)
-    results = report_to_json(report)
     delta_nd = ensemble.params["delta_nd"]
     gamma = gamma_coefficient(args.dim)
-    results.update(
-        {
-            "dim": args.dim,
-            "copies": args.copies,
-            "delta_nd": delta_nd,
-            "delta_star": ensemble.delta_star,
-            "gamma_d": gamma,
-            "n_delta_over_gamma": args.copies * delta_nd / gamma,
-        }
-    )
-    return _render_json(args, results)
+    return _protocol_report(args, ensemble, copies=args.copies, delta_nd=delta_nd, gamma_d=gamma,
+                            n_delta_over_gamma=args.copies * delta_nd / gamma)
 
 
 def cmd_thm4(args) -> str:

@@ -169,14 +169,8 @@ def theorem2_ensemble(d: int, n: int) -> NoGoEnsemble:
     family = theorem2_states(d, n)
     powers = [tensor_power(s, n) for s in family.states]
     delta_star = 1.0 - (1.0 - family.delta_nd) ** n
-    params = {
-        "d": d,
-        "n": n,
-        "c": family.c,
-        "alpha": family.alpha,
-        "beta": family.beta,
-        "delta_nd": family.delta_nd,
-    }
+    params = {"d": d, "n": n, **family._asdict()}
+    del params["states"]  # the ensemble holds their tensor powers
     return _assemble(
         KIND_THEOREM2,
         params,

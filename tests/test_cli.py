@@ -213,6 +213,18 @@ class TestFamilies:
         obj = run_json(capsys, ["scaling", "--delta", "0.5"])
         assert obj["results"]["thm1_dim"] == 2
 
+    @pytest.mark.parametrize("argv, digest", [
+        (["thm1", "--dim", "8", "--seed", "0"],
+         "73d985a1259c8b0a8846c4f5ab66a22baaf39932925fba9596bff3a7e79fb5af"),
+        (["thm2", "--dim", "3", "--copies", "2", "--noise-p", "0.01", "--seed", "0"],
+         "de0115941e7a2f72835c2a63c2bb57221393a9a9f6a1eb518c23463322524683"),
+    ])
+    def test_protocol_stdout_pinned_at_seed_zero(self, capsys, argv, digest):
+        # the protocol's output, exactly as first recorded: a refactor must keep every byte
+        rc, out, err = run(capsys, argv)
+        assert rc == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestModelChecks:
     def test_ks_reproduces_born_statistics(self, capsys):
@@ -324,6 +336,18 @@ class TestExclusionCommand:
         rc, out, err = run_process(["exclusion", "--states", str(path)])
         assert rc == 2
         assert "2 outcomes for 3 states" in err
+        assert "Traceback" not in err
+        assert out == ""
+
+    def test_rolled_measurement_in_ensemble_file_exits_two(self, tmp_path):
+        # still a POVM, but outcome k now fires on state k half the time
+        obj = ensemble_to_json(theorem1_ensemble(3))
+        obj["measurement"] = obj["measurement"][-1:] + obj["measurement"][:-1]
+        path = tmp_path / "rolled.json"
+        path.write_text(json.dumps(obj))
+        rc, out, err = run_process(["exclusion", "--states", str(path)])
+        assert rc == 2
+        assert "exclusion sum 1.500e+00 exceeds 1e-9" in err
         assert "Traceback" not in err
         assert out == ""
 

@@ -345,6 +345,14 @@ class TestTamperResistance:
         with pytest.raises(ContractViolation):
             ensemble_from_json(obj)
 
+    def test_assembly_check_rejects_a_measurement_that_fires_on_its_state(self):
+        # rolling the basis by one outcome keeps a valid POVM, but outcome k
+        # then fires on state k with probability 1/2
+        obj = ensemble_to_json(theorem1_ensemble(3))
+        obj["measurement"] = obj["measurement"][-1:] + obj["measurement"][:-1]
+        with pytest.raises(ContractViolation, match="exclusion sum 1.500e[+]00 exceeds 1e-9"):
+            ensemble_from_json(obj)
+
 
 class TestStatesFromJson:
     def test_three_shapes_give_equal_states(self):

@@ -13,7 +13,7 @@ from psigauge.exclusion import (
     result_to_json,
     result_to_povm,
 )
-from psigauge.qcore import ContractViolation, Operator, Povm, StateVector
+from psigauge.qcore import ContractViolation, Operator, Povm, StateVector, tensor_power
 
 from conftest import haar_state
 
@@ -349,3 +349,63 @@ def test_search_over_many_qubit_states_holds_no_cubic_buffer():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def moved_family(d: int, n: int, f: float) -> tuple:
+    """n-fold tensor powers of theorem1's family moved to fidelity f from the
+    uniform centre u: psi_k = f u + sqrt(1 - f^2) w_k, with the unit
+    directions w_k = (u/sqrt(d) - e_k)/sqrt((d-1)/d) orthogonal to u."""
+    u = np.full(d, 1.0 / np.sqrt(d))
+    w = (u / np.sqrt(d) - np.eye(d)) / np.sqrt((d - 1) / d)
+    return tuple(tensor_power(qcore.normalized(f * u + np.sqrt(1 - f * f) * wk), n) for wk in w)
+
+
+def gram_level_and_floor(d: int, n: int, f: float) -> tuple:
+    """The family's pairwise overlap c and the least exclusion value E over
+    all measurements: its Gram matrix (1 - c)I + cJ has eigenvalues 1 - c,
+    (d - 1) times, and 1 + (d - 1)c."""
+    c = (f * f - (1 - f * f) / (d - 1)) ** n
+    return c, max(0.0, np.sqrt(1 + (d - 1) * c) - (d - 1) * np.sqrt(1 - c)) ** 2 / d
+
+
+def _f_star(d: int) -> float:
+    return float(np.sqrt((d - 1) / d))
+
+
+class TestClosedFormFloor:
+    """Below Theorem 1's threshold f* = sqrt((d-1)/d) the moved family has a
+    positive exclusion floor E in closed form. f* + 1e-3 is left out: there
+    the default search still stops on its iteration budget."""
+
+    CASES = [
+        (3, 1, _f_star(3) + 0.02),
+        (4, 1, _f_star(4) + 0.1),
+        (8, 1, 0.999),
+        (3, 2, _f_star(3) + 0.1),
+        (4, 2, 0.999),
+        (3, 3, _f_star(3) + 0.02),
+    ]
+
+    @pytest.mark.parametrize("d, n, f", CASES)
+    def test_search_brackets_the_floor(self, d, n, f):
+        _, floor = gram_level_and_floor(d, n, f)
+        result = optimize(ExclusionProblem(moved_family(d, n, f)), seed=0)
+        assert result.stop_reason in ("value", "certificate")
+        assert abs(result.best_value - floor) <= 1e-9
+        assert result.dual_bound <= floor + 1e-12
+
+    # below the Gram level (d-2)/(d-1) the floor is 0: m_k misses it there,
+    # and the search reaches it
+    ATTAINED = [
+        (d, n, f) for d, n, f in CASES if gram_level_and_floor(d, n, f)[0] >= (d - 2) / (d - 1)
+    ]
+
+    @pytest.mark.parametrize("d, n, f", ATTAINED)
+    def test_closed_form_measurement_attains_the_floor(self, d, n, f):
+        c, floor = gram_level_and_floor(d, n, f)
+        psi = np.array([s.amplitudes for s in moved_family(d, n, f)])
+        mean = psi.mean(axis=0)
+        m = (psi - mean) / np.sqrt(1 - c) - mean / np.sqrt(1 + (d - 1) * c)
+        assert np.abs(m.conj() @ m.T - np.eye(d)).max() <= 1e-12
+        value = float(np.sum(np.abs(np.einsum("kd,kd->k", m.conj(), psi)) ** 2))
+        assert abs(value - floor) <= 1e-12

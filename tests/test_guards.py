@@ -1,0 +1,77 @@
+"""The argument guards of the library, one row each: every call raises the
+listed exception with a message that names what was wrong."""
+
+import numpy as np
+import pytest
+
+from psigauge._geometry import bloch_from_state, fibonacci_sphere
+from psigauge.ensembles import theorem4_states
+from psigauge.ontic import DiscreteOnticModel, classify, product_model, total_variation
+from psigauge.orbit import OrbitCloud, orbit_step, steps_to_cover
+from psigauge.qcore import (
+    ContractViolation,
+    Operator,
+    Povm,
+    StateVector,
+    born_prob,
+    inner,
+    pair_at_fidelity,
+    tensor_power,
+    unitary_from_correspondence,
+)
+
+QUBIT, QUTRIT = StateVector.basis(2, 0), StateVector.basis(3, 0)
+POINT_MODEL = DiscreteOnticModel(1, {"a": [1.0]}, {})
+
+GUARDS = {
+    "basis index": (lambda: StateVector.basis(2, 2), ValueError, "basis index 2 out of range"),
+    "operator dim": (lambda: Operator(0, np.zeros((0, 0))), ValueError, "must be >= 1, got 0"),
+    "operator shape": (lambda: Operator(2, np.eye(3)), ValueError, "expected a 2x2 matrix"),
+    "empty povm": (lambda: Povm(2, ()), ValueError, "at least one effect"),
+    "povm effect dim": (
+        lambda: Povm(2, (Operator.identity(3),)), ValueError, "of the POVM dimension"),
+    "inner dims": (lambda: inner(QUBIT, QUTRIT), ValueError, "dimension mismatch: 2 vs 3"),
+    "born dims": (
+        lambda: born_prob(QUBIT, Operator.identity(3)), ValueError, "state 2 vs effect 3"),
+    "born range": (
+        lambda: born_prob(QUBIT, Operator(2, -np.eye(2))), ContractViolation, "outside [0, 1]"),
+    "tensor power": (lambda: tensor_power(QUBIT, 0), ValueError, "needs n >= 1, got 0"),
+    "correspondence dims": (
+        lambda: unitary_from_correspondence([QUBIT], [QUTRIT]), ValueError,
+        "ambient dimensions differ"),
+    "correspondence lengths": (
+        lambda: unitary_from_correspondence([QUBIT], [QUBIT, QUBIT]), ValueError,
+        "families of equal length"),
+    "correspondence rank": (
+        lambda: unitary_from_correspondence([QUBIT, QUBIT], [QUBIT, QUBIT]), ValueError,
+        "rank-deficient"),
+    "pair dim": (lambda: pair_at_fidelity(1, 0.5, 0), ValueError, "needs dimension >= 2"),
+    "sphere size": (lambda: fibonacci_sphere(0), ValueError, "at least one point, got 0"),
+    "bloch qubit": (lambda: bloch_from_state(QUTRIT), ValueError, "needs a qubit, got dim 3"),
+    "cloud shape": (
+        lambda: OrbitCloud(np.zeros((2, 2)), 0, 0.02), ValueError, "expected an (n, 3) array"),
+    "coverage target": (
+        lambda: steps_to_cover(1.0, 0.0, 0.05), ValueError, "target coverage must lie in (0, 1]"),
+    "ontic space": (
+        lambda: DiscreteOnticModel(0, {}, {}), ValueError, "at least one state"),
+    "classify labels": (
+        lambda: classify(POINT_MODEL, ["a"]), ValueError, "at least two preparations"),
+    "variation lengths": (
+        lambda: total_variation([0.5, 0.5], [1.0]), ValueError, "length mismatch"),
+    "product copies": (
+        lambda: product_model(POINT_MODEL, 0), ValueError, "copy count must be >= 1, got 0"),
+    "theorem4 dim": (lambda: theorem4_states(1, 0.0), ValueError, "need dimension >= 2, got 1"),
+}
+
+
+@pytest.mark.parametrize("call, error, fragment", GUARDS.values(), ids=GUARDS.keys())
+def test_guard_raises(call, error, fragment):
+    with pytest.raises(error) as info:
+        call()
+    assert fragment in str(info.value)
+
+
+def test_orbit_step_on_an_empty_cloud_only_advances_the_generation():
+    grown = orbit_step(OrbitCloud(np.zeros((0, 3)), 4, 0.02))
+    assert grown.size == 0
+    assert grown.generation == 5
