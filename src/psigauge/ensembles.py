@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import exclusion
 from .qcore import (
     ContractViolation,
     Povm,
@@ -24,7 +25,6 @@ from .qcore import (
     _float,
     _require,
     normalized,
-    outcome_table,
     povm_from_json,
     povm_to_json,
     state_from_json,
@@ -77,16 +77,12 @@ def _assemble(kind, params, states, measurement, center, delta_star) -> NoGoEnse
         raise ValueError(f"dimension mismatch: {amps.shape[1]} vs {center.dim}")
     target = 1.0 - delta_star
     fid = np.abs(amps @ center.amplitudes.conj())
-    del amps  # outcome_table stacks its own copy; do not hold two at once
+    del amps  # exclusion_value stacks its own copy; do not hold two at once
     for k in np.flatnonzero(~(np.abs(fid - target) <= 1e-10)):  # NaN delta_star fails too
         raise ContractViolation(
             f"state {k} sits at fidelity {float(fid[k])!r}, expected {target!r}"
         )
-    if measurement.outcome_count < len(states):
-        raise ValueError(
-            f"measurement has {measurement.outcome_count} outcomes for {len(states)} states"
-        )
-    excl = sum(outcome_table(states, measurement).diagonal())
+    excl = exclusion.exclusion_value(states, measurement)
     if excl > 1e-9:
         raise ContractViolation(f"exclusion sum {excl:.3e} exceeds 1e-9")
     return NoGoEnsemble(kind, dict(params), tuple(states), measurement, center, delta_star)
@@ -293,6 +289,8 @@ def ensemble_to_json(e: NoGoEnsemble) -> dict:
 
 def ensemble_from_json(obj: dict) -> NoGoEnsemble:
     _require(obj, ("kind", "params", "states", "measurement", "center", "delta_star"), "ensemble")
+    if not isinstance(obj["kind"], str):
+        raise ValueError("ensemble JSON: kind must be a string")
     if not isinstance(obj["params"], dict):
         raise ValueError("ensemble JSON: params must be an object")
     if not isinstance(obj["states"], list) or not obj["states"]:
@@ -303,7 +301,7 @@ def ensemble_from_json(obj: dict) -> NoGoEnsemble:
     # re-verify the boundary-fidelity and exclusion invariants: serialized
     # payloads come from outside and must not bypass construction checks
     return _assemble(
-        kind=str(obj["kind"]),
+        kind=obj["kind"],
         params=dict(obj["params"]),
         states=states,
         measurement=povm,

@@ -17,8 +17,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from ._geometry import bloch_from_state, fibonacci_sphere
-from .qcore import Ball, Povm, StateVector, gram, outcome_table, sample_state_in_ball
-from .qcore import _at_fidelity, _field, _floats, _frozen, _require
+from .qcore import TENSOR_CAP, Ball, Povm, StateVector, gram, outcome_table, sample_state_in_ball
+from .qcore import _at_fidelity, _field, _floats, _frozen, _power_at_most, _require
 
 SUM_TOL = 1e-10
 #: below this, a preparation weight counts as "not in the support"
@@ -174,15 +174,14 @@ def epsilon_overlap(model: DiscreteOnticModel, qs: Sequence[str]) -> OverlapRepo
 def nogo_check(model: DiscreteOnticModel, qs: Sequence[str], m: str) -> NoGoCheck:
     """Compare the exclusion sum sum_k P(k|M,Q_k) against the overlap epsilon.
 
-    The lower bound lhs >= epsilon is guaranteed when the measurement's
-    outcome count equals the number of preparations (the response rows then
-    spend all their mass on the summed outcomes).
+    The measurement must have exactly one outcome per preparation: only then
+    do the response rows spend all their mass on the summed outcomes, so that
+    lhs >= epsilon is a theorem. ValueError for any other outcome count.
     """
     rows = _resp(model, m)
-    if rows.shape[1] < len(qs):
+    if rows.shape[1] != len(qs):
         raise ValueError(
-            f"measurement {m!r} has {rows.shape[1]} outcomes,"
-            f" fewer than the {len(qs)} preparations"
+            f"measurement {m!r} has {rows.shape[1]} outcomes for {len(qs)} preparations"
         )
     lhs = float(sum(predict(model, q, m)[k] for k, q in enumerate(qs)))
     eps = epsilon_overlap(model, qs).epsilon
@@ -227,9 +226,9 @@ def product_model(model: DiscreteOnticModel, n: int) -> DiscreteOnticModel:
         raise ValueError(f"copy count must be >= 1, got {n}")
     if n == 1:
         return model
-    if model.lambda_count**n > 10**6:
+    if not _power_at_most(model.lambda_count, n, TENSOR_CAP):
         raise ValueError(
-            f"product ontic space {model.lambda_count}**{n} exceeds the cap of {10**6}"
+            f"product ontic space {model.lambda_count}**{n} exceeds the cap of {TENSOR_CAP}"
         )
     preps = {label: reduce(np.kron, [vec] * n) for label, vec in model.preparations.items()}
     resps = {label: reduce(np.kron, [mat] * n) for label, mat in model.responses.items()}

@@ -337,6 +337,11 @@ def effect_traces(povm: Povm) -> np.ndarray:
     return traces
 
 
+def _power_at_most(base: int, n: int, cap: int) -> bool:
+    """base**n <= cap, without computing base**n once n >= cap.bit_length() rules it out."""
+    return base <= 1 or (n < cap.bit_length() and base**n <= cap)
+
+
 def tensor_power(state: StateVector, n: int) -> StateVector:
     """``n``-fold Kronecker power of a state.
 
@@ -345,7 +350,7 @@ def tensor_power(state: StateVector, n: int) -> StateVector:
     """
     if n < 1:
         raise ValueError(f"tensor power needs n >= 1, got {n}")
-    if state.dim**n > TENSOR_CAP:
+    if not _power_at_most(state.dim, n, TENSOR_CAP):
         raise ValueError(
             f"tensor power dimension {state.dim}**{n} exceeds the cap of {TENSOR_CAP} amplitudes"
         )
@@ -470,16 +475,12 @@ def sample_state_in_ball(ball: Ball, seed) -> StateVector:
 
     ``seed`` may be an int or a numpy Generator.
     """
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     center = ball.center.amplitudes
     if ball.center.dim == 1:
         return StateVector(1, center.copy())
     direction = _orthogonal_direction(rng, center)
     return _at_fidelity(center, direction, float(rng.uniform(1.0 - ball.radius, 1.0)))
-
-
-def _rng(seed) -> np.random.Generator:
-    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
 def _orthogonal_direction(rng: np.random.Generator, unit: np.ndarray) -> np.ndarray:
@@ -498,7 +499,7 @@ def haar_state(dim: int, seed) -> StateVector:
     """Haar-random pure state: a complex Gaussian vector (real parts drawn
     first, then imaginary parts), normalized. ``seed`` may be an int or a
     numpy Generator."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     return normalized(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
 
 
@@ -510,7 +511,7 @@ def pair_at_fidelity(dim: int, fidelity: float, seed) -> tuple:
         raise ValueError(f"a pair at a chosen fidelity needs dimension >= 2, got {dim}")
     if not 0.0 <= fidelity <= 1.0:
         raise ValueError(f"fidelity must lie in [0, 1], got {fidelity}")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     first = haar_state(dim, rng)
     direction = _orthogonal_direction(rng, first.amplitudes)
     return first, _at_fidelity(first.amplitudes, direction, fidelity)

@@ -22,6 +22,22 @@ def dense_measurement(ensemble):
     return dataclasses.replace(ensemble, measurement=Povm(m.dim, m.effects))
 
 
+def four_outcome_measurements() -> dict:
+    """Serialized 4-outcome measurements on the three theorem1_ensemble(3)
+    states, each of which never fires outcome k on state k: the basis
+    measurement with its last effect split in halves, and {0, 0, 0, I},
+    which never looks at the state."""
+    from psigauge.qcore import Operator, Povm, povm_to_json
+
+    *kept, last = Povm.basis(3).effects
+    half = Operator(3, last.entries / 2)
+    zero = Operator(3, np.zeros((3, 3)))
+    return {
+        "split": povm_to_json(Povm(3, (*kept, half, half)))["effects"],
+        "soak-up": povm_to_json(Povm(3, (zero, zero, zero, Operator.identity(3))))["effects"],
+    }
+
+
 def random_discrete_model(seed: int) -> DiscreteOnticModel:
     """Arbitrary model whose measurements all have one outcome per
     preparation (the regime where the exclusion bound is a theorem)."""

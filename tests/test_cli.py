@@ -27,10 +27,10 @@ from psigauge.cli import (
     main,
 )
 from psigauge.ensembles import ensemble_to_json, theorem1_ensemble, theorem2_ensemble
-from psigauge.ontic import ks_qubit_model, model_from_parametric, model_to_json
+from psigauge.ontic import DiscreteOnticModel, ks_qubit_model, model_from_parametric, model_to_json
 from psigauge.qcore import StateVector, state_to_json
 
-from conftest import random_discrete_model
+from conftest import four_outcome_measurements, random_discrete_model
 
 
 def run(capsys, argv):
@@ -279,6 +279,21 @@ class TestModelChecks:
         assert classify_check["overlap"] == 1.0
         assert epsilon_check["epsilon"] == 1.0
 
+    def test_nogo_lists_only_measurements_with_one_outcome_per_preparation(
+        self, capsys, tmp_path
+    ):
+        # both preparations put all weight on one ontic state, so epsilon = 1;
+        # the 3-outcome "wide" measurement sums to 0 over two outcomes
+        model = DiscreteOnticModel(
+            1, {"q0": [1.0], "q1": [1.0]}, {"square": [[0.5, 0.5]], "wide": [[0.0, 0.0, 1.0]]}
+        )
+        path = _write_json(tmp_path / "model.json", model_to_json(model))
+        obj = run_json(capsys, ["model", "--file", path, "--check", "nogo"])
+        (check,) = obj["results"]["checks"]
+        assert check["results"] == [
+            {"measurement": "square", "lhs": 1.0, "epsilon": 1.0, "inequality_holds": True}
+        ]
+
     def test_reproduce_requires_a_rule_based_model(self, capsys, bad_model_file):
         rc, _, err = run(
             capsys, ["model", "--file", bad_model_file, "--check", "reproduce"]
@@ -336,6 +351,18 @@ class TestExclusionCommand:
         rc, out, err = run_process(["exclusion", "--states", str(path)])
         assert rc == 2
         assert "2 outcomes for 3 states" in err
+        assert "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("name", sorted(four_outcome_measurements()))
+    def test_extra_outcome_in_ensemble_file_exits_two(self, tmp_path, name):
+        obj = ensemble_to_json(theorem1_ensemble(3))
+        obj["measurement"] = four_outcome_measurements()[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        rc, out, err = run_process(["exclusion", "--states", str(path)])
+        assert rc == 2
+        assert "4 outcomes for 3 states" in err
         assert "Traceback" not in err
         assert out == ""
 
@@ -501,7 +528,11 @@ class TestOrbitTrajectory:
 class TestMalformedEnsembleFile:
     @pytest.mark.parametrize(
         "field, value, message",
-        [("states", [], "nonempty list"), ("params", 5, "params must be an object")],
+        [
+            ("states", [], "nonempty list"),
+            ("params", 5, "params must be an object"),
+            ("kind", ["x"], "kind must be a string"),
+        ],
     )
     def test_exits_two_without_traceback(self, tmp_path, field, value, message):
         obj = ensemble_to_json(theorem1_ensemble(3))

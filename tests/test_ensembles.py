@@ -38,6 +38,8 @@ from psigauge.qcore import (
     validate_povm,
 )
 
+from conftest import four_outcome_measurements
+
 # delta radius at which the d=2 extremal family sits: 1 - 1/sqrt(2)
 DELTA_STAR_D2 = 0.2928932188134524
 
@@ -351,6 +353,15 @@ class TestTamperResistance:
         obj = ensemble_to_json(theorem1_ensemble(3))
         obj["measurement"] = obj["measurement"][-1:] + obj["measurement"][:-1]
         with pytest.raises(ContractViolation, match="exclusion sum 1.500e[+]00 exceeds 1e-9"):
+            ensemble_from_json(obj)
+
+    @pytest.mark.parametrize("name", sorted(four_outcome_measurements()))
+    def test_assembly_check_rejects_an_extra_outcome(self, name):
+        # the exclusion bound needs one outcome per state, even when no
+        # outcome fires on its own state
+        obj = ensemble_to_json(theorem1_ensemble(3))
+        obj["measurement"] = four_outcome_measurements()[name]
+        with pytest.raises(ValueError, match="4 outcomes for 3 states"):
             ensemble_from_json(obj)
 
 

@@ -1,11 +1,13 @@
 """The argument guards of the library, one row each: every call raises the
 listed exception with a message that names what was wrong."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from psigauge._geometry import bloch_from_state, fibonacci_sphere
-from psigauge.ensembles import theorem4_states
+from psigauge.ensembles import theorem2_ensemble, theorem4_states
 from psigauge.ontic import DiscreteOnticModel, classify, product_model, total_variation
 from psigauge.orbit import OrbitCloud, orbit_step, steps_to_cover
 from psigauge.qcore import (
@@ -69,6 +71,27 @@ def test_guard_raises(call, error, fragment):
     with pytest.raises(error) as info:
         call()
     assert fragment in str(info.value)
+
+
+HUGE_POWERS = {
+    "tensor power": lambda n: tensor_power(StateVector.uniform(3), n),
+    "product model": lambda n: product_model(
+        DiscreteOnticModel(3, {"a": [1 / 3] * 3}, {}), n),
+    "theorem2 ensemble": lambda n: theorem2_ensemble(3, n),
+}
+
+
+@pytest.mark.parametrize("call", HUGE_POWERS.values(), ids=HUGE_POWERS.keys())
+def test_a_huge_power_is_refused_without_being_computed(call):
+    # 3**(10**7) alone takes megabytes and seconds to compute
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            call(10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
 
 
 def test_orbit_step_on_an_empty_cloud_only_advances_the_generation():

@@ -159,6 +159,12 @@ class TestNoGoCheck:
         with pytest.raises(ValueError):
             nogo_check(m, ["q0", "q1", "q2", "q0"], "m")
 
+    def test_more_outcomes_than_preparations_raise(self):
+        # lhs would read 0 < epsilon = 1 here, though the model is valid
+        m = DiscreteOnticModel(1, {"q0": [1.0], "q1": [1.0]}, {"m": [[0.0, 0.0, 1.0]]})
+        with pytest.raises(ValueError, match="3 outcomes for 2 preparations"):
+            nogo_check(m, ["q0", "q1"], "m")
+
     def test_random_models_never_violate(self):
         for seed in range(60):
             model = random_discrete_model(seed)
