@@ -42,14 +42,6 @@ class ExclusionProblem:
         _amplitudes(states)  # a nonempty family of one dimension
         object.__setattr__(self, "states", states)
 
-    @property
-    def dim(self) -> int:
-        return self.states[0].dim
-
-    @property
-    def outcome_states(self) -> int:
-        return len(self.states)
-
 
 @dataclass(frozen=True)
 class ExclusionResult:

@@ -220,15 +220,18 @@ def product_model(model: DiscreteOnticModel, n: int) -> DiscreteOnticModel:
     """n independent copies: ontic space Lambda^n, preparation distributions
     P(lambda^n|Q^n) = prod_i P(lambda_i|Q), response tables for the product
     measurements. Separable by construction: every single-copy support point
-    keeps nonzero probability on its diagonal n-tuple. The product space
-    holds at most 10**6 ontic states."""
+    keeps nonzero probability on its diagonal n-tuple. Each product response
+    table, with (Lambda * m)**n entries for m outcomes, holds at most 10**6
+    entries; a model with Lambda * m = 1 is its own product."""
     if n < 1:
         raise ValueError(f"copy count must be >= 1, got {n}")
-    if n == 1:
+    width = model.lambda_count * max((t.shape[1] for t in model.responses.values()), default=1)
+    if n == 1 or width == 1:
         return model
-    if not _power_at_most(model.lambda_count, n, TENSOR_CAP):
+    if not _power_at_most(width, n, TENSOR_CAP):
         raise ValueError(
-            f"product ontic space {model.lambda_count}**{n} exceeds the cap of {TENSOR_CAP}"
+            f"product response table (ontic states x outcomes = {width})**{n}"
+            f" exceeds the cap of {TENSOR_CAP} entries"
         )
     preps = {label: reduce(np.kron, [vec] * n) for label, vec in model.preparations.items()}
     resps = {label: reduce(np.kron, [mat] * n) for label, mat in model.responses.items()}
@@ -292,16 +295,11 @@ def psi_ontic_fixture(
 
 
 def model_from_parametric(
-    family: ParametricModel,
-    states: Mapping[str, StateVector],
-    measurements: Mapping[str, object] | None = None,
+    family: ParametricModel, states: Mapping[str, StateVector]
 ) -> DiscreteOnticModel:
-    """Tabulate a rule-based model on concrete states and measurements."""
+    """Tabulate a rule-based model's preparations on concrete states."""
     preps = {label: family.preparation_rule(s) for label, s in states.items()}
-    resps = {}
-    for label, m in (measurements or {}).items():
-        resps[label] = family.response_rule(m)
-    return DiscreteOnticModel(family.lambda_count, preps, resps)
+    return DiscreteOnticModel(family.lambda_count, preps, {})
 
 
 def _extremal_probe_states(center: StateVector, delta: float) -> list:

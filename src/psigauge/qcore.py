@@ -140,16 +140,6 @@ class Operator:
             raise ValueError("operator has a non-finite entry")
         object.__setattr__(self, "entries", _frozen(mat))
 
-    @classmethod
-    def identity(cls, dim: int) -> "Operator":
-        return cls(dim, np.eye(dim, dtype=complex))
-
-
-def projector(state: StateVector) -> Operator:
-    """Rank-one projector |psi><psi|."""
-    a = state.amplitudes
-    return Operator(state.dim, np.outer(a, a.conj()))
-
 
 class Povm:
     """A measurement on C^dim, in one of two forms.
@@ -243,10 +233,6 @@ class Ball:
         if not 0.0 < self.radius <= 1.0:
             raise ValueError(f"ball radius must lie in (0, 1], got {self.radius}")
 
-    def contains(self, state: StateVector) -> bool:
-        """Membership test, with a slack of 1e-12 so boundary states count."""
-        return abs(inner(state, self.center)) >= 1.0 - self.radius - 1e-12
-
 
 @dataclass(frozen=True)
 class PovmReport:
@@ -274,27 +260,6 @@ def _probabilities(table: np.ndarray) -> np.ndarray:
     return _frozen(np.clip(table, 0.0, 1.0))
 
 
-def _dense_table(amps: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """<psi_k|E_r|psi_k> for the rows psi_k of ``amps`` and a stack of effects."""
-    return _probabilities(np.einsum("kd,rde,ke->kr", amps.conj(), stack, amps).real)
-
-
-def born_prob(state: StateVector, effect: Operator) -> float:
-    """Outcome probability <psi|E|psi> for a Hermitian PSD effect.
-
-    The result is clamped to [0, 1] when it strays within ``OP_TOL`` of the
-    boundary; straying further raises ContractViolation (the effect was not
-    a valid probability operator).
-    """
-    if state.dim != effect.dim:
-        raise ValueError(f"dimension mismatch: state {state.dim} vs effect {effect.dim}")
-    mat = effect.entries
-    herm_err = float(np.max(np.abs(mat - mat.conj().T)))
-    if herm_err > OP_TOL:
-        raise ValueError(f"effect is not Hermitian (max |E - E^dag| = {herm_err:.3e})")
-    return float(_dense_table(state.amplitudes[None], mat[None])[0, 0])
-
-
 def _squared_norms(mat: np.ndarray) -> np.ndarray:
     return mat.real**2 + mat.imag**2
 
@@ -303,9 +268,10 @@ def outcome_table(states: Sequence[StateVector], povm: Povm) -> np.ndarray:
     """Frozen Born-rule table P[k, r] = <states[k]|E_r|states[k]>.
 
     The POVM is validated once (ContractViolation if :func:`validate_povm`
-    fails); the table then gets :func:`born_prob`'s kernel (on a dense POVM),
-    clamp and range check, without repeating the Hermiticity check. A factored
-    POVM reads |<u_r|psi>|^2 + (1 - sum_m |<u_m|psi>|^2)/m off the m overlaps.
+    fails); every entry is then clamped to [0, 1], and one straying more than
+    ``OP_TOL`` outside raises ContractViolation. A dense POVM contracts each
+    effect with each state; a factored one reads
+    |<u_r|psi>|^2 + (1 - sum_m |<u_m|psi>|^2)/m off the m overlaps.
     """
     amps = _amplitudes(states)
     if amps.shape[1] != povm.dim:
@@ -319,7 +285,7 @@ def outcome_table(states: Sequence[StateVector], povm: Povm) -> np.ndarray:
         )
     u = povm.vectors
     if u is None:
-        return _dense_table(amps, povm._stack)
+        return _probabilities(np.einsum("kd,rde,ke->kr", amps.conj(), povm._stack, amps).real)
     table = _squared_norms(amps @ u.conj())
     if povm.dim > u.shape[1]:
         table += (1.0 - table.sum(axis=1, keepdims=True)) / u.shape[1]
@@ -354,6 +320,9 @@ def tensor_power(state: StateVector, n: int) -> StateVector:
         raise ValueError(
             f"tensor power dimension {state.dim}**{n} exceeds the cap of {TENSOR_CAP} amplitudes"
         )
+    if state.dim == 1:
+        a = state.amplitudes  # a phase: drop its modulus so a**n cannot underflow
+        return normalized((a / np.abs(a)) ** n)
     return StateVector(state.dim**n, reduce(np.kron, [state.amplitudes] * n))
 
 

@@ -11,9 +11,16 @@ def haar_state(rng: np.random.Generator, dim: int):
     return StateVector(dim, raw / np.linalg.norm(raw))
 
 
+def born(state, matrix) -> float:
+    """<psi|M|psi> straight from the amplitudes: a Born-rule reference that
+    shares no code with qcore."""
+    a = state.amplitudes
+    return float(np.vdot(a, matrix @ a).real)
+
+
 def dense_measurement(ensemble):
     """The ensemble with its measurement rebuilt as dense effects, for tests
-    that compare the dense path against born_prob to the last bit."""
+    that run the dense Born-table path."""
     import dataclasses
 
     from psigauge.qcore import Povm
@@ -34,7 +41,7 @@ def four_outcome_measurements() -> dict:
     zero = Operator(3, np.zeros((3, 3)))
     return {
         "split": povm_to_json(Povm(3, (*kept, half, half)))["effects"],
-        "soak-up": povm_to_json(Povm(3, (zero, zero, zero, Operator.identity(3))))["effects"],
+        "soak-up": povm_to_json(Povm(3, (zero, zero, zero, Operator(3, np.eye(3)))))["effects"],
     }
 
 

@@ -29,7 +29,6 @@ from psigauge.exclusion import exclusion_value
 from psigauge.qcore import (
     ContractViolation,
     StateVector,
-    born_prob,
     gram,
     inner,
     normalized,

@@ -23,11 +23,10 @@ from psigauge.qcore import (
     Operator,
     Povm,
     StateVector,
-    born_prob,
     outcome_table,
 )
 
-from conftest import dense_measurement
+from conftest import born, dense_measurement
 
 
 QUIET = NoiseSpec(0.0, 0.0)
@@ -52,7 +51,7 @@ class TestNoisyOutcomeDistribution:
         state = StateVector(4, raw / np.linalg.norm(raw))
         dist = noisy_outcome_distribution(state, povm, QUIET)
         for r, effect in enumerate(povm.effects):
-            assert abs(dist[r] - born_prob(state, effect)) <= 1e-12
+            assert abs(dist[r] - born(state, effect.entries)) <= 1e-12
 
     def test_full_depolarizing_forgets_the_state(self):
         povm = Povm.basis(3)
@@ -77,7 +76,7 @@ class TestNoisyOutcomeDistribution:
             assert abs(dist[k] - p / 3.0) <= 1e-12
 
     def test_invalid_povm_rejected(self):
-        broken = Povm(2, (Operator.identity(2), Operator.identity(2)))
+        broken = Povm(2, (Operator(2, np.eye(2)), Operator(2, np.eye(2))))
         with pytest.raises(ContractViolation):
             noisy_outcome_distribution(StateVector.basis(2, 0), broken, QUIET)
 
@@ -85,15 +84,16 @@ class TestNoisyOutcomeDistribution:
         "ens", [theorem1_ensemble(5), dense_measurement(theorem2_ensemble(3, 2))]
     )
     def test_table_mixing_equals_per_outcome_loop(self, ens):
-        # reference: one state and one effect at a time, in the same arithmetic
+        # reference: one entry of the table and one effect at a time, in the same arithmetic
         p, q = 0.03, 0.02
         povm = ens.measurement
-        rows = _noisy_rows(outcome_table(ens.states, povm), povm, NoiseSpec(p, q))
-        for k, state in enumerate(ens.states):
+        table = outcome_table(ens.states, povm)
+        rows = _noisy_rows(table, povm, NoiseSpec(p, q))
+        for k in range(len(ens.states)):
             probs = np.empty(povm.outcome_count)
             for r, effect in enumerate(povm.effects):
                 mixed = float(np.trace(effect.entries).real) / povm.dim
-                probs[r] = (1.0 - p) * born_prob(state, effect) + p * mixed
+                probs[r] = (1.0 - p) * table[k, r] + p * mixed
             probs = np.clip((1.0 - q) * probs + q / povm.outcome_count, 0.0, None)
             assert np.array_equal(rows[k], probs / probs.sum())
 
@@ -191,7 +191,7 @@ class TestRunProtocol:
         assert report.epsilon_single_copy_bound == report.epsilon_upper_bound
 
     def test_invalid_povm_rejected(self):
-        broken = Povm(2, (Operator.identity(2), Operator.identity(2)))
+        broken = Povm(2, (Operator(2, np.eye(2)), Operator(2, np.eye(2))))
         ens = dataclasses.replace(theorem1_ensemble(2), measurement=broken)
         with pytest.raises(ContractViolation, match="invalid POVM"):
             run_protocol(ens, QUIET, 100)

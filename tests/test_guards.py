@@ -15,8 +15,8 @@ from psigauge.qcore import (
     Operator,
     Povm,
     StateVector,
-    born_prob,
     inner,
+    outcome_table,
     pair_at_fidelity,
     tensor_power,
     unitary_from_correspondence,
@@ -24,6 +24,10 @@ from psigauge.qcore import (
 
 QUBIT, QUTRIT = StateVector.basis(2, 0), StateVector.basis(3, 0)
 POINT_MODEL = DiscreteOnticModel(1, {"a": [1.0]}, {})
+# passes validation (min eigenvalue -9e-11, within OP_TOL) yet gives |0> a
+# probability 1 + 1.8e-10, past the clamp's tolerance
+STRAY_POVM = Povm(2, [Operator(2, np.diag(d)) for d in
+                      ([-0.9e-10, 0.5], [-0.9e-10, 0.5], [1 + 1.8e-10, 0.0])])
 
 GUARDS = {
     "basis index": (lambda: StateVector.basis(2, 2), ValueError, "basis index 2 out of range"),
@@ -31,12 +35,11 @@ GUARDS = {
     "operator shape": (lambda: Operator(2, np.eye(3)), ValueError, "expected a 2x2 matrix"),
     "empty povm": (lambda: Povm(2, ()), ValueError, "at least one effect"),
     "povm effect dim": (
-        lambda: Povm(2, (Operator.identity(3),)), ValueError, "of the POVM dimension"),
+        lambda: Povm(2, (Operator(3, np.eye(3)),)), ValueError, "of the POVM dimension"),
     "inner dims": (lambda: inner(QUBIT, QUTRIT), ValueError, "dimension mismatch: 2 vs 3"),
-    "born dims": (
-        lambda: born_prob(QUBIT, Operator.identity(3)), ValueError, "state 2 vs effect 3"),
     "born range": (
-        lambda: born_prob(QUBIT, Operator(2, -np.eye(2))), ContractViolation, "outside [0, 1]"),
+        lambda: outcome_table([QUBIT], STRAY_POVM), ContractViolation,
+        "probability 1.00000000018 outside [0, 1]"),
     "tensor power": (lambda: tensor_power(QUBIT, 0), ValueError, "needs n >= 1, got 0"),
     "correspondence dims": (
         lambda: unitary_from_correspondence([QUBIT], [QUTRIT]), ValueError,
@@ -92,6 +95,32 @@ def test_a_huge_power_is_refused_without_being_computed(call):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+def test_product_tables_are_capped_not_only_the_ontic_space():
+    # 2**11 ontic states pass a cap on the ontic space, but each product
+    # response table would hold (2 * 2)**11 entries
+    model = DiscreteOnticModel(2, {"a": [0.5, 0.5]}, {"m": np.eye(2)})
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        product_model(model, 11)
+
+
+def test_a_one_dimensional_power_is_not_multiplied_out():
+    point = DiscreteOnticModel(1, {"a": [1.0]}, {"m": [[1.0]]})
+    tracemalloc.start()
+    try:
+        state = tensor_power(StateVector(1, [1.0]), 10**7)
+        product = product_model(point, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.dim == 1 and state.amplitudes.tolist() == [1.0]
+    assert product is point
+    assert peak < 64 * 1024
+    # a phase whose modulus is off by 1e-13 (within the norm tolerance) would
+    # underflow or overflow if its modulus were raised to the power too
+    for modulus in (1 - 1e-13, 1 + 1e-13):
+        assert tensor_power(StateVector(1, [modulus * np.exp(0.3j)]), 10**16).dim == 1
 
 
 def test_orbit_step_on_an_empty_cloud_only_advances_the_generation():

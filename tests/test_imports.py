@@ -47,3 +47,17 @@ def test_no_package_import_inside_a_function(path):
 def test_ontic_imports_only_qcore_and_geometry():
     imported = set().union(*map(package_imports, ast.walk(tree(PACKAGE / "ontic.py"))))
     assert imported <= {"qcore", "_geometry"}
+
+
+def test_public_surface_is_exactly_what_the_package_imports():
+    exported = psigauge.__all__
+    assert len(exported) == len(set(exported))
+    assert all(hasattr(psigauge, name) for name in exported)
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree(PACKAGE / "__init__.py"))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    }
+    assert set(exported) == imported

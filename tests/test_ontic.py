@@ -17,7 +17,6 @@ from psigauge.ontic import (
     epsilon_overlap,
     ks_qubit_model,
     model_from_json,
-    model_from_parametric,
     model_to_json,
     nogo_check,
     predict,
@@ -26,10 +25,10 @@ from psigauge.ontic import (
     total_variation,
 )
 from psigauge.ontic import SUPPORT_THRESHOLD, _extremal_probe_states
-from psigauge.qcore import Ball, StateVector, born_prob, gram, inner, normalized
+from psigauge.qcore import Ball, StateVector, gram, inner, normalized
 from psigauge.qcore import sample_state_in_ball
 
-from conftest import haar_state, random_discrete_model
+from conftest import born, haar_state, random_discrete_model
 
 
 def shared_core_model(core_weight: float, n_prep: int = 2) -> DiscreteOnticModel:
@@ -333,11 +332,7 @@ class TestKsQubitModel:
         state = normalized(np.array([1.0, 1.0]))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            for call in (
-                lambda: fam.response_rule(axis),
-                lambda: fam.predict(state, axis),
-                lambda: model_from_parametric(fam, {"q": state}, {"m": axis}),
-            ):
+            for call in (lambda: fam.response_rule(axis), lambda: fam.predict(state, axis)):
                 with pytest.raises(ValueError, match="axis must be finite and nonzero"):
                     call()
 
@@ -358,7 +353,7 @@ class TestPsiOnticFixture:
         fx = psi_ontic_fixture(list(e.states), [e.measurement])
         for k, s in enumerate(e.states):
             row = fx.responses["m0"][k]
-            expect = [born_prob(s, eff) for eff in e.measurement.effects]
+            expect = [born(s, eff.entries) for eff in e.measurement.effects]
             assert np.allclose(row, expect, atol=1e-12)
 
     def test_classified_ontic(self):
