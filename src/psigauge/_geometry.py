@@ -36,16 +36,18 @@ def bloch_from_state(state: StateVector) -> np.ndarray:
     return np.array([2.0 * cross.real, 2.0 * cross.imag, abs(a0) ** 2 - abs(a1) ** 2])
 
 
-def rodrigues_rotate(vectors: np.ndarray, axes: np.ndarray, angles: np.ndarray) -> np.ndarray:
+def rodrigues_rotate(vectors: np.ndarray, axes: np.ndarray, angles: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Rotate ``vectors`` about unit ``axes`` by ``angles`` (all broadcastable).
 
     Standard axis-angle formula v cos(t) + (u x v) sin(t) + u (u.v)(1 - cos(t)).
-    Shapes: vectors (..., 3), axes (..., 3), angles (...); broadcast together.
+    Shapes: vectors (..., 3), axes (..., 3), angles (...); broadcast into ``out`` if given.
     """
     v = np.asarray(vectors, dtype=float)
     u = np.asarray(axes, dtype=float)
     t = np.asarray(angles, dtype=float)[..., None]
     cos_t = np.cos(t)
-    sin_t = np.sin(t)
-    dot = np.sum(u * v, axis=-1, keepdims=True)
-    return v * cos_t + np.cross(u, v) * sin_t + u * dot * (1.0 - cos_t)
+    out = np.multiply(v, cos_t, out=out)
+    out += np.cross(u, v) * np.sin(t)
+    out += u * np.sum(u * v, axis=-1, keepdims=True) * (1.0 - cos_t)
+    return out

@@ -4,11 +4,12 @@ sphere.
 
 Points are unit 3-vectors. Each growth step is quadratic in the cloud size
 before budgeting, so candidate generation is capped and subsampled with a
-seeded generator. Dedup has no Python loop: a grid pass sorts packed int64
-cell keys and keeps the first point under each, then a greedy pass over the
-pair list of a sliding-midpoint KD-tree runs in vectorized rounds, so steps
-stay near-linear in the candidate count. Coverage bounds each grid point's
-nearest-neighbour query just above the tolerance's chord.
+seeded generator, and written after the cloud into one buffer. Dedup has no
+Python loop: a grid pass keeps the first point per packed int64 cell key,
+then a greedy pass settles the cloud, drops the new points within the chord
+of it and pairs up the rest over a sliding-midpoint KD-tree in vectorized
+rounds, so steps stay near-linear in the candidate count. Coverage bounds
+each grid point's nearest-neighbour query just above the tolerance's chord.
 
 ``cKDTree`` is imported inside the two functions that build one, so that
 importing this module (and with it the CLI) loads no scipy module.
@@ -51,8 +52,9 @@ class OrbitCloud:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError(f"expected an (n, 3) array, got shape {pts.shape}")
-        norms = np.linalg.norm(pts, axis=1)
-        if pts.shape[0] and (np.abs(norms - 1.0) > 1e-9).any():
+        if not np.isfinite(pts).all():
+            raise ValueError("cloud contains non-finite points")
+        if (np.abs(np.linalg.norm(pts, axis=1) - 1.0) > 1e-9).any():
             raise ValueError("cloud contains non-unit vectors")
         object.__setattr__(self, "points", _frozen(pts))
 
@@ -73,42 +75,15 @@ def _chord(angular_tol: float) -> float:
     return 2.0 * np.sin(angular_tol / 2.0)
 
 
-def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
-    """Keep earliest representatives of clusters closer than the angular tol.
+def _greedy_keep(reps: np.ndarray, chord: float) -> np.ndarray:
+    """Mask of the points that no kept earlier one lies within the chord of.
 
-    Pass 1 snaps points to a grid with cells small enough that cell-mates are
-    always within tol (cell diagonal = chord). It packs each cell into one
-    int64 key over a cube of cells spanning the smallest to the largest
-    coordinate, sorts the keys, and keeps the smallest index under each key,
-    in input order. Pass 2 resolves neighbors that pass 1 put in different
-    cells: it keeps each representative that no kept earlier one lies within
-    the chord of. It does so in rounds over the pair list of a
-    sliding-midpoint KD-tree: a point with no open smaller neighbour is kept
-    and drops its larger neighbours, then pairs touching a dropped point go.
-    The rounds depend only on the set of pairs, not on their order. A cube
-    whose cell count overflows an int64, which a tol below
-    MIN_DEDUP_TOLERANCE can give, raises ValueError.
-    """
+    It runs in rounds over the pair list of a sliding-midpoint KD-tree: a
+    point with no open smaller neighbour is kept and drops its larger
+    neighbours, then pairs touching a dropped point go. The rounds depend
+    only on the set of pairs, not on their order."""
     from scipy.spatial import cKDTree
 
-    chord = _chord(tol)
-    cell = chord / np.sqrt(3.0)
-    keys = np.floor(points / cell).astype(np.int64)
-    low = int(keys.min())
-    side = int(keys.max()) - low + 1
-    if side**3 > np.iinfo(np.int64).max:
-        raise ValueError(f"{side}^3 grid cells overflow an int64 key; tol {tol} is too small")
-    keys -= low
-    packed = keys @ np.array([side * side, side, 1])
-    del keys
-    order = np.argsort(packed)
-    packed = packed[order]
-    starts = np.flatnonzero(np.concatenate(([True], packed[1:] != packed[:-1])))
-    del packed
-    # the sort is unstable, so each cell's first occurrence is its smallest index
-    first = np.minimum.reduceat(order, starts)
-    first.sort()
-    reps = points[first]
     tree = cKDTree(reps, balanced_tree=False, compact_nodes=False)
     pairs = tree.query_pairs(chord, output_type="ndarray")  # rows i < j
     keep = np.ones(reps.shape[0], dtype=bool)
@@ -117,6 +92,54 @@ def _dedup(points: np.ndarray, tol: float) -> np.ndarray:
         blocked[pairs[:, 1]] = True
         keep[pairs[~blocked[pairs[:, 0]], 1]] = False
         pairs = pairs[keep[pairs[:, 0]] & keep[pairs[:, 1]]]
+    return keep
+
+
+def _dedup(points: np.ndarray, tol: float, settled: int = 0) -> np.ndarray:
+    """Keep earliest representatives of clusters closer than the angular tol.
+
+    Pass 1 snaps points to a grid whose cell diagonal is the chord, so
+    cell-mates are always within tol. It packs each cell, an axis at a time,
+    into one int64 key over the cube of cells the coordinates span, sorts the
+    keys, and keeps the smallest index under each, in input order. Pass 2,
+    ``_greedy_keep``, runs on the representatives of the first ``settled``
+    points; a nearest-neighbour query drops each later one within the chord
+    of a kept one (rechecking rooted distances within 1e-9 of the chord by the
+    pair list's squared rule); pass 2 then runs on the rest. No value of
+    ``settled`` changes the result. A cube whose cell count overflows an
+    int64, which a tol below MIN_DEDUP_TOLERANCE can give, raises ValueError."""
+    from scipy.spatial import cKDTree
+
+    chord = _chord(tol)
+    cell = chord / np.sqrt(3.0)
+    low = int(np.floor(points.min() / cell))  # floor is monotone: the smallest cell index
+    side = int(np.floor(points.max() / cell)) - low + 1
+    if side**3 > np.iinfo(np.int64).max:
+        raise ValueError(f"{side}^3 grid cells overflow an int64 key; tol {tol} is too small")
+    packed = np.zeros(points.shape[0], dtype=np.int64)
+    for axis in range(3):
+        packed *= side
+        packed += np.floor(points[:, axis] / cell).astype(np.int64) - low
+    order = np.argsort(packed)
+    packed = packed[order]
+    starts = np.flatnonzero(np.concatenate(([True], packed[1:] != packed[:-1])))
+    # the sort is unstable, so each cell's first occurrence is its smallest index
+    first = np.minimum.reduceat(order, starts)
+    del packed, order, starts
+    first.sort()
+    k, reps = int(np.searchsorted(first, settled)), points[first]
+    del first
+    keep = np.zeros(reps.shape[0], dtype=bool)
+    keep[:k] = _greedy_keep(reps[:k], chord)
+    fresh = slice(k, None)
+    if k:
+        tree = cKDTree(reps[:k][keep[:k]])
+        dist = tree.query(reps[k:], distance_upper_bound=chord * (1 + 2e-9))[0]
+        edge = np.flatnonzero(np.abs(dist - chord) <= 1e-9 * chord)
+        hits = tree.query_ball_point(reps[k + edge], chord, return_length=True)
+        dist[edge] = np.where(hits > 0, 0.0, np.inf)
+        fresh = k + np.flatnonzero(dist > chord)
+    keep[fresh] = _greedy_keep(reps[fresh], chord)
     return reps[keep]
 
 
@@ -161,14 +184,14 @@ def orbit_step(cloud: OrbitCloud, rotations_per_pair: int = 24, seed: int = 0) -
         # j != i, uniform over the other points
         idx_j = (idx_i + rng.integers(1, n, size=pair_budget)) % n
 
-    vectors = cloud.points[idx_i][:, None, :]  # (p, 1, 3)
-    axes = cloud.points[idx_j][:, None, :]
-    rotated = rodrigues_rotate(vectors, axes, angles[None, :])  # (p, R, 3)
-    candidates = rotated.reshape(-1, 3)
-    candidates /= np.linalg.norm(candidates, axis=1, keepdims=True)
-
-    merged = np.concatenate([cloud.points, candidates], axis=0)
-    deduped = _dedup(merged, cloud.dedup_tolerance)
+    merged = np.empty((n + idx_i.shape[0] * rotations_per_pair, 3))  # the cloud, then candidates
+    merged[:n] = cloud.points
+    candidates = merged[n:]
+    rodrigues_rotate(cloud.points[idx_i][:, None, :], cloud.points[idx_j][:, None, :],
+                     angles[None, :], out=candidates.reshape(-1, rotations_per_pair, 3))
+    # np.linalg.norm's sum of squares, without its full-size temporaries
+    candidates /= np.sqrt(sum(np.square(candidates[:, axis]) for axis in range(3)))[:, None]
+    deduped = _dedup(merged, cloud.dedup_tolerance, settled=n)
     if deduped.shape[0] > POINT_CAP:
         pick = rng.choice(deduped.shape[0], size=POINT_CAP, replace=False)
         deduped = deduped[np.sort(pick)]

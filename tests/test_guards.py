@@ -55,6 +55,9 @@ GUARDS = {
     "bloch qubit": (lambda: bloch_from_state(QUTRIT), ValueError, "needs a qubit, got dim 3"),
     "cloud shape": (
         lambda: OrbitCloud(np.zeros((2, 2)), 0, 0.02), ValueError, "expected an (n, 3) array"),
+    "cloud finite": (
+        lambda: OrbitCloud([[0.0, 0.0, 1.0], [np.nan, 0.0, 0.0]], 0, 0.02), ValueError,
+        "non-finite points"),
     "coverage target": (
         lambda: steps_to_cover(1.0, 0.0, 0.05), ValueError, "target coverage must lie in (0, 1]"),
     "ontic space": (
