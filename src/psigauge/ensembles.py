@@ -10,7 +10,7 @@ measurement never fires outcome k on state k (up to construction residuals).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -130,12 +130,15 @@ def theorem2_states(d: int, n: int) -> Theorem2Family:
     states[k] = alpha |k> + (beta/sqrt(d)) sum_i |i> with alpha = -sqrt(1-c)
     and beta chosen so each state is normalized. All of them sit at fidelity
     1 - delta_nd from the uniform center, delta_nd = 1 - sqrt(1-(d-1)a^2/d).
+    ValueError once c rounds to 1, where the states would coincide.
     """
     if d < 3:
         raise ValueError(f"need dimension >= 3, got {d}")
     if n < 1:
         raise ValueError(f"need copy count >= 1, got {n}")
     c = ((d - 2) / (d - 1)) ** (1.0 / n)
+    if c == 1.0:
+        raise ValueError(f"Gram level rounds to 1 at d = {d}, n = {n}: the states coincide")
     alpha = -math.sqrt(1.0 - c)
     beta = -alpha / math.sqrt(d) + math.sqrt(alpha * alpha / d + c)
     rows = np.full((d, d), beta / math.sqrt(d))
@@ -146,39 +149,45 @@ def theorem2_states(d: int, n: int) -> Theorem2Family:
 
 def theorem2_ensemble(d: int, n: int) -> NoGoEnsemble:
     """n-copy ensemble: tensor powers of the theorem2_states family plus a
-    d-outcome measurement on C_(d^n) that never fires outcome k on state k.
-
-    The tensor powers share the Gram matrix of the theorem1_ensemble states,
-    so the isometry V matching the two families exists, and the V-preimage of
-    |k> has the closed form u_k = (sum_j psi_j - (d-1) psi_k)/sqrt(d-1) in the
-    powers psi_j (see :func:`_theorem2_measurement`). The effects are
-    E_k = |u_k><u_k| + (1/d)(I - sum_m |u_m><u_m|); the
-    complement never fires on the span of the tensor powers, so the
-    zero-probability property survives the completion. The measurement is
-    held in factored form (:meth:`Povm.completion` of the u_k), so time and
+    d-outcome measurement on C_(d^n) that never fires outcome k on state k:
+    the completion of :func:`_theorem2_measurement`, whose leftover never
+    fires on the span of the powers. It is held in factored form, so time and
     memory grow as d * d**n, not (d**n)**2.
 
     delta_star is the n-copy ball radius 1 - (1 - delta_nd)^n around the
     uniform center of C_(d^n); the single-copy bound delta_nd is in params.
     ValueError when d**n exceeds TENSOR_CAP.
     """
-    family = theorem2_states(d, n)
+    family, params = _theorem2_params(d, n)
     powers = [tensor_power(s, n) for s in family.states]
-    delta_star = 1.0 - (1.0 - family.delta_nd) ** n
+    delta_star = params.pop("n_copy_delta_star")  # this ensemble's own radius
+    return _assemble(KIND_THEOREM2, params, powers, _theorem2_measurement(powers),
+                     StateVector.uniform(d**n), delta_star)
+
+
+def theorem2_span_ensemble(d: int, n: int) -> NoGoEnsemble:
+    """:func:`theorem2_ensemble` in the span of its states, at d amplitudes
+    per state for any n. The isometry onto the theorem1 states takes power k
+    to state k and E_k to |k><k| there, and tr(E_k)/D = 1/d on both sides, so
+    the two share one outcome table, noisy or not, up to rounding. This is
+    theorem1_ensemble(d), at its own radius, under theorem2's kind and params,
+    which add the n-copy radius n_copy_delta_star."""
+    _, params = _theorem2_params(d, n)
+    return replace(theorem1_ensemble(d), kind=KIND_THEOREM2, params=params)
+
+
+def _theorem2_params(d: int, n: int) -> tuple:
+    """theorem2_states(d, n) and its params, with n_copy_delta_star = 1 - (1 - delta_nd)^n."""
+    family = theorem2_states(d, n)
     params = {"d": d, "n": n, **family._asdict()}
-    del params["states"]  # the ensemble holds their tensor powers
-    return _assemble(
-        KIND_THEOREM2,
-        params,
-        powers,
-        _theorem2_measurement(powers),
-        StateVector.uniform(d**n),
-        delta_star,
-    )
+    del params["states"]  # an ensemble holds their powers, or its span coordinates
+    params["n_copy_delta_star"] = 1.0 - (1.0 - family.delta_nd) ** n
+    return family, params
 
 
 def _theorem2_measurement(powers: list) -> Povm:
-    """The factored measurement of :func:`theorem2_ensemble`, in closed form.
+    """The factored measurement of :func:`theorem2_ensemble`, in closed form:
+    E_k = |u_k><u_k| + (1/d)(I - sum_m |u_m><u_m|), u_k the preimage of |k>.
 
     Precondition: the d powers have the Gram matrix G = (1 - l)I + lJ,
     l = (d-2)/(d-1), of the theorem1 states T (J the all-ones matrix). The

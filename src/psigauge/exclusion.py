@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import Povm, StateVector, _amplitudes, _complex_json, _frozen, outcome_table
+from .qcore import Povm, StateVector, _amplitudes, _complex_json, _immutable, outcome_table
 
 ARMIJO_C = 1e-4
 GRAD_TOL = 1e-8
@@ -53,7 +53,7 @@ class ExclusionResult:
     history: tuple = ()  # per-iteration values of the winning descent
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", _frozen(np.asarray(self.basis, dtype=complex)))
+        object.__setattr__(self, "basis", _immutable(np.asarray(self.basis, dtype=complex)))
 
     @property
     def gap(self) -> float:
@@ -219,9 +219,9 @@ def optimize(
             break
     else:
         reason = best[2]
-    lifted = q @ best[1][:r]
-    value = exclusion_value(problem.states, Povm.completion(lifted))
-    return ExclusionResult(value, lifted, used, reason, bound, best[3])
+    measurement = Povm.completion(q @ best[1][:r])
+    value = exclusion_value(problem.states, measurement)
+    return ExclusionResult(value, measurement.vectors, used, reason, bound, best[3])
 
 
 def result_to_povm(result: ExclusionResult, outcome_states: int) -> Povm:

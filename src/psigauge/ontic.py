@@ -18,7 +18,7 @@ import numpy as np
 
 from ._geometry import bloch_from_state, fibonacci_sphere
 from .qcore import TENSOR_CAP, Ball, Povm, StateVector, gram, outcome_table, sample_state_in_ball
-from .qcore import _at_fidelity, _field, _floats, _frozen, _power_at_most, _require
+from .qcore import _at_fidelity, _field, _floats, _frozen, _immutable, _power_at_most, _require
 
 SUM_TOL = 1e-10
 #: below this, a preparation weight counts as "not in the support"
@@ -34,7 +34,7 @@ def _check_distribution(vec: np.ndarray, what: str) -> np.ndarray:
         total = float(vec.sum())
     if abs(total - 1.0) > SUM_TOL:
         raise ValueError(f"{what}: entries sum to {total!r}, expected 1")
-    return _frozen(vec)
+    return _immutable(vec)
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class DiscreteOnticModel:
             bad = ~(arr >= 0.0).all(axis=1) | (np.abs(sums - 1.0) > SUM_TOL)
             for i in np.flatnonzero(bad):  # the first bad row raises its own diagnostic
                 _check_distribution(arr[i], f"responses[{label!r}] row {i}")
-            resps[str(label)] = _frozen(arr)
+            resps[str(label)] = _immutable(arr)
         object.__setattr__(self, "preparations", preps)
         object.__setattr__(self, "responses", resps)
 
@@ -233,8 +233,8 @@ def product_model(model: DiscreteOnticModel, n: int) -> DiscreteOnticModel:
             f"product response table (ontic states x outcomes = {width})**{n}"
             f" exceeds the cap of {TENSOR_CAP} entries"
         )
-    preps = {label: reduce(np.kron, [vec] * n) for label, vec in model.preparations.items()}
-    resps = {label: reduce(np.kron, [mat] * n) for label, mat in model.responses.items()}
+    preps = {k: _frozen(reduce(np.kron, [v] * n)) for k, v in model.preparations.items()}
+    resps = {k: _frozen(reduce(np.kron, [m] * n)) for k, m in model.responses.items()}
     return DiscreteOnticModel(model.lambda_count**n, preps, resps)
 
 
@@ -256,7 +256,7 @@ def ks_qubit_model(grid_size: int) -> ParametricModel:
 
     def preparation_rule(state: StateVector) -> np.ndarray:
         weights = np.maximum(0.0, points @ bloch_from_state(state))
-        return weights / weights.sum()
+        return _frozen(weights / weights.sum())
 
     def response_rule(axis) -> np.ndarray:
         axis = np.asarray(axis, dtype=float)
@@ -286,11 +286,11 @@ def psi_ontic_fixture(
     for i, j in np.argwhere(np.abs(np.triu(gram(states), 1)) >= 1.0 - 1e-12):  # first pair
         raise ValueError(f"states {i} and {j} coincide up to phase")
     count = len(states)
-    preps = {f"q{k}": np.eye(count)[k] for k in range(count)}
+    preps = {f"q{k}": row for k, row in enumerate(_frozen(np.eye(count)))}
     resps = {}
     for idx, povm in enumerate(measurements):
         rows = outcome_table(states, povm)
-        resps[f"m{idx}"] = rows / rows.sum(axis=1, keepdims=True)
+        resps[f"m{idx}"] = _frozen(rows / rows.sum(axis=1, keepdims=True))
     return DiscreteOnticModel(count, preps, resps)
 
 

@@ -23,7 +23,7 @@ from itertools import islice
 import numpy as np
 
 from ._geometry import fibonacci_sphere, rodrigues_rotate
-from .qcore import _frozen
+from .qcore import _frozen, _immutable
 
 # below this the dedup cell grid has over 2^21 cells per axis, and its
 # packed keys can outgrow an int64
@@ -56,7 +56,7 @@ class OrbitCloud:
             raise ValueError("cloud contains non-finite points")
         if (np.abs(np.linalg.norm(pts, axis=1) - 1.0) > 1e-9).any():
             raise ValueError("cloud contains non-unit vectors")
-        object.__setattr__(self, "points", _frozen(pts))
+        object.__setattr__(self, "points", _immutable(pts))
 
     @property
     def size(self) -> int:
@@ -154,7 +154,7 @@ def initial_cloud(theta: float, dedup_tolerance: float = 0.02) -> OrbitCloud:
             " the two seed points would merge"
         )
     pts = np.array([[0.0, 0.0, 1.0], [np.sin(theta), 0.0, np.cos(theta)]])
-    return OrbitCloud(pts, 0, dedup_tolerance)
+    return OrbitCloud(_frozen(pts), 0, dedup_tolerance)
 
 
 def orbit_step(cloud: OrbitCloud, rotations_per_pair: int = 24, seed: int = 0) -> OrbitCloud:
@@ -195,7 +195,7 @@ def orbit_step(cloud: OrbitCloud, rotations_per_pair: int = 24, seed: int = 0) -
     if deduped.shape[0] > POINT_CAP:
         pick = rng.choice(deduped.shape[0], size=POINT_CAP, replace=False)
         deduped = deduped[np.sort(pick)]
-    return OrbitCloud(deduped, cloud.generation + 1, cloud.dedup_tolerance)
+    return OrbitCloud(_frozen(deduped), cloud.generation + 1, cloud.dedup_tolerance)
 
 
 def coverage(cloud: OrbitCloud, grid_size: int, angular_tol: float) -> float:

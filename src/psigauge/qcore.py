@@ -29,11 +29,8 @@ NORM_TOL = 1e-12
 OP_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
 
-#: hard cap on the amplitude count D of one tensor power. The n-copy
-#: construction keeps O(d * D) amplitudes (states and the factored
-#: measurement), so the cap alone does not bound its memory; the CLI bounds
-#: d * D as well. thm2 at D = 3**12 builds and runs its protocol in about
-#: 0.7 s at 162 MB peak RSS on 2 cores.
+#: hard cap on the amplitude count D of one tensor power. The dense n-copy
+#: ensemble holds d * D amplitudes; the CLI runs it in the span of its states.
 TENSOR_CAP = 10**6
 #: matrix entries in one block of effects that validating a completion
 #: stacks, so its memory is O(m^2) where the whole m x m x m stack grew as
@@ -49,6 +46,11 @@ class ContractViolation(RuntimeError):
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _immutable(arr: np.ndarray) -> np.ndarray:
+    """What a value keeps of an array: the array if read-only, else a frozen copy."""
+    return arr if not arr.flags.writeable else _frozen(arr.copy())
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,7 @@ class StateVector:
             norm_sq = float(np.sum(np.abs(amps) ** 2))
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized: sum |a_j|^2 = {norm_sq!r}")
-        object.__setattr__(self, "amplitudes", _frozen(amps))
+        object.__setattr__(self, "amplitudes", _immutable(amps))
 
     @classmethod
     def basis(cls, dim: int, k: int) -> "StateVector":
@@ -85,12 +87,12 @@ class StateVector:
             raise ValueError(f"basis index {k} out of range for dim {dim}")
         amps = np.zeros(dim, dtype=complex)
         amps[k] = 1.0
-        return cls(dim, amps)
+        return cls(dim, _frozen(amps))
 
     @classmethod
     def uniform(cls, dim: int) -> "StateVector":
         """The uniform superposition (1/sqrt(dim)) sum_j |j>."""
-        return cls(dim, np.full(dim, 1.0 / np.sqrt(dim), dtype=complex))
+        return cls(dim, _frozen(np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)))
 
 
 def normalized(amplitudes: Sequence[complex]) -> StateVector:
@@ -99,7 +101,7 @@ def normalized(amplitudes: Sequence[complex]) -> StateVector:
     norm = float(np.linalg.norm(arr))
     if norm <= 0.0:
         raise ValueError("cannot normalize the zero vector")
-    return StateVector(arr.size, arr / norm)
+    return StateVector(arr.size, _frozen(arr / norm))
 
 
 def _amplitudes(states: Sequence[StateVector]) -> np.ndarray:
@@ -138,7 +140,7 @@ class Operator:
             )
         if not np.all(np.isfinite(mat)):
             raise ValueError("operator has a non-finite entry")
-        object.__setattr__(self, "entries", _frozen(mat))
+        object.__setattr__(self, "entries", _immutable(mat))
 
 
 class Povm:
@@ -323,7 +325,7 @@ def tensor_power(state: StateVector, n: int) -> StateVector:
     if state.dim == 1:
         a = state.amplitudes  # a phase: drop its modulus so a**n cannot underflow
         return normalized((a / np.abs(a)) ** n)
-    return StateVector(state.dim**n, reduce(np.kron, [state.amplitudes] * n))
+    return StateVector(state.dim**n, _frozen(reduce(np.kron, [state.amplitudes] * n)))
 
 
 def gram(states: Sequence[StateVector]) -> np.ndarray:
@@ -377,7 +379,7 @@ def unitary_from_correspondence(
         raise ContractViolation(
             f"constructed isometry misses a target by {worst:.3e} (> {RESIDUAL_TOL})"
         )
-    return Operator(src[0].dim, f_dst @ f_src.conj().T)
+    return Operator(src[0].dim, _frozen(f_dst @ f_src.conj().T))
 
 
 def validate_povm(p: Povm) -> PovmReport:
@@ -447,7 +449,7 @@ def sample_state_in_ball(ball: Ball, seed) -> StateVector:
     rng = np.random.default_rng(seed)
     center = ball.center.amplitudes
     if ball.center.dim == 1:
-        return StateVector(1, center.copy())
+        return StateVector(1, center)
     direction = _orthogonal_direction(rng, center)
     return _at_fidelity(center, direction, float(rng.uniform(1.0 - ball.radius, 1.0)))
 
@@ -549,7 +551,7 @@ def _numeric_fields(obj: dict, what: str, count) -> tuple:
     if re.shape != (count(dim),) or im.shape != (count(dim),):
         raise ValueError(f"{what} JSON: expected {count(dim)} re/im entries")
     with np.errstate(invalid="ignore"):  # 1j * inf; the constructors reject non-finite entries
-        return dim, re + 1j * im
+        return dim, _frozen(re + 1j * im)
 
 
 def state_from_json(obj: dict) -> StateVector:

@@ -26,7 +26,12 @@ from psigauge.cli import (
     check_flags,
     main,
 )
-from psigauge.ensembles import ensemble_to_json, theorem1_ensemble, theorem2_ensemble
+from psigauge.ensembles import (
+    ensemble_to_json,
+    gamma_coefficient,
+    theorem1_ensemble,
+    theorem2_ensemble,
+)
 from psigauge.ontic import DiscreteOnticModel, ks_qubit_model, model_from_parametric, model_to_json
 from psigauge.qcore import StateVector, state_to_json
 
@@ -197,6 +202,23 @@ class TestFamilies:
         assert res["assumes_preparation_independence"] is True
         assert 0.5 < res["n_delta_over_gamma"] < 1.0
         assert res["delta_nd"] < res["delta_star"]
+
+    def test_thm2_reaches_its_asymptote_at_a_thousand_copies(self, capsys):
+        # c03's tolerance: n delta_nd / gamma_d within 1% of 1
+        obj = run_json(capsys, ["thm2", "--dim", "3", "--copies", "1000", "--shots", "1000"])
+        res = obj["results"]
+        assert res["n_copies"] == res["copies"] == 1000
+        assert abs(res["n_delta_over_gamma"] - 1.0) <= 0.01
+        assert res["epsilon_exp_hat"] == 0.0
+
+    @pytest.mark.parametrize("d, n", [(3, 1), (4, 3), (10, 2)])
+    def test_thm2_reports_the_radii_of_the_dense_family(self, capsys, d, n):
+        argv = ["thm2", "--dim", str(d), "--copies", str(n), "--shots", "100"]
+        res = run_json(capsys, argv)["results"]
+        dense = theorem2_ensemble(d, n)
+        assert res["delta_star"] == dense.delta_star
+        assert res["delta_nd"] == dense.params["delta_nd"]
+        assert res["gamma_d"] == gamma_coefficient(d)
 
     def test_thm4_exclusion_is_exact(self, capsys):
         obj = run_json(capsys, ["thm4", "--dim", "3", "--t", "0.5"])
@@ -691,8 +713,8 @@ OUT_OF_RANGE = [
     (["thm4", "--dim", "1"], "--dim"),
     (["thm2", "--dim", "2"], "--dim"),
     (["thm2", "--copies", "0"], "--copies"),
-    (["thm2", "--dim", "3", "--copies", "13"], "--dim**--copies"),
-    (["thm2", "--dim", "1000", "--copies", "99999999999999999999"], "--dim**--copies"),
+    (["thm2", "--copies", "1000001"], "--copies"),
+    (["thm2", "--dim", "1000", "--copies", "99999999999999999999"], "--copies"),
     (["thm4", "--dim", "3", "--t", "0.8165"], "--t"),
     (["thm4", "--t", "0"], "--t"),
     (["thm4", "--t", "inf"], "--t"),
@@ -725,15 +747,14 @@ OUT_OF_RANGE = [
     (["sweep", "--copies", ","], "--copies"),
     (["sweep", "--family", "thm1", "--copies", "0"], "--copies"),
     (THM2_SWEEP + ["--dims", "3", "--copies", "0,1"], "--copies"),
-    (THM2_SWEEP + ["--dims", "3,4", "--copies", "13"], "--dims**--copies"),
-    (THM2_SWEEP + ["--dims", "1000", "--copies", "3"], "--dims**--copies"),
+    (THM2_SWEEP + ["--dims", "3", "--copies", "1,1000001"], "--copies"),
+    (THM2_SWEEP + ["--dims", "1000", "--copies", "1000001"], "--copies"),
     (["thm2", "--dim", "1001"], "--dim"),
-    (["thm2", "--dim", "1000", "--copies", "2"], "--dim**--copies"),
+    (["thm2", "--dim", "1000", "--copies", "1000001"], "--copies"),
     (KS + ["--pairs", "1000001"], "--pairs"),
     (["exclusion", "--states", "s.json", "--restarts", "1000001"], "--restarts"),
     (["exclusion", "--states", "s.json", "--max-iters", "1000001"], "--max-iters"),
     (["sweep", "--family", "thm1", "--copies", "1,2"], "--copies"),
-    (THM2_SWEEP + ["--dims", "3,1000", "--copies", "1,2"], "--dims**--copies"),
 ]
 
 # range ends the table must accept; parsed and checked only, never run
@@ -743,6 +764,7 @@ AT_THE_BOUNDS = [
     ["thm2", "--dim", "3", "--copies", "12"],
     ["thm2", "--dim", "1000", "--copies", "1"],
     ["thm2", "--dim", "10", "--copies", "6"],
+    ["thm2", "--dim", "1000", "--copies", "1000000"],
     ["thm4", "--dim", "1000"],
     ["thm4", "--dim", "3", "--t", repr(math.sqrt(2.0 / 3.0))],
     ["thm4", "--dim", "2", "--t", repr(math.sqrt(0.5))],
@@ -759,6 +781,7 @@ AT_THE_BOUNDS = [
     ["exclusion", "--states", "s.json", "--restarts", "1", "--max-iters", "1"],
     ["sweep", "--dims", "2,1000", "--copies", "1"],
     THM2_SWEEP + ["--dims", "3,1000", "--copies", "1"],
+    THM2_SWEEP + ["--dims", "3,1000", "--copies", "1,1000000"],
     KS + ["--pairs", "1000000"],
     ["exclusion", "--states", "s.json", "--restarts", "1000000", "--max-iters", "1000000"],
 ]
@@ -796,8 +819,7 @@ class TestFlagTable:
                     "sweep": THM2_SWEEP[1:] + ["--dims", "3"]}
         rc, out, err = run(capsys, [command, *required.get(command, ()), flag, str(10**20)])
         assert (rc, out) == (1, ""), err
-        named = err.split("error: ", 1)[1].split()[0]  # e.g. --dims**--copies
-        assert flag in named.split("**"), err
+        assert f"error: {flag} " in err, err
 
     def test_table_runs_before_the_handler(self, capsys, monkeypatch):
         import psigauge.cli as cli
@@ -811,7 +833,7 @@ class TestFlagTable:
     @pytest.mark.parametrize(
         "argv, flag",
         [
-            (THM2_SWEEP + ["--dims", "3", "--copies", "13"], "--dims**--copies"),
+            (THM2_SWEEP + ["--dims", "3", "--copies", "99999999999999999999"], "--copies"),
             (THM2_SWEEP + ["--dims", "3", "--copies", "0"], "--copies"),
             (["thm1", "--shots", "99999999999999999999"], "--shots"),
             (ORBIT + ["--steps", "99999999999999999999"], "--steps"),
@@ -890,7 +912,7 @@ def _fuzz_slots(files) -> dict:
         "thm1": [dim, *protocol],
         "thm2": [
             _flag("--dim", ("3", "4", "8"), ("2", "0", "-3", HUGE)),
-            _flag("--copies", ("1", "2", "3"), ("0", "-1", "13", HUGE)),
+            _flag("--copies", ("1", "2", "3"), ("0", "-1", "1000001", HUGE)),
             *protocol,
         ],
         "thm4": [
@@ -935,7 +957,7 @@ def _fuzz_slots(files) -> dict:
         "sweep": [
             _flag("--family", ("thm2", "thm1"), ("thm3",)),
             _flag("--dims", ("3", "3,4", "8"), ("1", "1,2", "2,3", "3,1001", HUGE, "", ",", "x")),
-            _flag("--copies", ("1", "1,3"), ("0", "-1", "13", HUGE, "", "x")),
+            _flag("--copies", ("1", "1,3"), ("0", "-1", "1000001", HUGE, "", "x")),
             *protocol,
             _flag("--format", ("csv", "json"), ("tsv",)),
         ],

@@ -83,7 +83,7 @@ class TestTheorem2:
         with pytest.raises(ValueError):
             theorem2_states(3, 0)
         with pytest.raises(ValueError):
-            theorem2_ensemble(3, 15)  # 3**15 exceeds the amplitude cap
+            theorem2_ensemble(3, 15)  # 3**15 amplitudes exceed TENSOR_CAP
 
     def test_single_copy_gram_closed_form(self):
         for d, n in ((3, 1), (3, 2), (4, 3), (5, 2)):
@@ -107,6 +107,18 @@ class TestTheorem2:
             c = ((d - 2) / (d - 1)) ** (1.0 / n)
             expected = 1.0 - np.sqrt((1.0 + (d - 1) * c) / d)
             assert abs(theorem2_states(d, n).delta_nd - expected) <= 1e-12
+
+    @pytest.mark.parametrize("d", [3, 4, 10, 100, 1000])
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 12345, 10**5, 10**6])
+    def test_delta_nd_matches_a_60_digit_evaluation(self, d, n):
+        # 1 - sqrt((1 + (d-1) c)/d) with c = exp(ln((d-2)/(d-1))/n), to 60
+        # digits; 1 - c cancels in floats, so the worst case, (1000, 10**6),
+        # is 4.1e-8 off
+        with localcontext() as ctx:
+            ctx.prec = 60
+            c = ((Decimal(d - 2) / (d - 1)).ln() / n).exp()
+            expected = float(1 - ((1 + (d - 1) * c) / d).sqrt())
+        assert theorem2_states(d, n).delta_nd == pytest.approx(expected, rel=1e-7, abs=0.0)
 
     def test_ensemble_center_fidelity_equals_ball_radius(self):
         e = theorem2_ensemble(3, 2)

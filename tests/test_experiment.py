@@ -1,11 +1,12 @@
 import dataclasses
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from psigauge import experiment, qcore
-from psigauge.ensembles import theorem1_ensemble, theorem2_ensemble
+from psigauge.ensembles import theorem1_ensemble, theorem2_ensemble, theorem2_span_ensemble
 from psigauge.ensembles import ensemble_from_json, ensemble_to_json
 from psigauge.experiment import (
     SWEEP_FIELDS,
@@ -23,6 +24,7 @@ from psigauge.qcore import (
     Operator,
     Povm,
     StateVector,
+    effect_traces,
     outcome_table,
 )
 
@@ -226,6 +228,46 @@ class TestRunProtocol:
             "n_copies",
             "seed",
         }
+
+
+# every d up to 40, the most outcomes one block of effects validates at once,
+# and d = 100 past it, with every n at which the dense powers fit 10**4 amplitudes
+SPAN_DIMS = [*range(3, 41), 100]
+NOISE_GRID = [NoiseSpec(p, q) for p in (0.0, 0.01, 1.0) for q in (0.0, 0.05, 1.0)]
+
+
+class TestTheorem2SpanCoordinates:
+    """theorem2_span_ensemble, checked against the dense theorem2_ensemble it
+    stands for."""
+
+    @pytest.mark.parametrize("d", SPAN_DIMS)
+    def test_noisy_rows_equal_the_dense_rows(self, d):
+        for n in itertools.takewhile(lambda n: d**n <= 10**4, itertools.count(1)):
+            pair = theorem2_ensemble(d, n), theorem2_span_ensemble(d, n)
+            tables = [outcome_table(e.states, e.measurement) for e in pair]
+            for noise in NOISE_GRID:
+                dense, span = (_noisy_rows(t, e.measurement, noise) for t, e in zip(tables, pair))
+                assert np.abs(dense - span).max() <= 1e-14, (n, noise)
+            # the depolarized share of each outcome is 1/d on both sides
+            traces = effect_traces(pair[0].measurement) / d**n
+            assert np.abs(traces * d - 1.0).max() <= 1e-14, n
+
+    @pytest.mark.parametrize("d, n", [(3, 1), (3, 7), (4, 3), (10, 2)])
+    def test_is_the_theorem1_ensemble_under_the_dense_params(self, d, n):
+        span, dense = theorem2_span_ensemble(d, n), theorem2_ensemble(d, n)
+        thm1 = theorem1_ensemble(d)
+        assert span.kind == dense.kind == "theorem2"
+        assert span.params == {**dense.params, "n_copy_delta_star": dense.delta_star}
+        for s, t in zip(span.states + (span.center,), thm1.states + (thm1.center,), strict=True):
+            assert np.array_equal(s.amplitudes, t.amplitudes)
+        assert np.array_equal(span.measurement.vectors, thm1.measurement.vectors)
+        assert span.delta_star == thm1.delta_star
+
+    def test_runs_the_protocol_at_a_million_copies(self):
+        report = run_protocol(theorem2_span_ensemble(4, 10**6), QUIET, 1_000, seed=0)
+        assert report.n_copies == 10**6 and report.assumes_preparation_independence
+        assert report.epsilon_exp_hat == 0.0
+        assert report.epsilon_single_copy_bound == report.epsilon_upper_bound ** 1e-6
 
 
 class TestSweep:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from psigauge._geometry import bloch_from_state, fibonacci_sphere
-from psigauge.ensembles import theorem2_ensemble, theorem4_states
+from psigauge.ensembles import theorem2_ensemble, theorem2_states, theorem4_states
 from psigauge.ontic import DiscreteOnticModel, classify, product_model, total_variation
 from psigauge.orbit import OrbitCloud, orbit_step, steps_to_cover
 from psigauge.qcore import (
@@ -69,6 +69,11 @@ GUARDS = {
     "product copies": (
         lambda: product_model(POINT_MODEL, 0), ValueError, "copy count must be >= 1, got 0"),
     "theorem4 dim": (lambda: theorem4_states(1, 0.0), ValueError, "need dimension >= 2, got 1"),
+    # ((d-2)/(d-1))**(1/n) is 1.0 there: the d states would coincide, at delta_nd 0
+    "theorem2 gram level": (
+        lambda: theorem2_states(3, 10**17), ValueError, "rounds to 1 at d = 3, n = 10"),
+    "theorem2 gram level, d = 1000": (
+        lambda: theorem2_states(1000, 10**14), ValueError, "the states coincide"),
 }
 
 
@@ -124,6 +129,12 @@ def test_a_one_dimensional_power_is_not_multiplied_out():
     # underflow or overflow if its modulus were raised to the power too
     for modulus in (1 - 1e-13, 1 + 1e-13):
         assert tensor_power(StateVector(1, [modulus * np.exp(0.3j)]), 10**16).dim == 1
+
+
+def test_theorem2_family_builds_while_its_gram_level_stays_below_one():
+    family = theorem2_states(3, 10**16)  # one ulp below 1
+    assert family.c == np.nextafter(1.0, 0.0)
+    assert family.alpha < 0.0 and family.delta_nd > 0.0
 
 
 def test_orbit_step_on_an_empty_cloud_only_advances_the_generation():

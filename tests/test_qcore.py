@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psigauge import qcore
+from psigauge import exclusion, ontic, orbit, qcore
 from psigauge.ensembles import theorem1_ensemble, theorem2_ensemble, theorem4_ensemble
+from psigauge.exclusion import ExclusionResult
+from psigauge.ontic import DiscreteOnticModel
+from psigauge.orbit import OrbitCloud
 from psigauge.qcore import (
     OP_TOL,
     Ball,
@@ -503,3 +506,65 @@ class TestJson:
 class TestContractViolation:
     def test_is_runtime_error(self):
         assert issubclass(ContractViolation, RuntimeError)
+
+
+# each value constructor that keeps an array: (build from the array, read the
+# kept array back, a valid array to build from)
+VALUE_ARRAYS = {
+    "state": (lambda a: StateVector(2, a), lambda v: v.amplitudes, [1, 0]),
+    "operator": (lambda a: Operator(2, a), lambda v: v.entries, [[1, 0], [0, 1]]),
+    "ontic preparation": (
+        lambda a: DiscreteOnticModel(2, {"q": a}, {}), lambda v: v.preparations["q"], [0.5, 0.5]),
+    "ontic response": (
+        lambda a: DiscreteOnticModel(2, {}, {"m": a}), lambda v: v.responses["m"],
+        [[1.0, 0.0], [0.0, 1.0]]),
+    "orbit cloud": (lambda a: OrbitCloud(a, 0, 0.02), lambda v: v.points, [[0.0, 0.0, 1.0]]),
+    "exclusion result": (
+        lambda a: ExclusionResult(0.0, a, 1, "value", 0.0), lambda v: v.basis, [[1, 0], [0, 1]]),
+}
+
+
+class TestValueArrays:
+    """A value keeps a read-only array that its caller cannot write to."""
+
+    @pytest.mark.parametrize("build, read, entries", VALUE_ARRAYS.values(), ids=VALUE_ARRAYS)
+    def test_the_callers_array_stays_writeable_and_apart(self, build, read, entries):
+        array = np.array(entries, dtype=read(build(entries)).dtype)
+        value = build(array)
+        before = read(value).copy()
+        array[0] = 5  # the caller's array is neither frozen nor aliased
+        assert np.array_equal(read(value), before)
+        assert not read(value).flags.writeable
+
+    @pytest.mark.parametrize("build, read, entries", VALUE_ARRAYS.values(), ids=VALUE_ARRAYS)
+    def test_a_read_only_array_is_kept_as_it_is(self, build, read, entries):
+        array = np.array(entries, dtype=read(build(entries)).dtype)
+        array.flags.writeable = False
+        assert np.shares_memory(read(build(array)), array)
+
+    def test_the_package_builders_hand_over_frozen_arrays(self, monkeypatch):
+        # so that building a value from the package's own arrays copies nothing
+        handed, real = [], qcore._immutable
+
+        def spy(array):
+            handed.append(array.flags.writeable)
+            return real(array)
+
+        for module in (qcore, ontic, orbit, exclusion):
+            monkeypatch.setattr(module, "_immutable", spy)
+        rng = np.random.default_rng(0)
+        family = theorem2_ensemble(3, 2)
+        omit_one = theorem1_ensemble(3).states
+        unitary_from_correspondence(omit_one, omit_one[::-1])
+        sample_state_in_ball(Ball(StateVector.basis(1, 0), 0.5), rng)
+        sample_state_in_ball(Ball(sample_haar_state(3, rng), 0.5), rng)
+        pair_at_fidelity(3, 0.5, rng)
+        state_from_json(state_to_json(family.center))
+        povm_from_json(povm_to_json(Povm.basis(2)))
+        ks = ontic.ks_qubit_model(100)
+        table = ontic.model_from_parametric(ks, {"a": StateVector.basis(2, 0)})
+        ontic.product_model(ontic.psi_ontic_fixture(family.states, [family.measurement]), 2)
+        ontic.product_model(table, 2)
+        orbit.orbit_step(orbit.initial_cloud(1.0))
+        exclusion.optimize(exclusion.ExclusionProblem(family.states), restarts=1, max_iters=5)
+        assert handed and not any(handed)
