@@ -8,8 +8,10 @@ seeded generator, and written after the cloud into one buffer. Dedup has no
 Python loop: a grid pass keeps the first point per packed int64 cell key,
 then a greedy pass settles the cloud, drops the new points within the chord
 of it and pairs up the rest over a sliding-midpoint KD-tree in vectorized
-rounds, so steps stay near-linear in the candidate count. Coverage bounds
-each grid point's nearest-neighbour query just above the tolerance's chord.
+rounds, so steps stay near-linear in the candidate count. The candidate
+buffer lives only until the grid pass: the KD-trees see only the cell
+representatives. Coverage bounds each grid point's nearest-neighbour query
+just above the tolerance's chord.
 
 ``cKDTree`` is imported inside the two functions that build one, so that
 importing this module (and with it the CLI) loads no scipy module.
@@ -28,7 +30,8 @@ from .qcore import _frozen, _immutable
 # below this the dedup cell grid has over 2^21 cells per axis, and its
 # packed keys can outgrow an int64
 MIN_DEDUP_TOLERANCE = 2e-6
-#: candidates one orbit step generates at most, before dedup
+#: a step generates at most max(MAX_CANDIDATES, rotations_per_pair) candidates
+#: before dedup: a single pair's rotations when they outnumber this cap
 MAX_CANDIDATES = 200_000
 #: points one orbit step keeps at most, after dedup
 POINT_CAP = 100_000
@@ -106,7 +109,9 @@ def _dedup(points: np.ndarray, tol: float, settled: int = 0) -> np.ndarray:
     points; a nearest-neighbour query drops each later one within the chord
     of a kept one (rechecking rooted distances within 1e-9 of the chord by the
     pair list's squared rule); pass 2 then runs on the rest. No value of
-    ``settled`` changes the result. A cube whose cell count overflows an
+    ``settled`` changes the result. Pass 1 is the last reader of ``points``,
+    so a caller keeping no reference, as ``orbit_step`` keeps none, has it
+    freed before any KD-tree is built. A cube whose cell count overflows an
     int64, which a tol below MIN_DEDUP_TOLERANCE can give, raises ValueError."""
     from scipy.spatial import cKDTree
 
@@ -128,7 +133,7 @@ def _dedup(points: np.ndarray, tol: float, settled: int = 0) -> np.ndarray:
     del packed, order, starts
     first.sort()
     k, reps = int(np.searchsorted(first, settled)), points[first]
-    del first
+    del first, points
     keep = np.zeros(reps.shape[0], dtype=bool)
     keep[:k] = _greedy_keep(reps[:k], chord)
     fresh = slice(k, None)
@@ -141,6 +146,22 @@ def _dedup(points: np.ndarray, tol: float, settled: int = 0) -> np.ndarray:
         fresh = k + np.flatnonzero(dist > chord)
     keep[fresh] = _greedy_keep(reps[fresh], chord)
     return reps[keep]
+
+
+def _with_candidates(points: np.ndarray, idx_i: np.ndarray, idx_j: np.ndarray,
+                     rotations: int) -> np.ndarray:
+    """One buffer holding ``points``, then each point ``idx_i`` rotated about
+    the axis ``idx_j`` by ``rotations`` evenly spaced angles, renormalized."""
+    n = points.shape[0]
+    angles = 2.0 * np.pi * (np.arange(rotations) + 0.5) / rotations
+    merged = np.empty((n + idx_i.shape[0] * rotations, 3))
+    merged[:n] = points
+    candidates = merged[n:]
+    rodrigues_rotate(points[idx_i][:, None, :], points[idx_j][:, None, :], angles[None, :],
+                     out=candidates.reshape(-1, rotations, 3))
+    # np.linalg.norm's sum of squares, without its full-size temporaries
+    candidates /= np.sqrt(sum(np.square(candidates[:, axis]) for axis in range(3)))[:, None]
+    return merged
 
 
 def initial_cloud(theta: float, dedup_tolerance: float = 0.02) -> OrbitCloud:
@@ -162,11 +183,12 @@ def orbit_step(cloud: OrbitCloud, rotations_per_pair: int = 24, seed: int = 0) -
 
     For each selected (point, axis) pair, ``rotations_per_pair`` evenly
     spaced angles (offset by half a step so the identity rotation is never
-    wasted) produce candidates. When the full quadratic pair set exceeds
-    MAX_CANDIDATES candidates, pairs are subsampled with a generator
-    seeded by ``seed``; the grown cloud is likewise thinned to POINT_CAP
-    points. Existing points always survive dedup because they are listed
-    first.
+    wasted) produce candidates. When the full quadratic pair set has more
+    than max(1, MAX_CANDIDATES // rotations_per_pair) pairs, that many are
+    subsampled with a generator seeded by ``seed``, so a step generates at
+    most max(MAX_CANDIDATES, rotations_per_pair) candidates; the grown cloud
+    is likewise thinned to POINT_CAP points. Existing points always survive
+    dedup because they are listed first.
     """
     if rotations_per_pair < 4:
         raise ValueError(f"rotations per pair must be >= 4, got {rotations_per_pair}")
@@ -174,7 +196,6 @@ def orbit_step(cloud: OrbitCloud, rotations_per_pair: int = 24, seed: int = 0) -
     if n == 0:
         return OrbitCloud(cloud.points, cloud.generation + 1, cloud.dedup_tolerance)
     rng = np.random.default_rng(seed)
-    angles = 2.0 * np.pi * (np.arange(rotations_per_pair) + 0.5) / rotations_per_pair
 
     pair_budget = max(1, MAX_CANDIDATES // rotations_per_pair)
     if n * (n - 1) <= pair_budget:
@@ -184,14 +205,10 @@ def orbit_step(cloud: OrbitCloud, rotations_per_pair: int = 24, seed: int = 0) -
         # j != i, uniform over the other points
         idx_j = (idx_i + rng.integers(1, n, size=pair_budget)) % n
 
-    merged = np.empty((n + idx_i.shape[0] * rotations_per_pair, 3))  # the cloud, then candidates
-    merged[:n] = cloud.points
-    candidates = merged[n:]
-    rodrigues_rotate(cloud.points[idx_i][:, None, :], cloud.points[idx_j][:, None, :],
-                     angles[None, :], out=candidates.reshape(-1, rotations_per_pair, 3))
-    # np.linalg.norm's sum of squares, without its full-size temporaries
-    candidates /= np.sqrt(sum(np.square(candidates[:, axis]) for axis in range(3)))[:, None]
-    deduped = _dedup(merged, cloud.dedup_tolerance, settled=n)
+    # no name here holds the buffer: CPython 3.11+ moves the argument into
+    # _dedup, which frees it after its grid pass
+    deduped = _dedup(_with_candidates(cloud.points, idx_i, idx_j, rotations_per_pair),
+                     cloud.dedup_tolerance, settled=n)
     if deduped.shape[0] > POINT_CAP:
         pick = rng.choice(deduped.shape[0], size=POINT_CAP, replace=False)
         deduped = deduped[np.sort(pick)]

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,14 @@ from psigauge.orbit import (
     orbit_step,
     steps_to_cover,
 )
-from psigauge.orbit import MIN_DEDUP_TOLERANCE, _chord, _dedup, coverage_trajectory
+from psigauge.orbit import MAX_CANDIDATES, MIN_DEDUP_TOLERANCE, _chord, _dedup, coverage_trajectory
+
+
+@pytest.fixture(scope="module")
+def third_step_cloud():
+    """The cloud of the second step from theta 0.5: with its candidates, the
+    third step dedups 209,135 points."""
+    return orbit_step(orbit_step(initial_cloud(0.5), seed=1), seed=2)
 
 
 class TestInitialCloud:
@@ -77,6 +86,20 @@ class TestOrbitStep:
         monkeypatch.setattr(orbit_module, "POINT_CAP", 40)
         capped = orbit_step(cloud, seed=1)
         assert capped.size == 40
+
+    def test_one_pair_can_outnumber_the_candidate_cap(self, monkeypatch):
+        # above MAX_CANDIDATES rotations the pair budget is one pair, whose
+        # rotations all follow the two cloud points into the dedup
+        rows = []
+
+        def record(points, tol, **options):
+            rows.append(points.shape[0])
+            return _dedup(points, tol, **options)
+
+        monkeypatch.setattr(orbit_module, "_dedup", record)
+        assert 300_000 > MAX_CANDIDATES
+        orbit_step(initial_cloud(2.0), rotations_per_pair=300_000)
+        assert rows == [300_002]
 
 
 def _rotation_matrices(axes, angles):
@@ -339,7 +362,7 @@ class TestDedupMatchesGreedy:
         fresh = kept[settled.shape[0] :]
         assert not (tree.query_ball_point(fresh, chord, return_length=True) > 0).any()
 
-    def test_holds_no_more_memory_than_before(self):
+    def test_holds_no_more_memory_than_before(self, third_step_cloud):
         """The 209,135 points of the third step from theta 0.5. Under
         tracemalloc a grid pass through np.unique peaks at 12.8 MiB here,
         the sorted pass over a float key array at 9.6 MiB, and the pass
@@ -352,10 +375,9 @@ class TestDedupMatchesGreedy:
             inputs.append((points.copy(), tol))
             return _dedup(points, tol, **options)
 
-        cloud = orbit_step(orbit_step(initial_cloud(0.5), seed=1), seed=2)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(orbit_module, "_dedup", record)
-            orbit_step(cloud, seed=3)
+            orbit_step(third_step_cloud, seed=3)
         points, tol = inputs[0]
         assert points.shape[0] > 200_000
         tracemalloc.start()
@@ -366,7 +388,7 @@ class TestDedupMatchesGreedy:
             tracemalloc.stop()
         assert peak < 6 * 2**20
 
-    def test_orbit_step_holds_no_more_memory_than_before(self):
+    def test_orbit_step_holds_no_more_memory_than_before(self, third_step_cloud):
         """The same third step from theta 0.5, whole. Under tracemalloc it
         peaks at 19.4 MiB with full-size rotation, norm and key temporaries
         and a pair list over every representative, and at 10.2 MiB when the
@@ -374,14 +396,41 @@ class TestDedupMatchesGreedy:
         the cloud first."""
         import tracemalloc
 
-        cloud = orbit_step(orbit_step(initial_cloud(0.5), seed=1), seed=2)
         tracemalloc.start()
         try:
-            orbit_step(cloud, seed=3)
+            orbit_step(third_step_cloud, seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="CPython before 3.11 keeps call arguments on the caller's stack")
+    def test_trees_are_built_after_the_candidates_are_freed(self, third_step_cloud):
+        """The same third step, whole. Its 209,135-point buffer is 5.0 MB:
+        live memory at the three tree builds reads 7.1, 7.3 and 8.9 MiB
+        while the step holds it, and 2.3, 2.5 and 4.1 MiB once the grid
+        pass is its last reader."""
+        import tracemalloc
+
+        import scipy.spatial
+
+        built = scipy.spatial.cKDTree
+        live = []
+
+        def spy(*args, **kwargs):
+            live.append(tracemalloc.get_traced_memory()[0])
+            return built(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(scipy.spatial, "cKDTree", spy)
+            tracemalloc.start()
+            try:
+                orbit_step(third_step_cloud, seed=3)
+            finally:
+                tracemalloc.stop()
+        assert len(live) == 3
+        assert max(live) < 5 * 2**20
 
     def test_key_space_beyond_int64_raises(self):
         from psigauge._geometry import fibonacci_sphere
