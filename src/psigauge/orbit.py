@@ -4,16 +4,16 @@ sphere.
 
 Points are unit 3-vectors. Each growth step is quadratic in the cloud size
 before budgeting, so candidate generation is capped and subsampled with a
-seeded generator, and written after the cloud into one buffer. Dedup has no
-Python loop: a grid pass keeps the first point per packed int64 cell key,
-then a greedy pass settles the cloud, drops the new points within the chord
-of it and pairs up the rest over a sliding-midpoint KD-tree in vectorized
-rounds, so steps stay near-linear in the candidate count. The candidate
-buffer lives only until the grid pass: the KD-trees see only the cell
-representatives. Coverage bounds each grid point's nearest-neighbour query
-just above the tolerance's chord.
+seeded generator, and written into a buffer of candidates only. Dedup has
+no Python loop: a grid pass keeps the first candidate per packed int64 cell
+key and is the buffer's last reader, a KD-tree query drops those within
+the chord of the cloud, and a greedy pass pairs up the rest over a
+sliding-midpoint KD-tree in vectorized rounds, so steps stay near-linear in
+the candidate count. Existing points skip the dedup and so survive it by
+construction; POINT_CAP thinning may still drop any point. Coverage bounds
+each grid point's nearest-neighbour query just above the tolerance's chord.
 
-``cKDTree`` is imported inside the two functions that build one, so that
+``cKDTree`` is imported inside the functions that build one, so that
 importing this module (and with it the CLI) loads no scipy module.
 """
 
@@ -98,21 +98,21 @@ def _greedy_keep(reps: np.ndarray, chord: float) -> np.ndarray:
     return keep
 
 
-def _dedup(points: np.ndarray, tol: float, settled: int = 0) -> np.ndarray:
+def _dedup(points: np.ndarray, tol: float, settled: np.ndarray | None = None) -> np.ndarray:
     """Keep earliest representatives of clusters closer than the angular tol.
 
     Pass 1 snaps points to a grid whose cell diagonal is the chord, so
     cell-mates are always within tol. It packs each cell, an axis at a time,
     into one int64 key over the cube of cells the coordinates span, sorts the
-    keys, and keeps the smallest index under each, in input order. Pass 2,
-    ``_greedy_keep``, runs on the representatives of the first ``settled``
-    points; a nearest-neighbour query drops each later one within the chord
-    of a kept one (rechecking rooted distances within 1e-9 of the chord by the
-    pair list's squared rule); pass 2 then runs on the rest. No value of
-    ``settled`` changes the result. Pass 1 is the last reader of ``points``,
-    so a caller keeping no reference, as ``orbit_step`` keeps none, has it
-    freed before any KD-tree is built. A cube whose cell count overflows an
-    int64, which a tol below MIN_DEDUP_TOLERANCE can give, raises ValueError."""
+    keys, and keeps the smallest index under each, in input order. When
+    ``settled`` is an (m, 3) array, a nearest-neighbour query over it drops
+    every representative within the chord of a settled point (rechecking
+    rooted distances within 1e-9 of the chord by the pair list's squared
+    rule). Pass 2, ``_greedy_keep``, runs on the rest; the settled points are
+    not returned. Pass 1 is the last reader of ``points``, so a caller keeping
+    no reference, as ``orbit_step`` keeps none, has it freed before any
+    KD-tree is built. A cube whose cell count overflows an int64, which a tol
+    below MIN_DEDUP_TOLERANCE can give, raises ValueError."""
     from scipy.spatial import cKDTree
 
     chord = _chord(tol)
@@ -132,36 +132,29 @@ def _dedup(points: np.ndarray, tol: float, settled: int = 0) -> np.ndarray:
     first = np.minimum.reduceat(order, starts)
     del packed, order, starts
     first.sort()
-    k, reps = int(np.searchsorted(first, settled)), points[first]
+    reps = points[first]
     del first, points
-    keep = np.zeros(reps.shape[0], dtype=bool)
-    keep[:k] = _greedy_keep(reps[:k], chord)
-    fresh = slice(k, None)
-    if k:
-        tree = cKDTree(reps[:k][keep[:k]])
-        dist = tree.query(reps[k:], distance_upper_bound=chord * (1 + 2e-9))[0]
+    if settled is not None:
+        tree = cKDTree(settled)
+        dist = tree.query(reps, distance_upper_bound=chord * (1 + 2e-9))[0]
         edge = np.flatnonzero(np.abs(dist - chord) <= 1e-9 * chord)
-        hits = tree.query_ball_point(reps[k + edge], chord, return_length=True)
+        hits = tree.query_ball_point(reps[edge], chord, return_length=True)
         dist[edge] = np.where(hits > 0, 0.0, np.inf)
-        fresh = k + np.flatnonzero(dist > chord)
-    keep[fresh] = _greedy_keep(reps[fresh], chord)
-    return reps[keep]
+        reps = reps[dist > chord]
+    return reps[_greedy_keep(reps, chord)]
 
 
-def _with_candidates(points: np.ndarray, idx_i: np.ndarray, idx_j: np.ndarray,
-                     rotations: int) -> np.ndarray:
-    """One buffer holding ``points``, then each point ``idx_i`` rotated about
-    the axis ``idx_j`` by ``rotations`` evenly spaced angles, renormalized."""
-    n = points.shape[0]
+def _candidates(points: np.ndarray, idx_i: np.ndarray, idx_j: np.ndarray,
+                rotations: int) -> np.ndarray:
+    """Each point ``idx_i`` rotated about the axis ``idx_j`` by ``rotations``
+    evenly spaced angles, renormalized, in one buffer."""
     angles = 2.0 * np.pi * (np.arange(rotations) + 0.5) / rotations
-    merged = np.empty((n + idx_i.shape[0] * rotations, 3))
-    merged[:n] = points
-    candidates = merged[n:]
+    candidates = np.empty((idx_i.shape[0] * rotations, 3))
     rodrigues_rotate(points[idx_i][:, None, :], points[idx_j][:, None, :], angles[None, :],
                      out=candidates.reshape(-1, rotations, 3))
     # np.linalg.norm's sum of squares, without its full-size temporaries
     candidates /= np.sqrt(sum(np.square(candidates[:, axis]) for axis in range(3)))[:, None]
-    return merged
+    return candidates
 
 
 def initial_cloud(theta: float, dedup_tolerance: float = 0.02) -> OrbitCloud:
@@ -187,13 +180,14 @@ def orbit_step(cloud: OrbitCloud, rotations_per_pair: int = 24, seed: int = 0) -
     than max(1, MAX_CANDIDATES // rotations_per_pair) pairs, that many are
     subsampled with a generator seeded by ``seed``, so a step generates at
     most max(MAX_CANDIDATES, rotations_per_pair) candidates; the grown cloud
-    is likewise thinned to POINT_CAP points. Existing points always survive
-    dedup because they are listed first.
+    is likewise thinned to POINT_CAP points. Only the candidates are deduped,
+    against the existing points and each other, so every existing point
+    survives dedup by construction; the POINT_CAP thinning may drop any point.
     """
     if rotations_per_pair < 4:
         raise ValueError(f"rotations per pair must be >= 4, got {rotations_per_pair}")
     n = cloud.size
-    if n == 0:
+    if n < 2:  # no pair, so no candidate
         return OrbitCloud(cloud.points, cloud.generation + 1, cloud.dedup_tolerance)
     rng = np.random.default_rng(seed)
 
@@ -207,12 +201,13 @@ def orbit_step(cloud: OrbitCloud, rotations_per_pair: int = 24, seed: int = 0) -
 
     # no name here holds the buffer: CPython 3.11+ moves the argument into
     # _dedup, which frees it after its grid pass
-    deduped = _dedup(_with_candidates(cloud.points, idx_i, idx_j, rotations_per_pair),
-                     cloud.dedup_tolerance, settled=n)
-    if deduped.shape[0] > POINT_CAP:
-        pick = rng.choice(deduped.shape[0], size=POINT_CAP, replace=False)
-        deduped = deduped[np.sort(pick)]
-    return OrbitCloud(_frozen(deduped), cloud.generation + 1, cloud.dedup_tolerance)
+    fresh = _dedup(_candidates(cloud.points, idx_i, idx_j, rotations_per_pair),
+                   cloud.dedup_tolerance, settled=cloud.points)
+    grown = np.concatenate([cloud.points, fresh])
+    if grown.shape[0] > POINT_CAP:
+        pick = rng.choice(grown.shape[0], size=POINT_CAP, replace=False)
+        grown = grown[np.sort(pick)]
+    return OrbitCloud(_frozen(grown), cloud.generation + 1, cloud.dedup_tolerance)
 
 
 def coverage(cloud: OrbitCloud, grid_size: int, angular_tol: float) -> float:
@@ -272,9 +267,11 @@ def steps_to_cover(
     """
     if not 0.0 < target_coverage <= 1.0:
         raise ValueError(f"target coverage must lie in (0, 1], got {target_coverage}")
+    if max_steps < 0:
+        raise ValueError(f"max steps must be >= 0, got {max_steps}")
     trajectory = coverage_trajectory(initial_cloud(theta), grid_size, angular_tol, seed)
     rows = []
-    for row in islice(trajectory, max(max_steps, 0) + 1):
+    for row in islice(trajectory, max_steps + 1):
         rows.append(row)
         if row[2] >= target_coverage:
             return CoverageTrajectory(row[0], True, tuple(rows))

@@ -60,6 +60,9 @@ GUARDS = {
         "non-finite points"),
     "coverage target": (
         lambda: steps_to_cover(1.0, 0.0, 0.05), ValueError, "target coverage must lie in (0, 1]"),
+    "coverage steps": (
+        lambda: steps_to_cover(1.0, 0.9, 0.05, max_steps=-1), ValueError,
+        "max steps must be >= 0, got -1"),
     "ontic space": (
         lambda: DiscreteOnticModel(0, {}, {}), ValueError, "at least one state"),
     "classify labels": (
@@ -140,4 +143,11 @@ def test_theorem2_family_builds_while_its_gram_level_stays_below_one():
 def test_orbit_step_on_an_empty_cloud_only_advances_the_generation():
     grown = orbit_step(OrbitCloud(np.zeros((0, 3)), 4, 0.02))
     assert grown.size == 0
+    assert grown.generation == 5
+
+
+def test_orbit_step_on_a_one_point_cloud_only_advances_the_generation():
+    # no pair to rotate about, so no candidates for the dedup
+    grown = orbit_step(OrbitCloud([[0.0, 0.0, 1.0]], 4, 0.02))
+    assert grown.points.tolist() == [[0.0, 0.0, 1.0]]
     assert grown.generation == 5

@@ -21,8 +21,8 @@ from psigauge.orbit import MAX_CANDIDATES, MIN_DEDUP_TOLERANCE, _chord, _dedup, 
 
 @pytest.fixture(scope="module")
 def third_step_cloud():
-    """The cloud of the second step from theta 0.5: with its candidates, the
-    third step dedups 209,135 points."""
+    """The cloud of the second step from theta 0.5: the third step dedups
+    199,992 candidates against its 9,143 points."""
     return orbit_step(orbit_step(initial_cloud(0.5), seed=1), seed=2)
 
 
@@ -69,6 +69,17 @@ class TestOrbitStep:
             dist = np.linalg.norm(grown.points - p, axis=1).min()
             assert dist <= 1e-12
 
+    def test_existing_points_within_the_chord_all_survive(self):
+        # a pair 0.01 rad apart at tol 0.02: only the candidates are deduped,
+        # so both stay, and no candidate is kept within the chord of either
+        points = np.array([[0.0, 0.0, 1.0], [np.sin(0.01), 0.0, np.cos(0.01)], [1.0, 0.0, 0.0]])
+        cloud = OrbitCloud(points, 0, 0.02)
+        grown = orbit_step(cloud, seed=0)
+        assert np.array_equal(grown.points[:3], cloud.points)
+        near = cKDTree(cloud.points).query_ball_point(grown.points[3:], _chord(0.02),
+                                                      return_length=True)
+        assert grown.size > 3 and not near.any()
+
     def test_dedup_respects_tolerance(self):
         grown = orbit_step(orbit_step(initial_cloud(1.0), seed=0), seed=1)
         pts = grown.points
@@ -89,7 +100,7 @@ class TestOrbitStep:
 
     def test_one_pair_can_outnumber_the_candidate_cap(self, monkeypatch):
         # above MAX_CANDIDATES rotations the pair budget is one pair, whose
-        # rotations all follow the two cloud points into the dedup
+        # rotations are all deduped
         rows = []
 
         def record(points, tol, **options):
@@ -99,7 +110,7 @@ class TestOrbitStep:
         monkeypatch.setattr(orbit_module, "_dedup", record)
         assert 300_000 > MAX_CANDIDATES
         orbit_step(initial_cloud(2.0), rotations_per_pair=300_000)
-        assert rows == [300_002]
+        assert rows == [300_000]
 
 
 def _rotation_matrices(axes, angles):
@@ -151,8 +162,9 @@ class TestRodrigues:
 
 
 def _rotated_by(points, angle, rng):
-    """Each point turned by ``angle`` about its own random perpendicular axis,
-    so it lands at the chord of ``angle`` from where it was."""
+    """Each point turned by ``angle`` (one, or one per point) about its own
+    random perpendicular axis, so it lands at the chord of ``angle`` from
+    where it was."""
     axes = np.cross(points, rng.standard_normal(points.shape))
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)
     moved = rodrigues_rotate(points, axes, np.full(points.shape[0], angle))
@@ -231,15 +243,18 @@ class TestStepsToCover:
         assert all(0 <= inc <= 2 for inc in increments)
 
 
-def _greedy_reference(points, tol):
-    """The dedup as a plain loop: first point per grid cell, then walk the
-    representatives in order and drop each later neighbour of a kept one."""
+def _greedy_reference(points, tol, settled=None):
+    """The dedup as a plain loop: first point per grid cell, drop those
+    within the chord of a settled point, then walk the rest in order and drop
+    each later neighbour of a kept one."""
     if points.shape[0] == 0:
         return points
     chord = _chord(tol)
     keys = np.floor(points / (chord / np.sqrt(3.0))).astype(np.int64)
     _, first = np.unique(keys, axis=0, return_index=True)
     reps = points[np.sort(first)]
+    if settled is not None:
+        reps = reps[cKDTree(settled).query_ball_point(reps, chord, return_length=True) == 0]
     keep = np.ones(reps.shape[0], dtype=bool)
     for i, neighbors in enumerate(cKDTree(reps).query_ball_point(reps, chord)):
         if not keep[i]:
@@ -252,26 +267,30 @@ def _greedy_reference(points, tol):
 
 @st.composite
 def _settled_cases(draw):
-    """(points, tol, k): random unit clouds, the "repeated" layout, or a
-    cloud whose first k points all lie within the chord of each other."""
+    """(settled, points, tol): a settled cloud with no pair within the chord,
+    or one that opens with a cluster of points pairwise within it, and new
+    points drawn at random, repeated, or turned from settled points by up to
+    twice tol."""
     tol = draw(st.sampled_from([0.02, 0.1, 0.3]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    layout = draw(st.sampled_from(["random", "repeated", "clustered"]))
-    if layout == "repeated":
-        m = draw(st.integers(1, 150))
+    settled = _unit_rows(rng, (draw(st.integers(1, 200)), 3))
+    if draw(st.booleans()):
+        settled = _greedy_reference(settled, tol)
+    else:
+        # turned from the first point by at most tol / 2, so pairwise within tol
+        k = draw(st.integers(2, 40))
+        cluster = _rotated_by(np.repeat(settled[:1], k, axis=0), rng.uniform(0.0, tol / 2, k), rng)
+        settled = np.concatenate([cluster, settled])
+    layout = draw(st.sampled_from(["random", "repeated", "near"]))
+    m = draw(st.integers(1, 150))
+    if layout == "random":
+        points = _unit_rows(rng, (2 * m, 3))
+    elif layout == "repeated":
         points = np.repeat(fibonacci_sphere(m), 3, axis=0)[rng.permutation(3 * m)]
     else:
-        points = _unit_rows(rng, (draw(st.integers(1, 300)), 3))
-    if layout != "clustered":
-        return points, tol, draw(st.integers(0, points.shape[0]))
-    # turned from the first point by at most tol / 2, so pairwise within tol
-    k = draw(st.integers(1, 40))
-    centre = np.repeat(points[:1], k, axis=0)
-    axes = np.cross(centre, rng.standard_normal(centre.shape))
-    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-    cluster = rodrigues_rotate(centre, axes, rng.uniform(0.0, tol / 2, k))
-    cluster /= np.linalg.norm(cluster, axis=1, keepdims=True)
-    return np.concatenate([cluster, points]), tol, k
+        near = settled[rng.integers(0, settled.shape[0], 2 * m)]
+        points = _rotated_by(near, rng.uniform(0.0, 2 * tol, 2 * m), rng)
+    return settled, points, tol
 
 
 class TestDedupMatchesGreedy:
@@ -287,9 +306,13 @@ class TestDedupMatchesGreedy:
         orbit_step(orbit_step(initial_cloud(theta), seed=1), seed=2)
         assert len(inputs) == 2
         for points, tol, options in inputs:
-            expected = _greedy_reference(points, tol)
-            assert np.array_equal(_dedup(points, tol, **options), expected)
-            assert np.array_equal(_dedup(points, tol), expected)
+            # a package cloud has no pair within the chord, so deduping it and its
+            # candidates as one list keeps the cloud, then what the step keeps
+            settled = options["settled"]
+            expected = _greedy_reference(np.concatenate([settled, points]), tol)
+            assert np.array_equal(expected[: settled.shape[0]], settled)
+            assert np.array_equal(_dedup(points, tol, **options), expected[settled.shape[0] :])
+            assert np.array_equal(_dedup(points, tol), _greedy_reference(points, tol))
 
     def test_chain_keeps_every_other_point(self):
         # consecutive points 0.9 chord apart on the equator never share a grid
@@ -336,11 +359,15 @@ class TestDedupMatchesGreedy:
 
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @given(_settled_cases())
-    def test_settled_prefix_changes_no_result(self, case):
-        points, tol, k = case
-        expected = _greedy_reference(points, tol)
-        for settled in (0, k, points.shape[0]):
-            assert np.array_equal(_dedup(points, tol, settled=settled), expected)
+    def test_settled_filter_equals_reference(self, case):
+        settled, points, tol = case
+        kept = _dedup(points, tol, settled=settled)
+        assert np.array_equal(kept, _greedy_reference(points, tol, settled=settled))
+        if not cKDTree(settled).query_pairs(_chord(tol)):
+            # listed first, a separated cloud survives a one-list dedup whole
+            expected = _greedy_reference(np.concatenate([settled, points]), tol)
+            assert np.array_equal(expected[: settled.shape[0]], settled)
+            assert np.array_equal(kept, expected[settled.shape[0] :])
 
     def test_new_point_at_exactly_the_chord_is_dropped(self):
         # each new point is a settled one rotated by exactly tol; query_pairs
@@ -355,45 +382,46 @@ class TestDedupMatchesGreedy:
         paired = tree.query_ball_point(moved, chord, return_length=True) > 0
         assert paired.any() and not paired.all()
         assert ((tree.query(moved)[0] <= chord) != paired).any()
-        points = np.concatenate([settled, moved])
-        kept = _dedup(points, tol, settled=settled.shape[0])
-        assert np.array_equal(kept, _greedy_reference(points, tol))
-        assert np.array_equal(kept[: settled.shape[0]], settled)
-        fresh = kept[settled.shape[0] :]
+        expected = _greedy_reference(np.concatenate([settled, moved]), tol)
+        assert np.array_equal(expected[: settled.shape[0]], settled)
+        fresh = _dedup(moved, tol, settled=settled)
+        assert np.array_equal(fresh, expected[settled.shape[0] :])
         assert not (tree.query_ball_point(fresh, chord, return_length=True) > 0).any()
 
     def test_holds_no_more_memory_than_before(self, third_step_cloud):
-        """The 209,135 points of the third step from theta 0.5. Under
-        tracemalloc a grid pass through np.unique peaks at 12.8 MiB here,
-        the sorted pass over a float key array at 9.6 MiB, and the pass
-        that builds the packed key one axis at a time at 5.0 MiB."""
+        """The 199,992 candidates of the third step from theta 0.5. Under
+        tracemalloc a grid pass through np.unique peaked at 12.8 MiB on these
+        and the cloud's 9,143 points together, the sorted pass over a float
+        key array at 9.6 MiB, and the pass that builds the packed key one axis
+        at a time at 5.0 MiB; on the candidates alone it peaks at 4.6 MiB."""
         import tracemalloc
 
         inputs = []
 
         def record(points, tol, **options):
-            inputs.append((points.copy(), tol))
+            inputs.append((points.copy(), tol, options))
             return _dedup(points, tol, **options)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(orbit_module, "_dedup", record)
             orbit_step(third_step_cloud, seed=3)
-        points, tol = inputs[0]
-        assert points.shape[0] > 200_000
+        points, tol, options = inputs[0]
+        assert points.shape[0] == 199_992
         tracemalloc.start()
         try:
-            _dedup(points, tol)
+            _dedup(points, tol, **options)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 6 * 2**20
+        assert peak < 5 * 2**20
 
     def test_orbit_step_holds_no_more_memory_than_before(self, third_step_cloud):
         """The same third step from theta 0.5, whole. Under tracemalloc it
         peaks at 19.4 MiB with full-size rotation, norm and key temporaries
-        and a pair list over every representative, and at 10.2 MiB when the
+        and a pair list over every representative, at 10.2 MiB when the
         candidates are written into the cloud's buffer and the dedup settles
-        the cloud first."""
+        the cloud first, and at 10.0 MiB when the buffer holds only the
+        candidates."""
         import tracemalloc
 
         tracemalloc.start()
@@ -402,15 +430,17 @@ class TestDedupMatchesGreedy:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12 * 2**20
+        assert peak < 11 * 2**20
 
     @pytest.mark.skipif(sys.version_info < (3, 11),
                         reason="CPython before 3.11 keeps call arguments on the caller's stack")
     def test_trees_are_built_after_the_candidates_are_freed(self, third_step_cloud):
-        """The same third step, whole. Its 209,135-point buffer is 5.0 MB:
-        live memory at the three tree builds reads 7.1, 7.3 and 8.9 MiB
-        while the step holds it, and 2.3, 2.5 and 4.1 MiB once the grid
-        pass is its last reader."""
+        """The same third step, whole. With the cloud settled in its buffer,
+        the buffer was 5.0 MB and three trees were built: live memory at
+        them read 7.1, 7.3 and 8.9 MiB while the step held it, and 2.3, 2.5
+        and 4.1 MiB once the grid pass was its last reader. The buffer of
+        199,992 candidates alone is 4.8 MB, and the two trees over the cloud
+        and over the cell representatives see 2.2 and 1.6 MiB live."""
         import tracemalloc
 
         import scipy.spatial
@@ -429,8 +459,8 @@ class TestDedupMatchesGreedy:
                 orbit_step(third_step_cloud, seed=3)
             finally:
                 tracemalloc.stop()
-        assert len(live) == 3
-        assert max(live) < 5 * 2**20
+        assert len(live) == 2
+        assert max(live) < 3 * 2**20
 
     def test_key_space_beyond_int64_raises(self):
         from psigauge._geometry import fibonacci_sphere
