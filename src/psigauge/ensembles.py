@@ -21,6 +21,8 @@ from .qcore import (
     Povm,
     StateVector,
     _amplitudes,
+    _equal_overlap_family,
+    _exclusion_vectors,
     _field,
     _float,
     _require,
@@ -118,18 +120,14 @@ class Theorem2Family(NamedTuple):
     delta_nd: float
 
 
-def _delta_from_alpha(d: int, alpha: float) -> float:
-    return 1.0 - math.sqrt(1.0 - (d - 1) * alpha * alpha / d)
-
-
 def theorem2_states(d: int, n: int) -> Theorem2Family:
     """Single-copy states whose n-fold tensor powers have pairwise overlap
-    (d-2)/(d-1).
+    (d-2)/(d-1): qcore's equal-overlap family about the uniform center at
+    the single-copy Gram level c = ((d-2)/(d-1))^(1/n).
 
-    c = ((d-2)/(d-1))^(1/n) is the single-copy Gram level; the states are
-    states[k] = alpha |k> + (beta/sqrt(d)) sum_i |i> with alpha = -sqrt(1-c)
-    and beta chosen so each state is normalized. All of them sit at fidelity
-    1 - delta_nd from the uniform center, delta_nd = 1 - sqrt(1-(d-1)a^2/d).
+    Every state sits at fidelity 1 - delta_nd from the center, with
+    1 - (1 - delta_nd)^2 = (d-1)(1-c)/d, and equals alpha |k> + (beta/sqrt(d))
+    sum_i |i>, alpha = -sqrt(1-c), beta = 1 - delta_nd - alpha/sqrt(d).
     ValueError once c rounds to 1, where the states would coincide.
     """
     if d < 3:
@@ -140,19 +138,18 @@ def theorem2_states(d: int, n: int) -> Theorem2Family:
     if c == 1.0:
         raise ValueError(f"Gram level rounds to 1 at d = {d}, n = {n}: the states coincide")
     alpha = -math.sqrt(1.0 - c)
-    beta = -alpha / math.sqrt(d) + math.sqrt(alpha * alpha / d + c)
-    rows = np.full((d, d), beta / math.sqrt(d))
-    rows[np.diag_indices(d)] += alpha
-    states = tuple(map(normalized, rows))
-    return Theorem2Family(states, c, alpha, beta, _delta_from_alpha(d, alpha))
+    sin2 = (d - 1) * alpha * alpha / d
+    f = math.sqrt(1.0 - sin2)
+    states = tuple(_equal_overlap_family(StateVector.uniform(d), sin2))
+    return Theorem2Family(states, c, alpha, f - alpha / math.sqrt(d), 1.0 - f)
 
 
 def theorem2_ensemble(d: int, n: int) -> NoGoEnsemble:
     """n-copy ensemble: tensor powers of the theorem2_states family plus a
     d-outcome measurement on C_(d^n) that never fires outcome k on state k:
-    the completion of :func:`_theorem2_measurement`, whose leftover never
-    fires on the span of the powers. It is held in factored form, so time and
-    memory grow as d * d**n, not (d**n)**2.
+    the completion of qcore's exclusion vectors at the powers' Gram level
+    (d-2)/(d-1). It is held in factored form, so time and memory grow as
+    d * d**n, not (d**n)**2.
 
     delta_star is the n-copy ball radius 1 - (1 - delta_nd)^n around the
     uniform center of C_(d^n); the single-copy bound delta_nd is in params.
@@ -161,8 +158,9 @@ def theorem2_ensemble(d: int, n: int) -> NoGoEnsemble:
     family, params = _theorem2_params(d, n)
     powers = [tensor_power(s, n) for s in family.states]
     delta_star = params.pop("n_copy_delta_star")  # this ensemble's own radius
-    return _assemble(KIND_THEOREM2, params, powers, _theorem2_measurement(powers),
-                     StateVector.uniform(d**n), delta_star)
+    measurement = Povm.completion(_exclusion_vectors(_amplitudes(powers), (d - 2) / (d - 1)))
+    return _assemble(KIND_THEOREM2, params, powers, measurement, StateVector.uniform(d**n),
+                     delta_star)
 
 
 def theorem2_span_ensemble(d: int, n: int) -> NoGoEnsemble:
@@ -183,21 +181,6 @@ def _theorem2_params(d: int, n: int) -> tuple:
     del params["states"]  # an ensemble holds their powers, or its span coordinates
     params["n_copy_delta_star"] = 1.0 - (1.0 - family.delta_nd) ** n
     return family, params
-
-
-def _theorem2_measurement(powers: list) -> Povm:
-    """The factored measurement of :func:`theorem2_ensemble`, in closed form:
-    E_k = |u_k><u_k| + (1/d)(I - sum_m |u_m><u_m|), u_k the preimage of |k>.
-
-    Precondition: the d powers have the Gram matrix G = (1 - l)I + lJ,
-    l = (d-2)/(d-1), of the theorem1 states T (J the all-ones matrix). The
-    isometry taking the powers S to T gives U = S G^-1 T^dag, and
-    G^-1 T^dag = (J - (d-1)I)/sqrt(d-1), so
-    u_k = (sum_j psi_j - (d-1) psi_k)/sqrt(d-1). _assemble's POVM and
-    exclusion checks catch a family that misses the precondition."""
-    rows = _amplitudes(powers)
-    d = len(rows)
-    return Povm.completion(((rows.sum(axis=0) - (d - 1) * rows) / math.sqrt(d - 1)).T)
 
 
 def gamma_coefficient(d: int) -> float:

@@ -18,7 +18,8 @@ import numpy as np
 
 from ._geometry import bloch_from_state, fibonacci_sphere
 from .qcore import TENSOR_CAP, Ball, Povm, StateVector, gram, outcome_table, sample_state_in_ball
-from .qcore import _at_fidelity, _field, _floats, _frozen, _immutable, _power_at_most, _require
+from .qcore import _equal_overlap_family, _field, _floats, _frozen, _immutable, _power_at_most
+from .qcore import _require
 
 SUM_TOL = 1e-10
 #: below this, a preparation weight counts as "not in the support"
@@ -302,31 +303,6 @@ def model_from_parametric(
     return DiscreteOnticModel(family.lambda_count, preps, {})
 
 
-def _extremal_probe_states(center: StateVector, delta: float) -> list:
-    """Worst-case deterministic probe family for one ball.
-
-    The theorem1 omit-one states (sqrt(d) u - e_k)/sqrt(d - 1) sit at
-    fidelity f0 = sqrt((d-1)/d) from the uniform state u, along the unit
-    directions w_k = (u/sqrt(d) - e_k)/f0. The Householder reflection that
-    swaps u and the center c (its phase turned so that <c|u> is real)
-    carries them to f0 c + sqrt(1 - f0^2) H w_k. In a ball narrower than
-    1 - f0 they are pulled along those geodesics onto its boundary, at
-    fidelity 1 - delta; in a wider one they are never pushed outward, which
-    would destroy extremal pairs such as the antipodal qubit pair.
-    """
-    d = center.dim
-    if d < 2:
-        return []
-    u = StateVector.uniform(d).amplitudes
-    c = center.amplitudes * np.exp(1j * np.angle(np.vdot(center.amplitudes, u)))
-    v = u - c
-    vnorm_sq = float(np.vdot(v, v).real)
-    reflection = 2.0 * np.outer(v, v.conj()) / vnorm_sq if vnorm_sq > 1e-24 else 0.0
-    f0 = np.sqrt((d - 1) / d)
-    directions = (np.eye(d) - reflection) @ (1.0 / d - np.eye(d)) / f0  # column k is H w_k
-    return [_at_fidelity(c, w, max(1.0 - delta, f0)) for w in directions.T]
-
-
 def delta_continuity_probe(
     family: ParametricModel,
     center: StateVector,
@@ -337,11 +313,13 @@ def delta_continuity_probe(
     """Search one fidelity ball for an ontic state shared by every sampled
     preparation in it.
 
-    Evaluates P(lambda|phi) for n_samples seeded ball states plus the
-    deterministic extremal family (see :func:`_extremal_probe_states`) and
-    intersects the supports at SUPPORT_THRESHOLD, stopping once the running
-    minimum is zero everywhere. Per-sample seeds derive from the master
-    seed, so results are independent of evaluation order.
+    Evaluates P(lambda|phi) for n_samples seeded ball states plus a
+    deterministic extremal family, and intersects the supports at
+    SUPPORT_THRESHOLD, stopping once the running minimum is zero everywhere.
+    Per-sample seeds derive from the master seed, so results are independent
+    of evaluation order. The extremal family is qcore's equal-overlap family at
+    fidelity max(1 - delta, sqrt((d-1)/d)): never wider than theorem1's, which
+    keeps extremal pairs such as the antipodal qubit pair.
     """
     if n_samples < 1:
         raise ValueError("sample count must be >= 1")
@@ -352,7 +330,8 @@ def delta_continuity_probe(
     draws = (np.random.default_rng(seeds.spawn(1)[0]) for _ in range(n_samples))
     samples = (sample_state_in_ball(ball, rng) for rng in draws)
     running_min = np.full(family.lambda_count, np.inf)
-    for phi in chain(samples, _extremal_probe_states(center, delta)):
+    f = max(1.0 - delta, np.sqrt((center.dim - 1) / center.dim))
+    for phi in chain(samples, _equal_overlap_family(center, 1.0 - f * f)):
         # np.minimum keeps a NaN weight, which then fails the threshold
         np.minimum(running_min, family.preparation_rule(phi), out=running_min)
         if not running_min.any():  # no distribution lifts a zero, so no later probe counts

@@ -122,6 +122,34 @@ def _at_fidelity(center: np.ndarray, direction: np.ndarray, f: float) -> StateVe
     return normalized(f * center + np.sqrt(max(0.0, 1.0 - f * f)) * direction)
 
 
+def _equal_overlap_family(center: StateVector, sin2: float) -> list:
+    """The d states f c + sqrt(sin2) H w_k at fidelity f = sqrt(1 - sin2) from
+    ``center`` c, with Gram matrix (1 - c)I + cJ, c = f^2 - sin2/(d - 1), none
+    at d = 1. w_k = (u/sqrt(d) - e_k)/sqrt((d-1)/d) are theorem1's directions
+    from the uniform state u; H swaps u and c, c's phase turned so <c|u> is
+    real. sin2 = 1 - f^2 keeps the digits of 1 - c that f loses near f = 1."""
+    d = center.dim
+    if d < 2:
+        return []
+    u = StateVector.uniform(d).amplitudes
+    c = center.amplitudes * np.exp(1j * np.angle(np.vdot(center.amplitudes, u)))
+    v = u - c
+    vnorm_sq = float(np.vdot(v, v).real)
+    reflection = 2.0 * np.outer(v, v.conj()) / vnorm_sq if vnorm_sq > 1e-24 else 0.0
+    f0 = np.sqrt((d - 1) / d)
+    directions = (np.eye(d) - reflection) @ (1.0 / d - np.eye(d)) / f0  # column k is H w_k
+    return list(map(normalized, np.sqrt(1.0 - sin2) * c + np.sqrt(sin2) * directions.T))
+
+
+def _exclusion_vectors(rows: np.ndarray, c: float) -> np.ndarray:
+    """Orthonormal columns m_k = mean/sqrt(1 + (d-1)c) - (psi_k - mean)/sqrt(1 - c)
+    for the rows psi_k of a family with Gram matrix (1 - c)I + cJ. Once
+    c >= (d-2)/(d-1) they attain the least exclusion value E; at that level
+    E = 0 and m_k is the preimage of |k> under the isometry onto theorem1's states."""
+    d, mean = len(rows), rows.mean(axis=0)
+    return (mean / np.sqrt(1.0 + (d - 1) * c) - (rows - mean) / np.sqrt(1.0 - c)).T
+
+
 @dataclass(frozen=True)
 class Operator:
     """A square complex matrix. Hermiticity/positivity are checked only by

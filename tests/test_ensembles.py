@@ -13,7 +13,6 @@ from psigauge.ensembles import (
     KIND_THEOREM4,
     MIN_SCALING_DELTA,
     Theorem2Family,
-    _delta_from_alpha,
     ensemble_from_json,
     ensemble_to_json,
     gamma_coefficient,
@@ -152,7 +151,8 @@ def off_level_family(d: int, n: int) -> Theorem2Family:
     beta = -alpha / math.sqrt(d) + math.sqrt(alpha * alpha / d + c)
     rows = np.full((d, d), beta / math.sqrt(d))
     rows[np.diag_indices(d)] += alpha
-    return Theorem2Family(tuple(map(normalized, rows)), c, alpha, beta, _delta_from_alpha(d, alpha))
+    delta_nd = 1.0 - math.sqrt(1.0 - (d - 1) * alpha * alpha / d)
+    return Theorem2Family(tuple(map(normalized, rows)), c, alpha, beta, delta_nd)
 
 
 class TestTheorem2ClosedForm:

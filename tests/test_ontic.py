@@ -24,8 +24,8 @@ from psigauge.ontic import (
     psi_ontic_fixture,
     total_variation,
 )
-from psigauge.ontic import SUPPORT_THRESHOLD, _extremal_probe_states
-from psigauge.qcore import Ball, StateVector, gram, inner, normalized
+from psigauge.ontic import SUPPORT_THRESHOLD
+from psigauge.qcore import Ball, StateVector, _equal_overlap_family, gram, inner, normalized
 from psigauge.qcore import sample_state_in_ball
 
 from conftest import born, haar_state, random_discrete_model
@@ -451,6 +451,13 @@ class TestContinuitySupport:
         assert dropped in clean.common_support
 
 
+def extremal_probe_states(center: StateVector, delta: float) -> list:
+    """The probe's extremal family: qcore's equal-overlap family at fidelity
+    1 - delta, clipped at theorem1's fidelity sqrt((d-1)/d) in a wider ball."""
+    f = max(1.0 - delta, np.sqrt((center.dim - 1) / center.dim))
+    return _equal_overlap_family(center, 1.0 - f * f)
+
+
 def probe_every_state(family, center, delta, n_samples, seed=0) -> ContinuityReport:
     """The probe without its early stop: draw every sample from the seeds of
     one spawn(n_samples), append the extremal family, then take the running
@@ -458,7 +465,7 @@ def probe_every_state(family, center, delta, n_samples, seed=0) -> ContinuityRep
     ball = Ball(center, delta)
     children = np.random.SeedSequence(seed).spawn(n_samples)
     probes = [sample_state_in_ball(ball, np.random.default_rng(c)) for c in children]
-    probes.extend(_extremal_probe_states(center, delta))
+    probes.extend(extremal_probe_states(center, delta))
     running_min = np.full(family.lambda_count, np.inf)
     for phi in probes:
         running_min = np.minimum(running_min, family.preparation_rule(phi))
@@ -559,7 +566,7 @@ class TestExtremalProbeStates:
         star = reference.delta_star
         delta = {"half": star / 2, "at": star, "above": star + 0.01, "wide": 0.9}[radius]
         center = haar_state(np.random.default_rng(d), d)
-        probes = _extremal_probe_states(center, delta)
+        probes = extremal_probe_states(center, delta)
         assert len(probes) == d
         for phi in probes:
             assert abs(abs(inner(phi, center)) - (1.0 - min(delta, star))) <= 1e-12
@@ -605,7 +612,7 @@ class TestExtremalProbeStates:
             ]
             for center in centers:
                 for delta in deltas:
-                    new = _extremal_probe_states(center, delta)
+                    new = extremal_probe_states(center, delta)
                     old = self.moved_then_pulled(center, delta)
                     assert len(new) == len(old) == d
                     for a, b in zip(old, new):
