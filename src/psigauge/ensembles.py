@@ -125,23 +125,23 @@ def theorem2_states(d: int, n: int) -> Theorem2Family:
     (d-2)/(d-1): qcore's equal-overlap family about the uniform center at
     the single-copy Gram level c = ((d-2)/(d-1))^(1/n).
 
-    Every state sits at fidelity 1 - delta_nd from the center, with
-    1 - (1 - delta_nd)^2 = (d-1)(1-c)/d, and equals alpha |k> + (beta/sqrt(d))
-    sum_i |i>, alpha = -sqrt(1-c), beta = 1 - delta_nd - alpha/sqrt(d).
+    Every state sits at fidelity f = sqrt(1 - x) from the center, x = (d-1)(1-c)/d,
+    and equals alpha |k> + (beta/sqrt(d)) sum_i |i>, alpha = -sqrt(1-c),
+    beta = f - alpha/sqrt(d); delta_nd = 1 - f = x/(1 + f). 1 - c is computed
+    as -expm1(log1p(-1/(d-1))/n), so no field loses digits at large n.
     ValueError once c rounds to 1, where the states would coincide.
     """
     if d < 3:
         raise ValueError(f"need dimension >= 3, got {d}")
     if n < 1:
         raise ValueError(f"need copy count >= 1, got {n}")
-    c = ((d - 2) / (d - 1)) ** (1.0 / n)
-    if c == 1.0:
+    gap = -math.expm1(math.log1p(-1.0 / (d - 1)) / n)  # 1 - c, without cancellation
+    if 1.0 - gap == 1.0:
         raise ValueError(f"Gram level rounds to 1 at d = {d}, n = {n}: the states coincide")
-    alpha = -math.sqrt(1.0 - c)
-    sin2 = (d - 1) * alpha * alpha / d
+    alpha, sin2 = -math.sqrt(gap), (d - 1) * gap / d
     f = math.sqrt(1.0 - sin2)
     states = tuple(_equal_overlap_family(StateVector.uniform(d), sin2))
-    return Theorem2Family(states, c, alpha, f - alpha / math.sqrt(d), 1.0 - f)
+    return Theorem2Family(states, 1.0 - gap, alpha, f - alpha / math.sqrt(d), sin2 / (1.0 + f))
 
 
 def theorem2_ensemble(d: int, n: int) -> NoGoEnsemble:
@@ -179,7 +179,7 @@ def _theorem2_params(d: int, n: int) -> tuple:
     family = theorem2_states(d, n)
     params = {"d": d, "n": n, **family._asdict()}
     del params["states"]  # an ensemble holds their powers, or its span coordinates
-    params["n_copy_delta_star"] = 1.0 - (1.0 - family.delta_nd) ** n
+    params["n_copy_delta_star"] = -math.expm1(n * math.log1p(-family.delta_nd))
     return family, params
 
 

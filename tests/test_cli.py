@@ -239,10 +239,11 @@ class TestFamilies:
         (["thm1", "--dim", "8", "--seed", "0"],
          "73d985a1259c8b0a8846c4f5ab66a22baaf39932925fba9596bff3a7e79fb5af"),
         (["thm2", "--dim", "3", "--copies", "2", "--noise-p", "0.01", "--seed", "0"],
-         "de0115941e7a2f72835c2a63c2bb57221393a9a9f6a1eb518c23463322524683"),
+         "21883e8afcbf99648d9a144f5dbf8b76fbe6ee107a4aa1030157e8363929ba87"),
     ])
     def test_protocol_stdout_pinned_at_seed_zero(self, capsys, argv, digest):
-        # the protocol's output, exactly as first recorded: a refactor must keep every byte
+        # the protocol's output as recorded (thm2's three radii last moved, by ulps toward
+        # their exact values, when 1 - c stopped cancelling): a refactor must keep every byte
         rc, out, err = run(capsys, argv)
         assert rc == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -110,14 +110,17 @@ class TestTheorem2:
     @pytest.mark.parametrize("d", [3, 4, 10, 100, 1000])
     @pytest.mark.parametrize("n", [1, 2, 7, 1000, 12345, 10**5, 10**6])
     def test_delta_nd_matches_a_60_digit_evaluation(self, d, n):
-        # 1 - sqrt((1 + (d-1) c)/d) with c = exp(ln((d-2)/(d-1))/n), to 60
-        # digits; 1 - c cancels in floats, so the worst case, (1000, 10**6),
-        # is 4.1e-8 off
+        # delta_nd = 1 - sqrt((1 + (d-1) c)/d) with c = exp(ln((d-2)/(d-1))/n),
+        # and the n-copy radius 1 - (1 - delta_nd)^n, to 60 digits. Forming
+        # c first and then 1 - c cancels: that was 4.1e-8 off at (1000, 10**6)
         with localcontext() as ctx:
             ctx.prec = 60
             c = ((Decimal(d - 2) / (d - 1)).ln() / n).exp()
-            expected = float(1 - ((1 + (d - 1) * c) / d).sqrt())
-        assert theorem2_states(d, n).delta_nd == pytest.approx(expected, rel=1e-7, abs=0.0)
+            fidelity = ((1 + (d - 1) * c) / d).sqrt()
+            expected = float(1 - fidelity), float(1 - fidelity**n)
+        _, params = ensembles._theorem2_params(d, n)
+        radii = params["delta_nd"], params["n_copy_delta_star"]
+        assert radii == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     def test_ensemble_center_fidelity_equals_ball_radius(self):
         e = theorem2_ensemble(3, 2)
