@@ -18,6 +18,15 @@ def born(state, matrix) -> float:
     return float(np.vdot(a, matrix @ a).real)
 
 
+def gram_level_and_floor(d: int, n: int, f: float) -> tuple:
+    """The pairwise overlap c of the n-fold powers of d equal-overlap states at
+    fidelity f from one centre, and the least exclusion value E over all
+    measurements: their Gram matrix (1 - c)I + cJ has eigenvalues 1 - c,
+    (d - 1) times, and 1 + (d - 1)c."""
+    c = (f * f - (1 - f * f) / (d - 1)) ** n
+    return c, max(0.0, np.sqrt(1 + (d - 1) * c) - (d - 1) * np.sqrt(1 - c)) ** 2 / d
+
+
 def dense_measurement(ensemble):
     """The ensemble with its measurement rebuilt as dense effects, for tests
     that run the dense Born-table path."""

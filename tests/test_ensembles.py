@@ -122,6 +122,15 @@ class TestTheorem2:
         radii = params["delta_nd"], params["n_copy_delta_star"]
         assert radii == pytest.approx(expected, rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("d, n", [(3, 1), (4, 3), (10, 2), (100, 10**6)])
+    def test_fields_still_describe_the_states(self, d, n):
+        # the states come from qcore's equal-overlap family, not from alpha and
+        # beta: state k must still be alpha |k> + (beta/sqrt(d)) sum_i |i>
+        fam = theorem2_states(d, n)
+        rows = np.full((d, d), fam.beta / np.sqrt(d))
+        rows[np.diag_indices(d)] += fam.alpha
+        assert np.abs(np.array([s.amplitudes for s in fam.states]) - rows).max() <= 1e-14
+
     def test_ensemble_center_fidelity_equals_ball_radius(self):
         e = theorem2_ensemble(3, 2)
         for s in e.states:

@@ -15,7 +15,7 @@ from psigauge.exclusion import (
 )
 from psigauge.qcore import ContractViolation, Operator, Povm, StateVector, tensor_power
 
-from conftest import haar_state
+from conftest import gram_level_and_floor, haar_state
 
 
 class TestExclusionProblem:
@@ -357,14 +357,6 @@ def moved_family(d: int, n: int, f: float) -> tuple:
     u = np.full(d, 1.0 / np.sqrt(d))
     w = (u / np.sqrt(d) - np.eye(d)) / np.sqrt((d - 1) / d)
     return tuple(tensor_power(qcore.normalized(f * u + np.sqrt(1 - f * f) * wk), n) for wk in w)
-
-
-def gram_level_and_floor(d: int, n: int, f: float) -> tuple:
-    """The family's pairwise overlap c and the least exclusion value E over
-    all measurements: its Gram matrix (1 - c)I + cJ has eigenvalues 1 - c,
-    (d - 1) times, and 1 + (d - 1)c."""
-    c = (f * f - (1 - f * f) / (d - 1)) ** n
-    return c, max(0.0, np.sqrt(1 + (d - 1) * c) - (d - 1) * np.sqrt(1 - c)) ** 2 / d
 
 
 def _f_star(d: int) -> float:

@@ -36,7 +36,7 @@ from psigauge.qcore import (
     validate_povm,
 )
 
-from conftest import born, dense_measurement, haar_state
+from conftest import born, dense_measurement, gram_level_and_floor, haar_state
 
 
 class TestStateVector:
@@ -175,6 +175,38 @@ class TestGram:
 def test_family_readers_reject_empty_and_mixed_families(reader, family, message):
     with pytest.raises(ValueError, match=message):
         reader(family)
+
+
+FIDELITIES = {
+    "f*": lambda d: np.sqrt((d - 1) / d),
+    "f*+0.02": lambda d: np.sqrt((d - 1) / d) + 0.02,
+    "0.999": lambda d: 0.999,
+}
+
+
+class TestEqualOverlapFamily:
+    """The witness geometry against its closed forms: d states at fidelity f
+    from a Haar centre, Gram matrix (1 - c)I + cJ with c = f^2 - (1 - f^2)/(d - 1),
+    and exclusion vectors that attain the least exclusion value E. Every f
+    here is at least f* = sqrt((d-1)/d), so c >= (d-2)/(d-1) and E is attained."""
+
+    @pytest.mark.parametrize("fidelity", sorted(FIDELITIES))
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_family_and_exclusion_vectors_meet_their_closed_forms(self, d, fidelity):
+        f = FIDELITIES[fidelity](d)
+        center = haar_state(np.random.default_rng([d, 2024]), d)
+        rows = np.array([s.amplitudes for s in qcore._equal_overlap_family(center, 1 - f * f)])
+        assert rows.shape == (d, d)
+        assert np.abs(np.abs(rows @ center.amplitudes.conj()) - f).max() <= 1e-12
+        c, floor = gram_level_and_floor(d, 1, f)
+        assert np.abs(rows.conj() @ rows.T - ((1 - c) * np.eye(d) + c)).max() <= 1e-12
+        m = qcore._exclusion_vectors(rows, c)
+        assert np.abs(m.conj().T @ m - np.eye(d)).max() <= 1e-12
+        value = float(np.sum(np.abs(np.einsum("dk,kd->k", m.conj(), rows)) ** 2))
+        assert abs(value - floor) <= 1e-12
+
+    def test_dimension_one_has_no_family(self):
+        assert qcore._equal_overlap_family(StateVector(1, [1.0]), 0.5) == []
 
 
 class TestUnitaryFromCorrespondence:
