@@ -123,10 +123,10 @@ def _at_fidelity(center: np.ndarray, direction: np.ndarray, f: float) -> StateVe
 
 
 def _equal_overlap_family(center: StateVector, sin2: float) -> list:
-    """The d states f c + sqrt(sin2) H w_k at fidelity f = sqrt(1 - sin2) from
-    ``center`` c, with Gram matrix (1 - c)I + cJ, c = f^2 - sin2/(d - 1), none
+    """The d states f z + sqrt(sin2) H w_k at fidelity f = sqrt(1 - sin2) from
+    ``center`` z, with Gram matrix (1 - c)I + cJ, c = f^2 - sin2/(d - 1), none
     at d = 1. w_k = (u/sqrt(d) - e_k)/sqrt((d-1)/d) are theorem1's directions
-    from the uniform state u; H swaps u and c, c's phase turned so <c|u> is
+    from the uniform state u; H swaps u and z, z's phase turned so <z|u> is
     real. sin2 = 1 - f^2 keeps the digits of 1 - c that f loses near f = 1."""
     d = center.dim
     if d < 2:

@@ -242,8 +242,7 @@ class TestFamilies:
          "21883e8afcbf99648d9a144f5dbf8b76fbe6ee107a4aa1030157e8363929ba87"),
     ])
     def test_protocol_stdout_pinned_at_seed_zero(self, capsys, argv, digest):
-        # the protocol's output as recorded (thm2's three radii last moved, by ulps toward
-        # their exact values, when 1 - c stopped cancelling): a refactor must keep every byte
+        # the protocol's output, exactly as recorded: a refactor must keep every byte
         rc, out, err = run(capsys, argv)
         assert rc == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -111,8 +111,8 @@ class TestTheorem2:
     @pytest.mark.parametrize("n", [1, 2, 7, 1000, 12345, 10**5, 10**6])
     def test_delta_nd_matches_a_60_digit_evaluation(self, d, n):
         # delta_nd = 1 - sqrt((1 + (d-1) c)/d) with c = exp(ln((d-2)/(d-1))/n),
-        # and the n-copy radius 1 - (1 - delta_nd)^n, to 60 digits. Forming
-        # c first and then 1 - c cancels: that was 4.1e-8 off at (1000, 10**6)
+        # and the n-copy radius 1 - (1 - delta_nd)^n, to 60 digits; forming c
+        # first and then 1 - c would cancel, 4.1e-8 off at (1000, 10**6)
         with localcontext() as ctx:
             ctx.prec = 60
             c = ((Decimal(d - 2) / (d - 1)).ln() / n).exp()
