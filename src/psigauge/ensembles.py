@@ -123,25 +123,11 @@ class Theorem2Family(NamedTuple):
 def theorem2_states(d: int, n: int) -> Theorem2Family:
     """Single-copy states whose n-fold tensor powers have pairwise overlap
     (d-2)/(d-1): qcore's equal-overlap family about the uniform center at
-    the single-copy Gram level c = ((d-2)/(d-1))^(1/n).
-
-    Every state sits at fidelity f = sqrt(1 - x) from the center, x = (d-1)(1-c)/d,
-    and equals alpha |k> + (beta/sqrt(d)) sum_i |i>, alpha = -sqrt(1-c),
-    beta = f - alpha/sqrt(d); delta_nd = 1 - f = x/(1 + f). 1 - c is computed
-    as -expm1(log1p(-1/(d-1))/n), so no field loses digits at large n.
-    ValueError once c rounds to 1, where the states would coincide.
-    """
-    if d < 3:
-        raise ValueError(f"need dimension >= 3, got {d}")
-    if n < 1:
-        raise ValueError(f"need copy count >= 1, got {n}")
-    gap = -math.expm1(math.log1p(-1.0 / (d - 1)) / n)  # 1 - c, without cancellation
-    if 1.0 - gap == 1.0:
-        raise ValueError(f"Gram level rounds to 1 at d = {d}, n = {n}: the states coincide")
-    alpha, sin2 = -math.sqrt(gap), (d - 1) * gap / d
-    f = math.sqrt(1.0 - sin2)
-    states = tuple(_equal_overlap_family(StateVector.uniform(d), sin2))
-    return Theorem2Family(states, 1.0 - gap, alpha, f - alpha / math.sqrt(d), sin2 / (1.0 + f))
+    fidelity 1 - delta_nd, with the fields :func:`_theorem2_params` gives;
+    state k is alpha |k> + (beta/sqrt(d)) sum_i |i>. ValueError as there."""
+    x, p = _theorem2_params(d, n)
+    states = tuple(_equal_overlap_family(StateVector.uniform(d), x))
+    return Theorem2Family(states, p["c"], p["alpha"], p["beta"], p["delta_nd"])
 
 
 def theorem2_ensemble(d: int, n: int) -> NoGoEnsemble:
@@ -155,8 +141,8 @@ def theorem2_ensemble(d: int, n: int) -> NoGoEnsemble:
     uniform center of C_(d^n); the single-copy bound delta_nd is in params.
     ValueError when d**n exceeds TENSOR_CAP.
     """
-    family, params = _theorem2_params(d, n)
-    powers = [tensor_power(s, n) for s in family.states]
+    _, params = _theorem2_params(d, n)
+    powers = [tensor_power(s, n) for s in theorem2_states(d, n).states]
     delta_star = params.pop("n_copy_delta_star")  # this ensemble's own radius
     measurement = Povm.completion(_exclusion_vectors(_amplitudes(powers), (d - 2) / (d - 1)))
     return _assemble(KIND_THEOREM2, params, powers, measurement, StateVector.uniform(d**n),
@@ -169,26 +155,38 @@ def theorem2_span_ensemble(d: int, n: int) -> NoGoEnsemble:
     to state k and E_k to |k><k| there, and tr(E_k)/D = 1/d on both sides, so
     the two share one outcome table, noisy or not, up to rounding. This is
     theorem1_ensemble(d), at its own radius, under theorem2's kind and params,
-    which add the n-copy radius n_copy_delta_star."""
-    _, params = _theorem2_params(d, n)
+    which add the n-copy radius n_copy_delta_star and build no state."""
+    params = _theorem2_params(d, n)[1]  # first: it checks d and n
     return replace(theorem1_ensemble(d), kind=KIND_THEOREM2, params=params)
 
 
 def _theorem2_params(d: int, n: int) -> tuple:
-    """theorem2_states(d, n) and its params, with n_copy_delta_star = 1 - (1 - delta_nd)^n."""
-    family = theorem2_states(d, n)
-    params = {"d": d, "n": n, **family._asdict()}
-    del params["states"]  # an ensemble holds their powers, or its span coordinates
-    params["n_copy_delta_star"] = -math.expm1(n * math.log1p(-family.delta_nd))
-    return family, params
+    """(x, params) of d dimensions and n copies, from closed forms alone:
+    c = ((d-2)/(d-1))^(1/n), x = (d-1)(1-c)/d = 1 - f^2 at single-copy fidelity
+    f, alpha = -sqrt(1-c), beta = f - alpha/sqrt(d), delta_nd = 1 - f = x/(1 + f)
+    and n_copy_delta_star = 1 - (1 - delta_nd)^n. 1 - c = -expm1(log1p(-1/(d-1))/n)
+    keeps every field's digits at large n. ValueError unless d >= 3 and n >= 1
+    are integers (not bools), and once c rounds to 1, where the states coincide."""
+    for name, value, least in (("dimension d", d, 3), ("copy count n", n, 1)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    gap = -math.expm1(math.log1p(-1.0 / (d - 1)) / n)  # 1 - c, without cancellation
+    if 1.0 - gap == 1.0:
+        raise ValueError(f"Gram level rounds to 1 at d = {d}, n = {n}: the states coincide")
+    alpha, x = -math.sqrt(gap), (d - 1) * gap / d
+    f = math.sqrt(1.0 - x)
+    delta_nd = x / (1.0 + f)
+    return x, {"d": int(d), "n": int(n), "c": 1.0 - gap, "alpha": alpha,
+               "beta": f - alpha / math.sqrt(d), "delta_nd": delta_nd,
+               "n_copy_delta_star": -math.expm1(n * math.log1p(-delta_nd))}
 
 
 def gamma_coefficient(d: int) -> float:
     """Leading coefficient of the large-n continuity bound at dimension d:
-    n * delta_nd -> gamma = (d-1)(log(d-1) - log(d-2)) / (2d)."""
+    n * delta_nd -> gamma = (d-1) log1p(1/(d-2)) / (2d), cancelling nothing at large d."""
     if d < 3:
         raise ValueError(f"need dimension >= 3, got {d}")
-    return (d - 1) * (math.log(d - 1) - math.log(d - 2)) / (2 * d)
+    return (d - 1) * math.log1p(1 / (d - 2)) / (2 * d)
 
 
 def theorem4_states(d: int, t: float):

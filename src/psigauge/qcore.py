@@ -123,22 +123,23 @@ def _at_fidelity(center: np.ndarray, direction: np.ndarray, f: float) -> StateVe
 
 
 def _equal_overlap_family(center: StateVector, sin2: float) -> list:
-    """The d states f z + sqrt(sin2) H w_k at fidelity f = sqrt(1 - sin2) from
+    """The d states f z + sqrt(sin2) R w_k at fidelity f = sqrt(1 - sin2) from
     ``center`` z, with Gram matrix (1 - c)I + cJ, c = f^2 - sin2/(d - 1), none
     at d = 1. w_k = (u/sqrt(d) - e_k)/sqrt((d-1)/d) are theorem1's directions
-    from the uniform state u; H swaps u and z, z's phase turned so <z|u> is
-    real. sin2 = 1 - f^2 keeps the digits of 1 - c that f loses near f = 1."""
+    from the uniform state u. z's phase is turned so r = <u|z> >= 0; R, the
+    rotation in the plane of u and z that takes u to z, maps each w_k to
+    w_k - (t^dag w_k)(t/(1 + r) + u), t = z - r u, dividing by nothing below 1.
+    sin2 = 1 - f^2 keeps the digits of 1 - c that f loses near f = 1."""
     d = center.dim
     if d < 2:
         return []
     u = StateVector.uniform(d).amplitudes
-    c = center.amplitudes * np.exp(1j * np.angle(np.vdot(center.amplitudes, u)))
-    v = u - c
-    vnorm_sq = float(np.vdot(v, v).real)
-    reflection = 2.0 * np.outer(v, v.conj()) / vnorm_sq if vnorm_sq > 1e-24 else 0.0
-    f0 = np.sqrt((d - 1) / d)
-    directions = (np.eye(d) - reflection) @ (1.0 / d - np.eye(d)) / f0  # column k is H w_k
-    return list(map(normalized, np.sqrt(1.0 - sin2) * c + np.sqrt(sin2) * directions.T))
+    z = center.amplitudes * np.exp(1j * np.angle(np.vdot(center.amplitudes, u)))
+    r = float(np.vdot(u, z).real)
+    t = z - r * u
+    w = (1.0 / d - np.eye(d)) / np.sqrt((d - 1) / d)  # row k is w_k
+    directions = w - np.outer(w @ t.conj(), t / (1.0 + r) + u)  # row k is R w_k
+    return list(map(normalized, np.sqrt(1.0 - sin2) * z + np.sqrt(sin2) * directions))
 
 
 def _exclusion_vectors(rows: np.ndarray, c: float) -> np.ndarray:

@@ -131,6 +131,20 @@ class TestTheorem2:
         rows[np.diag_indices(d)] += fam.alpha
         assert np.abs(np.array([s.amplitudes for s in fam.states]) - rows).max() <= 1e-14
 
+    def test_span_ensemble_builds_no_single_copy_state(self, monkeypatch):
+        calls = []
+
+        def spy(center, sin2):
+            calls.append(center.dim)
+            return builder(center, sin2)
+
+        builder = ensembles._equal_overlap_family
+        monkeypatch.setattr(ensembles, "_equal_overlap_family", spy)
+        ensembles.theorem2_span_ensemble(4, 3)
+        assert calls == []
+        theorem2_states(4, 3)  # the spy sees the builder that does make states
+        assert calls == [4]
+
     def test_ensemble_center_fidelity_equals_ball_radius(self):
         e = theorem2_ensemble(3, 2)
         for s in e.states:
@@ -155,16 +169,19 @@ class TestTheorem2:
 
 
 def off_level_family(d: int, n: int) -> Theorem2Family:
-    """theorem2_states with its Gram level c lowered by a factor 1 - 1e-6, and
-    alpha, beta and delta_nd recomputed from it, so every state still sits on
-    its ball but the tensor powers miss the theorem1 Gram matrix."""
-    c = ((d - 2) / (d - 1)) ** (1.0 / n) * (1.0 - 1e-6)
-    alpha = -math.sqrt(1.0 - c)
-    beta = -alpha / math.sqrt(d) + math.sqrt(alpha * alpha / d + c)
-    rows = np.full((d, d), beta / math.sqrt(d))
-    rows[np.diag_indices(d)] += alpha
-    delta_nd = 1.0 - math.sqrt(1.0 - (d - 1) * alpha * alpha / d)
-    return Theorem2Family(tuple(map(normalized, rows)), c, alpha, beta, delta_nd)
+    """theorem2_states with state 0 turned by 1e-3 rad about the uniform
+    centre u, in the plane of its own and state 1's components orthogonal to
+    u: every state still sits at fidelity 1 - delta_nd, on the ball
+    theorem2_ensemble checks, but the tensor powers miss the theorem1 Gram matrix."""
+    family = theorem2_states(d, n)
+    u = StateVector.uniform(d).amplitudes
+    rows = np.array([s.amplitudes for s in family.states])
+    radial = rows - np.outer(rows @ u.conj(), u)  # each state's part orthogonal to u
+    w0, w1 = radial[0], radial[1]
+    across = w1 - np.vdot(w0, w1) / np.vdot(w0, w0) * w0
+    across *= np.linalg.norm(w0) / np.linalg.norm(across)
+    rows[0] += (math.cos(1e-3) - 1.0) * w0 + math.sin(1e-3) * across
+    return family._replace(states=tuple(map(normalized, rows)))
 
 
 class TestTheorem2ClosedForm:
@@ -200,6 +217,14 @@ class TestGammaCoefficient:
     def test_requires_d_at_least_three(self):
         with pytest.raises(ValueError):
             gamma_coefficient(2)
+
+    @pytest.mark.parametrize("d", [3, 4, 10, 100, 1000, 10**4, 10**6])
+    def test_matches_a_60_digit_evaluation(self, d):
+        # log(d-1) - log(d-2) cancels: 1.5e-9 relative error at d = 10**6
+        with localcontext() as ctx:
+            ctx.prec = 60
+            expected = float((d - 1) * (Decimal(d - 1) / (d - 2)).ln() / (2 * d))
+        assert gamma_coefficient(d) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     def test_gamma_times_d_approaches_half(self):
         vals = [gamma_coefficient(d) * d for d in (10, 100, 1000, 10_000)]

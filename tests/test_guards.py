@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 from psigauge._geometry import bloch_from_state, fibonacci_sphere
-from psigauge.ensembles import theorem2_ensemble, theorem2_states, theorem4_states
+from psigauge.ensembles import (
+    theorem2_ensemble,
+    theorem2_span_ensemble,
+    theorem2_states,
+    theorem4_states,
+)
 from psigauge.ontic import DiscreteOnticModel, classify, product_model, total_variation
 from psigauge.orbit import OrbitCloud, orbit_step, steps_to_cover
 from psigauge.qcore import (
@@ -77,6 +82,20 @@ GUARDS = {
         lambda: theorem2_states(3, 10**17), ValueError, "rounds to 1 at d = 3, n = 10"),
     "theorem2 gram level, d = 1000": (
         lambda: theorem2_states(1000, 10**14), ValueError, "the states coincide"),
+    # Theorem 2's counts are integers, as run_protocol requires of a file's n;
+    # a bool is not a count, and 3.0 is refused like 2.5
+    "theorem2 fractional copies": (
+        lambda: theorem2_states(3, 2.5), ValueError, "n must be an integer >= 1, got 2.5"),
+    "theorem2 span fractional copies": (
+        lambda: theorem2_span_ensemble(3, 2.5), ValueError, "n must be an integer >= 1"),
+    "theorem2 ensemble fractional copies": (
+        lambda: theorem2_ensemble(3, 2.5), ValueError, "n must be an integer >= 1"),
+    "theorem2 bool copies": (
+        lambda: theorem2_states(3, True), ValueError, "n must be an integer >= 1, got True"),
+    "theorem2 float copies": (
+        lambda: theorem2_states(3, 3.0), ValueError, "n must be an integer >= 1, got 3.0"),
+    "theorem2 float dim": (
+        lambda: theorem2_span_ensemble(3.0, 2), ValueError, "d must be an integer >= 3, got 3.0"),
 }
 
 

@@ -576,17 +576,16 @@ class TestExtremalProbeStates:
     @staticmethod
     def moved_then_pulled(center, delta):
         """The probe family built the long way: theorem1_ensemble's states
-        carried to the center by the Householder swap of the uniform state
-        and the phase-turned center, then pulled along the geodesic onto the
-        ball boundary when the ball is no wider than their radius."""
+        carried to the center by the dense rotation in the plane of the uniform
+        state u and the phase-turned center z that takes u to z,
+        I + 2 z u^dag - (u + z)(u + z)^dag / (1 + <u|z>), then pulled along the
+        geodesic onto the ball boundary when the ball is no wider than their radius."""
         reference = theorem1_ensemble(center.dim)
         u, c = reference.center.amplitudes, center.amplitudes
-        z = complex(np.vdot(c, u))
-        v = u - (c * np.exp(1j * np.angle(z)) if abs(z) > 0 else c)
-        swap = np.eye(center.dim)
-        if np.vdot(v, v).real > 1e-24:
-            swap = swap - 2.0 * np.outer(v, v.conj()) / np.vdot(v, v).real
-        moved = [normalized(swap @ s.amplitudes).amplitudes for s in reference.states]
+        z = c * np.exp(1j * np.angle(np.vdot(c, u)))
+        rotation = (np.eye(center.dim) + 2.0 * np.outer(z, u.conj())
+                    - np.outer(u + z, (u + z).conj()) / (1.0 + np.vdot(u, z).real))
+        moved = [normalized(rotation @ s.amplitudes).amplitudes for s in reference.states]
         if delta > reference.delta_star + 1e-12:
             return moved
         pulled = []

@@ -205,6 +205,20 @@ class TestEqualOverlapFamily:
         value = float(np.sum(np.abs(np.einsum("dk,kd->k", m.conj(), rows)) ** 2))
         assert abs(value - floor) <= 1e-12
 
+    @pytest.mark.parametrize("fidelity", ["f*", "0.95"])
+    @pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-10, 1e-11, 1e-12])
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_centres_near_the_uniform_state_keep_the_closed_forms(self, d, eps, fidelity):
+        # the centre is within eps of u: a construction that divides by
+        # |u - centre|^2 loses both closed forms here, by up to 8.4e-5
+        f = np.sqrt((d - 1) / d) if fidelity == "f*" else 0.95
+        z = haar_state(np.random.default_rng([d, 7]), d).amplitudes
+        center = normalized(StateVector.uniform(d).amplitudes + eps * z)
+        rows = np.array([s.amplitudes for s in qcore._equal_overlap_family(center, 1 - f * f)])
+        assert np.abs(np.abs(rows @ center.amplitudes.conj()) - f).max() <= 1e-12
+        c, _ = gram_level_and_floor(d, 1, f)
+        assert np.abs(rows.conj() @ rows.T - ((1 - c) * np.eye(d) + c)).max() <= 1e-12
+
     def test_dimension_one_has_no_family(self):
         assert qcore._equal_overlap_family(StateVector(1, [1.0]), 0.5) == []
 
