@@ -92,24 +92,16 @@ def _assemble(kind, params, states, measurement, center, delta_star) -> NoGoEnse
 
 def theorem1_ensemble(d: int) -> NoGoEnsemble:
     """The d states that each omit one basis direction, excluded by the
-    computational-basis measurement.
+    computational-basis measurement: theorem4_ensemble at its widest
+    t = sqrt((d-1)/d), where state k is exactly normalized(1 - e_k).
 
     states[k] = (1/sqrt(d-1)) sum_{j != k} |j>; every state has fidelity
     sqrt((d-1)/d) to the uniform center, so the certified ball radius is
-    delta_star = 1 - sqrt((d-1)/d).
+    delta_star = 1 - sqrt((d-1)/d). ValueError unless d >= 2 is an integer.
     """
-    if d < 2:
-        raise ValueError(f"need dimension >= 2, got {d}")
-    states = tuple(map(normalized, 1.0 - np.eye(d)))
-    delta_star = 1.0 - math.sqrt((d - 1) / d)
-    return _assemble(
-        KIND_THEOREM1,
-        {"d": d},
-        states,
-        Povm.basis(d),
-        StateVector.uniform(d),
-        delta_star,
-    )
+    d = _integer("dimension d", d, 2)
+    return replace(theorem4_ensemble(d, math.sqrt((d - 1) / d)), kind=KIND_THEOREM1,
+                   params={"d": d})
 
 
 class Theorem2Family(NamedTuple):
@@ -167,25 +159,30 @@ def _theorem2_params(d: int, n: int) -> tuple:
     and n_copy_delta_star = 1 - (1 - delta_nd)^n. 1 - c = -expm1(log1p(-1/(d-1))/n)
     keeps every field's digits at large n. ValueError unless d >= 3 and n >= 1
     are integers (not bools), and once c rounds to 1, where the states coincide."""
-    for name, value, least in (("dimension d", d, 3), ("copy count n", n, 1)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    d, n = _integer("dimension d", d, 3), _integer("copy count n", n, 1)
     gap = -math.expm1(math.log1p(-1.0 / (d - 1)) / n)  # 1 - c, without cancellation
     if 1.0 - gap == 1.0:
         raise ValueError(f"Gram level rounds to 1 at d = {d}, n = {n}: the states coincide")
     alpha, x = -math.sqrt(gap), (d - 1) * gap / d
     f = math.sqrt(1.0 - x)
     delta_nd = x / (1.0 + f)
-    return x, {"d": int(d), "n": int(n), "c": 1.0 - gap, "alpha": alpha,
+    return x, {"d": d, "n": n, "c": 1.0 - gap, "alpha": alpha,
                "beta": f - alpha / math.sqrt(d), "delta_nd": delta_nd,
                "n_copy_delta_star": -math.expm1(n * math.log1p(-delta_nd))}
+
+
+def _integer(name: str, value, least: int) -> int:
+    """value as a Python int; ValueError, naming it, unless it is an int or a
+    numpy integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def gamma_coefficient(d: int) -> float:
     """Leading coefficient of the large-n continuity bound at dimension d:
     n * delta_nd -> gamma = (d-1) log1p(1/(d-2)) / (2d), cancelling nothing at large d."""
-    if d < 3:
-        raise ValueError(f"need dimension >= 3, got {d}")
+    d = _integer("dimension d", d, 3)
     return (d - 1) * math.log1p(1 / (d - 2)) / (2 * d)
 
 
@@ -193,33 +190,32 @@ def theorem4_states(d: int, t: float):
     """Cyclic-shift family of real states at fidelity t from the uniform
     center, each with zero amplitude on one basis direction.
 
-    Coefficients: a_0 = 0 and (a_1, ..., a_(d-1)) = (t sqrt(d)/(d-1)) * ones
-    + r * w, where w = (1, -1, 0, ..., 0)/sqrt(2) is a fixed unit vector
-    orthogonal to the ones vector and r = sqrt(1 - t^2 d/(d-1)). State k is
-    the k-step cyclic shift, so its amplitude at position k vanishes and the
-    basis measurement conclusively excludes it. Requires
-    0 <= t <= sqrt((d-1)/d); at d = 2 only the extreme point t = 1/sqrt(2)
-    is consistent (the orthogonal direction w does not exist in 1 dimension).
+    State 0 is normalized(p (1 - e_0) + tilt (e_1 - e_2)) with p = t / t_max,
+    t_max = sqrt((d-1)/d), and tilt = sqrt((1-p)(1+p)(d-1)/2): the two parts
+    are orthogonal, with squared norms p^2 (d-1) and (1-p^2)(d-1), so the
+    state's overlap with the uniform center is p t_max = t. State k is the
+    k-step cyclic shift, so its amplitude at position k vanishes and the
+    basis measurement conclusively excludes it. At t_max, p is exactly 1 and
+    the tilt exactly 0, so state k is normalized(1 - e_k), theorem1's state;
+    at t = 0 state 0 is (e_1 - e_2)/sqrt(2). Requires 0 <= t <= t_max and an
+    integer d >= 2; at d = 2 only t = t_max is consistent (e_2 does not exist).
 
     Returns (states, center).
     """
-    if d < 2:
-        raise ValueError(f"need dimension >= 2, got {d}")
+    d = _integer("dimension d", d, 2)
     t_max = math.sqrt((d - 1) / d)
     if not -1e-12 <= t <= t_max + 1e-12:
         raise ValueError(f"fidelity parameter t = {t!r} outside [0, {t_max!r}]")
     t = min(max(t, 0.0), t_max)
-    r_sq = 1.0 - t * t * d / (d - 1)
-    if d == 2 and r_sq > 1e-12:
-        raise ValueError(
-            f"at d = 2 only t = {t_max!r} admits real coefficients, got t = {t!r}"
-        )
-    r = math.sqrt(max(0.0, r_sq))
-    coeff = np.full(d, t * math.sqrt(d) / (d - 1))
+    if d == 2 and 1.0 - 2.0 * t * t > 1e-12:
+        raise ValueError(f"at d = 2 only t = {t_max!r} admits real coefficients, got t = {t!r}")
+    p = t / t_max
+    coeff = np.full(d, p)
     coeff[0] = 0.0
     if d >= 3:
-        coeff[1] += r / math.sqrt(2.0)
-        coeff[2] -= r / math.sqrt(2.0)
+        tilt = math.sqrt((1.0 - p) * (1.0 + p) * (d - 1) / 2)
+        coeff[1] += tilt
+        coeff[2] -= tilt
     shifts = np.arange(d)[None, :] - np.arange(d)[:, None]  # row k is coeff rolled by k
     return tuple(map(normalized, coeff[shifts % d])), StateVector.uniform(d)
 
@@ -227,9 +223,8 @@ def theorem4_states(d: int, t: float):
 def theorem4_ensemble(d: int, t: float) -> NoGoEnsemble:
     """theorem4_states packaged with the computational-basis measurement."""
     states, center = theorem4_states(d, t)
-    return _assemble(
-        KIND_THEOREM4, {"d": d, "t": t}, states, Povm.basis(d), center, 1.0 - t
-    )
+    return _assemble(KIND_THEOREM4, {"d": int(d), "t": t}, states, Povm.basis(d), center,
+                     1.0 - t)
 
 
 def scaling_report(delta_target: float) -> ScalingReport:

@@ -141,20 +141,6 @@ def report_to_json(report: EstimateReport) -> dict:
     return {**asdict(report), "counts": report.counts.tolist()}
 
 
-SWEEP_FIELDS = (
-    "family",
-    "dim",
-    "copies",
-    "noise_p",
-    "noise_q",
-    "shots",
-    "eps_hat",
-    "eps_upper",
-    "confidence",
-    "seed",
-)
-
-
 def sweep(
     factory: Callable[[int, int], NoGoEnsemble],
     grid: Sequence[tuple],
@@ -189,7 +175,7 @@ def sweep(
 
 def sweep_to_csv(rows: Sequence[dict]) -> str:
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=SWEEP_FIELDS, lineterminator="\n")
+    writer = csv.DictWriter(buffer, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
     return buffer.getvalue()

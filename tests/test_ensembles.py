@@ -59,6 +59,13 @@ class TestTheorem1:
             for s in e.states:
                 assert abs(abs(inner(s, e.center)) - target) <= 1e-12
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 14, 100])
+    def test_is_the_widest_theorem4_ensemble_under_its_own_kind(self, d):
+        e = theorem1_ensemble(d)
+        assert e.kind == KIND_THEOREM1
+        assert e.params == {"d": d}
+        assert e.delta_star == 1 - math.sqrt((d - 1) / d)
+
     def test_delta_star_d2_frozen(self):
         assert abs(theorem1_ensemble(2).delta_star - DELTA_STAR_D2) < 1e-15
 
@@ -270,6 +277,21 @@ class TestTheorem4:
         assert abs(abs(inner(states[0], center)) - 1 / np.sqrt(2)) <= 1e-12
         with pytest.raises(ValueError):
             theorem4_states(2, 0.5)
+
+    @pytest.mark.parametrize("d", [*range(2, 65), 100, 1000])
+    def test_widest_t_gives_the_omit_one_states_bit_for_bit(self, d):
+        states, _ = theorem4_states(d, math.sqrt((d - 1) / d))
+        for k, state in enumerate(states):
+            omit_one = normalized(1.0 - np.eye(d)[k])
+            assert np.array_equal(state.amplitudes, omit_one.amplitudes)
+
+    @pytest.mark.parametrize("d", [4, 5, 14])
+    def test_widest_t_gram_is_the_omit_one_level(self, d):
+        # dimensions where the tilt written as sqrt(1 - t^2 d/(d-1)) cancels to
+        # about 1e-8, not 0, at t = sqrt((d-1)/d)
+        g = gram(theorem4_states(d, math.sqrt((d - 1) / d))[0])
+        off = g[~np.eye(d, dtype=bool)]
+        assert np.max(np.abs(off - (d - 2) / (d - 1))) <= 1e-15
 
     def test_basis_measurement_excludes_exactly(self):
         e = theorem4_ensemble(3, 0.5)

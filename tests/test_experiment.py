@@ -9,7 +9,6 @@ from psigauge import experiment, qcore
 from psigauge.ensembles import theorem1_ensemble, theorem2_ensemble, theorem2_span_ensemble
 from psigauge.ensembles import ensemble_from_json, ensemble_to_json
 from psigauge.experiment import (
-    SWEEP_FIELDS,
     NoiseSpec,
     _clopper_pearson_upper,
     _noisy_rows,
@@ -297,7 +296,6 @@ class TestSweep:
         rows = sweep(lambda d, n: theorem1_ensemble(d), [(2, 1)], QUIET, 100, seed=0)
         text = sweep_to_csv(rows)
         lines = text.splitlines()
-        assert lines[0] == ",".join(SWEEP_FIELDS)
         assert lines[0] == "family,dim,copies,noise_p,noise_q,shots,eps_hat,eps_upper,confidence,seed"
         assert len(lines) == 2
         assert lines[1].split(",")[1] == "2"

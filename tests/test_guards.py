@@ -1,6 +1,7 @@
 """The argument guards of the library, one row each: every call raises the
 listed exception with a message that names what was wrong."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -8,9 +9,13 @@ import pytest
 
 from psigauge._geometry import bloch_from_state, fibonacci_sphere
 from psigauge.ensembles import (
+    ensemble_to_json,
+    gamma_coefficient,
+    theorem1_ensemble,
     theorem2_ensemble,
     theorem2_span_ensemble,
     theorem2_states,
+    theorem4_ensemble,
     theorem4_states,
 )
 from psigauge.ontic import DiscreteOnticModel, classify, product_model, total_variation
@@ -76,7 +81,21 @@ GUARDS = {
         lambda: total_variation([0.5, 0.5], [1.0]), ValueError, "length mismatch"),
     "product copies": (
         lambda: product_model(POINT_MODEL, 0), ValueError, "copy count must be >= 1, got 0"),
-    "theorem4 dim": (lambda: theorem4_states(1, 0.0), ValueError, "need dimension >= 2, got 1"),
+    # every family builder takes its dimension by one integer rule
+    "theorem4 dim": (
+        lambda: theorem4_states(1, 0.0), ValueError, "d must be an integer >= 2, got 1"),
+    "theorem4 float dim": (
+        lambda: theorem4_ensemble(3.0, 0.5), ValueError, "d must be an integer >= 2, got 3.0"),
+    "theorem1 float dim": (
+        lambda: theorem1_ensemble(3.0), ValueError, "d must be an integer >= 2, got 3.0"),
+    "theorem1 zero dim": (
+        lambda: theorem1_ensemble(0), ValueError, "d must be an integer >= 2, got 0"),
+    "theorem1 bool dim": (
+        lambda: theorem1_ensemble(True), ValueError, "d must be an integer >= 2, got True"),
+    "gamma fractional dim": (
+        lambda: gamma_coefficient(3.5), ValueError, "d must be an integer >= 3, got 3.5"),
+    "gamma small dim": (
+        lambda: gamma_coefficient(2), ValueError, "d must be an integer >= 3, got 2"),
     # ((d-2)/(d-1))**(1/n) is 1.0 there: the d states would coincide, at delta_nd 0
     "theorem2 gram level": (
         lambda: theorem2_states(3, 10**17), ValueError, "rounds to 1 at d = 3, n = 10"),
@@ -104,6 +123,14 @@ def test_guard_raises(call, error, fragment):
     with pytest.raises(error) as info:
         call()
     assert fragment in str(info.value)
+
+
+def test_a_numpy_integer_dimension_is_stored_as_a_python_int():
+    # params go to strict JSON, which has no encoder for numpy integers
+    for ensemble in (theorem1_ensemble(np.int64(3)), theorem4_ensemble(np.int64(3), 0.5)):
+        assert type(ensemble.params["d"]) is int
+        json.dumps(ensemble_to_json(ensemble))
+    assert gamma_coefficient(np.int64(5)) == gamma_coefficient(5)
 
 
 HUGE_POWERS = {
