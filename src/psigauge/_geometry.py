@@ -4,17 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qcore import StateVector
+from .qcore import StateVector, _integer
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
     """Quasi-uniform lattice of ``n`` unit vectors on the 2-sphere.
 
     Golden-angle spiral with half-integer offsets; deterministic.
-    Returns an (n, 3) float array.
+    Returns an (n, 3) float array. ValueError unless n is an integer >= 1.
     """
-    if n < 1:
-        raise ValueError(f"need at least one point, got {n}")
+    n = _integer("sphere point count n", n, 1)
     golden = (1.0 + np.sqrt(5.0)) / 2.0
     idx = np.arange(n, dtype=float) + 0.5
     polar = np.arccos(1.0 - 2.0 * idx / n)

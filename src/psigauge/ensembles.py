@@ -25,6 +25,7 @@ from .qcore import (
     _exclusion_vectors,
     _field,
     _float,
+    _integer,
     _require,
     normalized,
     povm_from_json,
@@ -169,14 +170,6 @@ def _theorem2_params(d: int, n: int) -> tuple:
     return x, {"d": d, "n": n, "c": 1.0 - gap, "alpha": alpha,
                "beta": f - alpha / math.sqrt(d), "delta_nd": delta_nd,
                "n_copy_delta_star": -math.expm1(n * math.log1p(-delta_nd))}
-
-
-def _integer(name: str, value, least: int) -> int:
-    """value as a Python int; ValueError, naming it, unless it is an int or a
-    numpy integer (not a bool) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    return int(value)
 
 
 def gamma_coefficient(d: int) -> float:

@@ -20,7 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .qcore import Povm, StateVector, _amplitudes, _complex_json, _immutable, outcome_table
+from .qcore import Povm, StateVector, _amplitudes, _complex_json, _immutable, _integer
+from .qcore import outcome_table
 
 ARMIJO_C = 1e-4
 GRAD_TOL = 1e-8
@@ -193,12 +194,10 @@ def optimize(
     STOP_VALUE (stop reason "value") or lies within CERTIFICATE_GAP of
     the best dual bound so far ("certificate"); otherwise the reason is the
     winner's own. The reported value is recomputed from the returned
-    measurement, so result and basis agree exactly.
+    measurement, so result and basis agree exactly. ValueError unless
+    restarts and max_iters are integers >= 1.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    restarts, max_iters = _integer("restarts", restarts, 1), _integer("max_iters", max_iters, 1)
     smat = _amplitudes(problem.states).T
     q, _ = np.linalg.qr(smat)
     r, d = q.shape[1], smat.shape[1]

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ensembles import KIND_THEOREM2, NoGoEnsemble
-from .qcore import Povm, StateVector, _frozen, effect_traces, outcome_table
+from .qcore import Povm, StateVector, _frozen, _integer, effect_traces, outcome_table
 
 
 @dataclass(frozen=True)
@@ -100,16 +100,14 @@ def run_protocol(
     significance (1 - confidence)/d, a union bound over the d terms. For an
     n-copy ensemble the single-copy bound is the n-th root of the bound,
     valid only if the n copies are prepared independently; the report says
-    so explicitly.
+    so explicitly. ValueError unless shots and the ensemble's copy count n
+    are integers >= 1.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    shots = _integer("shots", shots, 1)
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
     n = ensemble.params.get("n", 1) if ensemble.kind == KIND_THEOREM2 else 1
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"copy count n must be an integer >= 1, got {n!r}")
-    n_copies = int(n)
+    n_copies = _integer("copy count n", n, 1)
     d = len(ensemble.states)
     povm = ensemble.measurement
     dists = _noisy_rows(outcome_table(ensemble.states, povm), povm, noise)
@@ -149,21 +147,22 @@ def sweep(
     confidence: float = 0.95,
     seed: int = 0,
 ) -> list:
-    """One protocol run per (dim, copies) grid point; row i uses seed + i."""
+    """One protocol run per (dim, copies) grid point; row i uses seed + i.
+    ValueError unless dim and copies are integers >= 1 (the factory may ask more)."""
     if not grid:
         raise ValueError("parameter grid must be nonempty")
     rows = []
     for index, (dim, copies) in enumerate(grid):
-        ensemble = factory(int(dim), int(copies))
-        report = run_protocol(ensemble, noise, shots, confidence, seed + index)
+        dim, copies = _integer("grid dim", dim, 1), _integer("grid copies", copies, 1)
+        report = run_protocol(factory(dim, copies), noise, shots, confidence, seed + index)
         rows.append(
             {
                 "family": report.ensemble_kind,
-                "dim": int(dim),
+                "dim": dim,
                 "copies": report.n_copies,
                 "noise_p": noise.depolarizing_p,
                 "noise_q": noise.outcome_flip_q,
-                "shots": shots,
+                "shots": report.shots_per_preparation,
                 "eps_hat": report.epsilon_exp_hat,
                 "eps_upper": report.epsilon_upper_bound,
                 "confidence": confidence,

@@ -18,8 +18,8 @@ import numpy as np
 
 from ._geometry import bloch_from_state, fibonacci_sphere
 from .qcore import TENSOR_CAP, Ball, Povm, StateVector, gram, outcome_table, sample_state_in_ball
-from .qcore import _equal_overlap_family, _field, _floats, _frozen, _immutable, _power_at_most
-from .qcore import _require
+from .qcore import _equal_overlap_family, _field, _floats, _frozen, _immutable, _integer
+from .qcore import _power_at_most, _require
 
 SUM_TOL = 1e-10
 #: below this, a preparation weight counts as "not in the support"
@@ -41,15 +41,15 @@ def _check_distribution(vec: np.ndarray, what: str) -> np.ndarray:
 @dataclass(frozen=True)
 class DiscreteOnticModel:
     """Finite ontic space with preparation distributions P(lambda|Q) and
-    row-stochastic response tables P(r|M,lambda)."""
+    row-stochastic response tables P(r|M,lambda). ValueError unless
+    ``lambda_count`` is an integer >= 1."""
 
     lambda_count: int
     preparations: Mapping[str, np.ndarray]
     responses: Mapping[str, np.ndarray]
 
     def __post_init__(self):
-        if self.lambda_count < 1:
-            raise ValueError("ontic space must contain at least one state")
+        object.__setattr__(self, "lambda_count", _integer("lambda_count", self.lambda_count, 1))
         preps = {}
         for label, vec in self.preparations.items():
             arr = np.asarray(vec, dtype=float)
@@ -223,9 +223,9 @@ def product_model(model: DiscreteOnticModel, n: int) -> DiscreteOnticModel:
     measurements. Separable by construction: every single-copy support point
     keeps nonzero probability on its diagonal n-tuple. Each product response
     table, with (Lambda * m)**n entries for m outcomes, holds at most 10**6
-    entries; a model with Lambda * m = 1 is its own product."""
-    if n < 1:
-        raise ValueError(f"copy count must be >= 1, got {n}")
+    entries; a model with Lambda * m = 1 is its own product. ValueError
+    unless n is an integer >= 1."""
+    n = _integer("copy count n", n, 1)
     width = model.lambda_count * max((t.shape[1] for t in model.responses.values()), default=1)
     if n == 1 or width == 1:
         return model
@@ -250,9 +250,9 @@ def ks_qubit_model(grid_size: int) -> ParametricModel:
     it up to discretization error that shrinks as the grid grows.
 
     Measurement descriptions are finite nonzero Bloch 3-vectors (the + axis).
+    ValueError unless grid_size is an integer >= 100.
     """
-    if grid_size < 100:
-        raise ValueError(f"grid size must be >= 100, got {grid_size}")
+    grid_size = _integer("grid size", grid_size, 100)
     points = fibonacci_sphere(grid_size)
 
     def preparation_rule(state: StateVector) -> np.ndarray:
@@ -319,10 +319,10 @@ def delta_continuity_probe(
     Per-sample seeds derive from the master seed, so results are independent
     of evaluation order. The extremal family is qcore's equal-overlap family at
     fidelity max(1 - delta, sqrt((d-1)/d)): never wider than theorem1's, which
-    keeps extremal pairs such as the antipodal qubit pair.
+    keeps extremal pairs such as the antipodal qubit pair. ValueError unless
+    n_samples is an integer >= 1.
     """
-    if n_samples < 1:
-        raise ValueError("sample count must be >= 1")
+    n_samples = _integer("sample count n_samples", n_samples, 1)
     if family.dim != center.dim:
         raise ValueError(f"model dimension {family.dim} != center dimension {center.dim}")
     ball = Ball(center, delta)

@@ -25,7 +25,7 @@ from itertools import islice
 import numpy as np
 
 from ._geometry import fibonacci_sphere, rodrigues_rotate
-from .qcore import _frozen, _immutable
+from .qcore import _frozen, _immutable, _integer
 
 # below this the dedup cell grid has over 2^21 cells per axis, and its
 # packed keys can outgrow an int64
@@ -183,9 +183,9 @@ def orbit_step(cloud: OrbitCloud, rotations_per_pair: int = 24, seed: int = 0) -
     is likewise thinned to POINT_CAP points. Only the candidates are deduped,
     against the existing points and each other, so every existing point
     survives dedup by construction; the POINT_CAP thinning may drop any point.
+    ValueError unless rotations_per_pair is an integer >= 4.
     """
-    if rotations_per_pair < 4:
-        raise ValueError(f"rotations per pair must be >= 4, got {rotations_per_pair}")
+    rotations_per_pair = _integer("rotations per pair", rotations_per_pair, 4)
     n = cloud.size
     if n < 2:  # no pair, so no candidate
         return OrbitCloud(cloud.points, cloud.generation + 1, cloud.dedup_tolerance)
@@ -214,12 +214,12 @@ def coverage(cloud: OrbitCloud, grid_size: int, angular_tol: float) -> float:
     """Fraction of a reference Fibonacci grid within angular_tol of the cloud.
 
     Each grid point's nearest-neighbour search stops beyond the chord. The
-    bound sits just above it because cKDTree's bound is strict.
+    bound sits just above it because cKDTree's bound is strict. ValueError
+    unless grid_size is an integer >= 100.
     """
     from scipy.spatial import cKDTree
 
-    if grid_size < 100:
-        raise ValueError(f"grid size must be >= 100, got {grid_size}")
+    grid_size = _integer("grid size", grid_size, 100)
     if not 0.0 < angular_tol <= np.pi:
         raise ValueError(f"angular tolerance must lie in (0, pi], got {angular_tol}")
     if cloud.size == 0:
@@ -263,12 +263,11 @@ def steps_to_cover(
     Returns the full (generation, size, coverage) trajectory; ``steps`` is
     the first generation at or above the target, or None if it is not hit
     within ``max_steps``. Step k uses seed + k so trajectories are
-    reproducible per step.
+    reproducible per step. ValueError unless max_steps is an integer >= 0.
     """
     if not 0.0 < target_coverage <= 1.0:
         raise ValueError(f"target coverage must lie in (0, 1], got {target_coverage}")
-    if max_steps < 0:
-        raise ValueError(f"max steps must be >= 0, got {max_steps}")
+    max_steps = _integer("max steps", max_steps, 0)
     trajectory = coverage_trajectory(initial_cloud(theta), grid_size, angular_tol, seed)
     rows = []
     for row in islice(trajectory, max_steps + 1):

@@ -53,20 +53,27 @@ def _immutable(arr: np.ndarray) -> np.ndarray:
     return arr if not arr.flags.writeable else _frozen(arr.copy())
 
 
+def _integer(name: str, value, least: int) -> int:
+    """value as a Python int, the one rule for every count and size; ValueError,
+    naming it, unless it is an int or a numpy integer (not a bool) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class StateVector:
-    """A pure state: unit vector of complex amplitudes.
-
-    Normalization is enforced at construction (``NORM_TOL`` on the squared
-    norm); use :func:`normalized` to build one from an unnormalized array.
+    """A pure state: unit vector of complex amplitudes. ValueError unless
+    ``dim`` is an integer >= 1. Normalization is enforced at construction
+    (``NORM_TOL`` on the squared norm); use :func:`normalized` to build one
+    from an unnormalized array.
     """
 
     dim: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"state dimension must be >= 1, got {self.dim}")
+        object.__setattr__(self, "dim", _integer("state dimension", self.dim, 1))
         amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amps.shape != (self.dim,):
             raise ValueError(
@@ -154,14 +161,13 @@ def _exclusion_vectors(rows: np.ndarray, c: float) -> np.ndarray:
 @dataclass(frozen=True)
 class Operator:
     """A square complex matrix. Hermiticity/positivity are checked only by
-    the operations that need them."""
+    the operations that need them. ValueError unless ``dim`` is an integer >= 1."""
 
     dim: int
     entries: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"operator dimension must be >= 1, got {self.dim}")
+        object.__setattr__(self, "dim", _integer("operator dimension", self.dim, 1))
         mat = np.asarray(self.entries, dtype=complex)
         if mat.shape != (self.dim, self.dim):
             raise ValueError(
@@ -184,10 +190,11 @@ class Povm:
       :func:`effect_traces` work on U and never form a D x D matrix;
       :attr:`effects` builds the dense stack on first read.
 
-    Values are immutable after construction.
+    Immutable after construction. ValueError unless ``dim`` is an integer >= 1.
     """
 
     def __init__(self, dim: int, effects: Sequence[Operator]):
+        dim = _integer("POVM dimension", dim, 1)
         effs = tuple(effects)
         if not effs:
             raise ValueError("a POVM needs at least one effect")
@@ -342,11 +349,10 @@ def _power_at_most(base: int, n: int, cap: int) -> bool:
 def tensor_power(state: StateVector, n: int) -> StateVector:
     """``n``-fold Kronecker power of a state.
 
-    Raises ValueError if the resulting amplitude count ``dim**n`` exceeds
-    ``TENSOR_CAP``.
+    ValueError unless n is an integer >= 1, and if the resulting amplitude
+    count ``dim**n`` exceeds ``TENSOR_CAP``.
     """
-    if n < 1:
-        raise ValueError(f"tensor power needs n >= 1, got {n}")
+    n = _integer("tensor power n", n, 1)
     if not _power_at_most(state.dim, n, TENSOR_CAP):
         raise ValueError(
             f"tensor power dimension {state.dim}**{n} exceeds the cap of {TENSOR_CAP} amplitudes"
@@ -498,7 +504,8 @@ def _orthogonal_direction(rng: np.random.Generator, unit: np.ndarray) -> np.ndar
 def haar_state(dim: int, seed) -> StateVector:
     """Haar-random pure state: a complex Gaussian vector (real parts drawn
     first, then imaginary parts), normalized. ``seed`` may be an int or a
-    numpy Generator."""
+    numpy Generator. ValueError unless dim is an integer >= 1."""
+    dim = _integer("state dimension", dim, 1)
     rng = np.random.default_rng(seed)
     return normalized(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
 
@@ -506,9 +513,9 @@ def haar_state(dim: int, seed) -> StateVector:
 def pair_at_fidelity(dim: int, fidelity: float, seed) -> tuple:
     """A Haar-random state and a partner at exactly |<first|second>| = fidelity:
     fidelity * first + sqrt(1 - fidelity^2) * (a Haar direction orthogonal
-    to first). ``seed`` may be an int or a numpy Generator."""
-    if dim < 2:
-        raise ValueError(f"a pair at a chosen fidelity needs dimension >= 2, got {dim}")
+    to first). ``seed`` may be an int or a numpy Generator. ValueError unless
+    dim is an integer >= 2."""
+    dim = _integer("pair dimension", dim, 2)
     if not 0.0 <= fidelity <= 1.0:
         raise ValueError(f"fidelity must lie in [0, 1], got {fidelity}")
     rng = np.random.default_rng(seed)

@@ -41,7 +41,9 @@ STRAY_POVM = Povm(2, [Operator(2, np.diag(d)) for d in
 
 GUARDS = {
     "basis index": (lambda: StateVector.basis(2, 2), ValueError, "basis index 2 out of range"),
-    "operator dim": (lambda: Operator(0, np.zeros((0, 0))), ValueError, "must be >= 1, got 0"),
+    "operator dim": (
+        lambda: Operator(0, np.zeros((0, 0))), ValueError,
+        "dimension must be an integer >= 1, got 0"),
     "operator shape": (lambda: Operator(2, np.eye(3)), ValueError, "expected a 2x2 matrix"),
     "empty povm": (lambda: Povm(2, ()), ValueError, "at least one effect"),
     "povm effect dim": (
@@ -50,7 +52,8 @@ GUARDS = {
     "born range": (
         lambda: outcome_table([QUBIT], STRAY_POVM), ContractViolation,
         "probability 1.00000000018 outside [0, 1]"),
-    "tensor power": (lambda: tensor_power(QUBIT, 0), ValueError, "needs n >= 1, got 0"),
+    "tensor power": (
+        lambda: tensor_power(QUBIT, 0), ValueError, "n must be an integer >= 1, got 0"),
     "correspondence dims": (
         lambda: unitary_from_correspondence([QUBIT], [QUTRIT]), ValueError,
         "ambient dimensions differ"),
@@ -60,8 +63,9 @@ GUARDS = {
     "correspondence rank": (
         lambda: unitary_from_correspondence([QUBIT, QUBIT], [QUBIT, QUBIT]), ValueError,
         "rank-deficient"),
-    "pair dim": (lambda: pair_at_fidelity(1, 0.5, 0), ValueError, "needs dimension >= 2"),
-    "sphere size": (lambda: fibonacci_sphere(0), ValueError, "at least one point, got 0"),
+    "pair dim": (
+        lambda: pair_at_fidelity(1, 0.5, 0), ValueError, "dimension must be an integer >= 2"),
+    "sphere size": (lambda: fibonacci_sphere(0), ValueError, "n must be an integer >= 1, got 0"),
     "bloch qubit": (lambda: bloch_from_state(QUTRIT), ValueError, "needs a qubit, got dim 3"),
     "cloud shape": (
         lambda: OrbitCloud(np.zeros((2, 2)), 0, 0.02), ValueError, "expected an (n, 3) array"),
@@ -72,15 +76,16 @@ GUARDS = {
         lambda: steps_to_cover(1.0, 0.0, 0.05), ValueError, "target coverage must lie in (0, 1]"),
     "coverage steps": (
         lambda: steps_to_cover(1.0, 0.9, 0.05, max_steps=-1), ValueError,
-        "max steps must be >= 0, got -1"),
+        "max steps must be an integer >= 0, got -1"),
     "ontic space": (
-        lambda: DiscreteOnticModel(0, {}, {}), ValueError, "at least one state"),
+        lambda: DiscreteOnticModel(0, {}, {}), ValueError, "lambda_count must be an integer >= 1"),
     "classify labels": (
         lambda: classify(POINT_MODEL, ["a"]), ValueError, "at least two preparations"),
     "variation lengths": (
         lambda: total_variation([0.5, 0.5], [1.0]), ValueError, "length mismatch"),
     "product copies": (
-        lambda: product_model(POINT_MODEL, 0), ValueError, "copy count must be >= 1, got 0"),
+        lambda: product_model(POINT_MODEL, 0), ValueError,
+        "copy count n must be an integer >= 1, got 0"),
     # every family builder takes its dimension by one integer rule
     "theorem4 dim": (
         lambda: theorem4_states(1, 0.0), ValueError, "d must be an integer >= 2, got 1"),
