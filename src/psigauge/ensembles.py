@@ -132,7 +132,9 @@ def theorem2_ensemble(d: int, n: int) -> NoGoEnsemble:
 
     delta_star is the n-copy ball radius 1 - (1 - delta_nd)^n around the
     uniform center of C_(d^n); the single-copy bound delta_nd is in params.
-    ValueError when d**n exceeds TENSOR_CAP.
+    ValueError when d**n exceeds TENSOR_CAP, and from Povm.completion when
+    the powers miss that Gram level, so their exclusion vectors are not
+    orthonormal.
     """
     _, params = _theorem2_params(d, n)
     powers = [tensor_power(s, n) for s in theorem2_states(d, n).states]

@@ -40,7 +40,8 @@ POINT_CAP = 100_000
 @dataclass(frozen=True)
 class OrbitCloud:
     """A point cloud and the angular tolerance its dedup merges points
-    within, in [MIN_DEDUP_TOLERANCE, pi] = [2e-6, pi] radians."""
+    within, in [MIN_DEDUP_TOLERANCE, pi] = [2e-6, pi] radians. ValueError
+    unless ``generation`` is an integer >= 0."""
 
     points: np.ndarray  # (n, 3) unit vectors
     generation: int
@@ -60,6 +61,7 @@ class OrbitCloud:
         if (np.abs(np.linalg.norm(pts, axis=1) - 1.0) > 1e-9).any():
             raise ValueError("cloud contains non-unit vectors")
         object.__setattr__(self, "points", _immutable(pts))
+        object.__setattr__(self, "generation", _integer("generation", self.generation, 0))
 
     @property
     def size(self) -> int:

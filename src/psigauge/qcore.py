@@ -3,12 +3,13 @@ Gram matrices, and isometries built from state correspondences.
 
 States and operators are dense numpy arrays. A POVM is either dense (one
 m x D x D stack of effects, the form every external input takes) or factored
-(:meth:`Povm.completion`: m vectors plus an even split of the leftover
-identity), which is how the package's own exclusion measurements are
-built; on a factored POVM, validation, Born tables and traces never form a
-D x D matrix. Values are immutable after construction (their arrays are
-frozen), every operation is a pure function, and all randomness flows
-through explicit seeds, so identical calls give identical results.
+(:meth:`Povm.completion` of an isometry, checked once when it is made),
+which is how the package's own exclusion measurements are built; a factored
+POVM is valid by construction, its report is read off that check's residual,
+and its Born tables and traces never form a D x D matrix. Values are
+immutable after construction (their arrays are frozen), every operation is
+a pure function, and all randomness flows through explicit seeds, so
+identical calls give identical results.
 
 Tolerances follow a three-tier convention used across the package:
 
@@ -32,11 +33,6 @@ RESIDUAL_TOL = 1e-9
 #: hard cap on the amplitude count D of one tensor power. The dense n-copy
 #: ensemble holds d * D amplitudes; the CLI runs it in the span of its states.
 TENSOR_CAP = 10**6
-#: matrix entries in one block of effects that validating a completion
-#: stacks, so its memory is O(m^2) where the whole m x m x m stack grew as
-#: m^3. Up to m = 40 outcomes one block holds every effect, so small
-#: measurements keep one batched eigvalsh call instead of a Python loop.
-EFFECT_BLOCK = 2**16
 
 
 class ContractViolation(RuntimeError):
@@ -90,7 +86,8 @@ class StateVector:
     @classmethod
     def basis(cls, dim: int, k: int) -> "StateVector":
         """Computational basis vector |k> in dimension ``dim``."""
-        if not 0 <= k < dim:
+        dim, k = _integer("state dimension", dim, 1), _integer("basis index", k, 0)
+        if k >= dim:
             raise ValueError(f"basis index {k} out of range for dim {dim}")
         amps = np.zeros(dim, dtype=complex)
         amps[k] = 1.0
@@ -99,6 +96,7 @@ class StateVector:
     @classmethod
     def uniform(cls, dim: int) -> "StateVector":
         """The uniform superposition (1/sqrt(dim)) sum_j |j>."""
+        dim = _integer("state dimension", dim, 1)
         return cls(dim, _frozen(np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)))
 
 
@@ -184,10 +182,11 @@ class Povm:
     * Dense, ``Povm(dim, effects)``: effect Operators, expected to be
       Hermitian, PSD and summing to the identity, held as one m x D x D
       stack. Every measurement read from outside the program takes this form.
-    * Factored, :meth:`completion`: a D x m array U standing for the
-      effects |u_r><u_r| + (I - UU^dag)/m, which sum to the identity by
-      construction. :func:`validate_povm`, :func:`outcome_table` and
-      :func:`effect_traces` work on U and never form a D x D matrix;
+    * Factored, :meth:`completion`: a D x m isometry U standing for the
+      effects |u_r><u_r| + (I - UU^dag)/m, a valid POVM by construction.
+      U is checked once, when the POVM is made; :func:`validate_povm` reads
+      its report off the residual kept there, and :func:`outcome_table` and
+      :func:`effect_traces` work on U, so none forms a D x D matrix;
       :attr:`effects` builds the dense stack on first read.
 
     Immutable after construction. ValueError unless ``dim`` is an integer >= 1.
@@ -206,27 +205,34 @@ class Povm:
     @classmethod
     def completion(cls, vectors) -> "Povm":
         """Factored POVM with effects |u_r><u_r| + (I - UU^dag)/m for the
-        columns u_r of the D x m array ``vectors`` (m >= 1).
-
-        When m >= D the complement term is left out: such a U gives a valid
-        POVM only if UU^dag = I (checked here when m > D), and then the
-        complement is zero.
+        columns u_r of the D x m array ``vectors`` (D, m >= 1), which must be
+        an isometry on its short side: U^dag U = I when m <= D and UU^dag = I
+        when m >= D, each within ``OP_TOL`` (ValueError otherwise). When
+        m >= D the complement is zero and left out. The residual of
+        UU^dag = I is kept as the POVM's completeness error.
         """
         u = np.array(vectors, dtype=complex)
-        if u.ndim != 2 or u.shape[1] < 1:
-            raise ValueError(f"completion needs a D x m array, m >= 1; got shape {u.shape}")
+        if u.ndim != 2 or 0 in u.shape:
+            raise ValueError(f"completion needs a D x m array, D, m >= 1; got shape {u.shape}")
         if not np.all(np.isfinite(u)):
             raise ValueError("completion vectors have a non-finite entry")
-        if u.shape[1] > len(u) and np.abs(u @ u.conj().T - np.eye(len(u))).max() > OP_TOL:
-            raise ValueError(f"completion of {u.shape[1]} > D vectors needs UU^dag = I")
+        dim, m = u.shape
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
+            columns = _identity_gap(u.conj().T @ u) if m <= dim else 0.0
+            rows = _identity_gap(u @ u.conj().T) if m >= dim else 0.0
+        gap = float(np.maximum(columns, rows))  # keeps a NaN
+        if not gap <= OP_TOL:
+            raise ValueError(f"completion needs an isometry; this {dim} x {m} U is {gap:.3e}"
+                             " from one")
         povm = cls.__new__(cls)
-        povm._dim, povm._vectors, povm._effects, povm._stack = u.shape[0], _frozen(u), None, None
+        povm._dim, povm._vectors, povm._effects, povm._stack = dim, _frozen(u), None, None
+        povm._completeness = rows
         return povm
 
     @classmethod
     def basis(cls, dim: int) -> "Povm":
         """Projective measurement onto the computational basis."""
-        return cls.completion(np.eye(dim))
+        return cls.completion(np.eye(_integer("POVM dimension", dim, 1)))
 
     @property
     def dim(self) -> int:
@@ -420,53 +426,39 @@ def unitary_from_correspondence(
 def validate_povm(p: Povm) -> PovmReport:
     """Report Hermiticity, positivity, and completeness of a POVM.
 
-    Never raises; ``passed`` reflects the OP_TOL thresholds. A factored POVM
-    is checked inside span(U) at O(D m^2 + m^4) cost, and gets the numbers
-    the dense check of its effects would give, up to rounding.
+    Never raises; ``passed`` reflects the OP_TOL thresholds. A factored
+    POVM completes an isometry, so its report is read off in closed form
+    (the dense check's numbers up to rounding): Hermiticity error 0.0,
+    completeness error the residual :meth:`Povm.completion` kept (0.0 for
+    m < D, whose complement closes the sum), min eigenvalue min_r |u_r|^2
+    at D = 1, 1.0 at m = 1 < D (the one effect is I), else 0.0.
     """
-    if p.vectors is None:
-        herm, min_eig, comp = _stack_checks([p._stack], p.dim)
+    u = p.vectors
+    if u is None:
+        herm, min_eig, comp = _stack_checks(p._stack)
     else:
-        herm, min_eig, comp = _completion_checks(p.vectors)
+        dim, m = u.shape
+        min_eig = float(_squared_norms(u).min()) if dim == 1 else float(m == 1)
+        herm, comp = 0.0, p._completeness
     passed = herm <= OP_TOL and min_eig >= -OP_TOL and comp <= OP_TOL
     return PovmReport(herm, min_eig, comp, passed)
 
 
-def _stack_checks(blocks, n: int) -> tuple:
-    """(Hermiticity error, min eigenvalue, completeness error) of effects
-    given as k x n x n stacks, one stack at a time. Overflow near the top of
-    float range fails the check quietly; the Hermitian parts add halves, so
-    eigvalsh sees finite entries."""
-    herm, min_eig, total = [], [], 0.0
+def _identity_gap(mat: np.ndarray) -> float:
+    """max |mat - I| over the entries of a square matrix; keeps a NaN."""
+    return float(np.max(np.abs(mat - np.eye(len(mat)))))
+
+
+def _stack_checks(mats: np.ndarray) -> tuple:
+    """(Hermiticity error, min eigenvalue, completeness error) of an
+    m x D x D stack of effects. Overflow near the top of float range fails
+    the check quietly; the Hermitian parts add halves, so eigvalsh sees
+    finite entries."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for mats in blocks:
-            adjoint = mats.conj().transpose(0, 2, 1)
-            herm.append(np.max(np.abs(mats - adjoint)))
-            min_eig.append(np.linalg.eigvalsh(0.5 * mats + 0.5 * adjoint).min())
-            total = total + mats.sum(axis=0)
-        comp = float(np.max(np.abs(total - np.eye(n))))
-    return float(np.max(herm)), float(np.min(min_eig)), comp  # both keep a NaN
-
-
-def _completion_checks(u: np.ndarray) -> tuple:
-    """(Hermiticity error, min eigenvalue, completeness error) of
-    ``Povm.completion(u)``, in O(D m + m^2) memory."""
-    dim, m = u.shape
-    if dim <= m:
-        # effects |u_r><u_r| are rank one: eigenvalues |u_r|^2 and zeros
-        min_eig = float(_squared_norms(u).sum(axis=0).min()) if dim == 1 else 0.0
-        return 0.0, min_eig, float(np.max(np.abs(u @ u.conj().T - np.eye(dim))))
-    # with u = q r and orthonormal columns q, effect r acts on span(q) as the
-    # m x m matrix r_r r_r^dag + (I - r r^dag)/m, and as I/m on the rest
-    rows = np.linalg.qr(u, mode="r").T
-    rest = (np.eye(m) - rows.T @ rows.conj()) / m
-    step = max(1, EFFECT_BLOCK // (m * m))
-    blocks = (
-        rows[k : k + step, :, None] * rows[k : k + step].conj()[:, None, :] + rest
-        for k in range(0, m, step)
-    )
-    herm, min_eig, comp = _stack_checks(blocks, m)
-    return herm, min(min_eig, 1.0 / m), comp
+        adjoint = mats.conj().transpose(0, 2, 1)
+        herm = float(np.max(np.abs(mats - adjoint)))  # keeps a NaN
+        min_eig = float(np.linalg.eigvalsh(0.5 * mats + 0.5 * adjoint).min())
+        return herm, min_eig, _identity_gap(mats.sum(axis=0))
 
 
 def sample_state_in_ball(ball: Ball, seed) -> StateVector:

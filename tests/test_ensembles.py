@@ -212,7 +212,7 @@ class TestTheorem2ClosedForm:
     @pytest.mark.parametrize("d, n", [(3, 1), (3, 2), (4, 3)])
     def test_family_off_the_gram_level_is_rejected(self, d, n, monkeypatch):
         monkeypatch.setattr(ensembles, "theorem2_states", off_level_family)
-        with pytest.raises(ContractViolation, match="invalid POVM"):
+        with pytest.raises(ValueError, match="completion needs an isometry"):
             theorem2_ensemble(d, n)
 
 

@@ -41,6 +41,26 @@ STRAY_POVM = Povm(2, [Operator(2, np.diag(d)) for d in
 
 GUARDS = {
     "basis index": (lambda: StateVector.basis(2, 2), ValueError, "basis index 2 out of range"),
+    # the basis and uniform builders take their sizes by the one integer rule
+    "basis float index": (
+        lambda: StateVector.basis(2, 0.5), ValueError,
+        "basis index must be an integer >= 0, got 0.5"),
+    "basis bool index": (
+        lambda: StateVector.basis(2, True), ValueError,
+        "basis index must be an integer >= 0, got True"),
+    "basis float dim": (
+        lambda: StateVector.basis(2.0, 0), ValueError,
+        "state dimension must be an integer >= 1, got 2.0"),
+    "uniform float dim": (
+        lambda: StateVector.uniform(2.0), ValueError,
+        "state dimension must be an integer >= 1, got 2.0"),
+    "uniform bool dim": (
+        lambda: StateVector.uniform(True), ValueError,
+        "state dimension must be an integer >= 1, got True"),
+    "povm basis float dim": (
+        lambda: Povm.basis(2.0), ValueError, "POVM dimension must be an integer >= 1, got 2.0"),
+    "povm basis bool dim": (
+        lambda: Povm.basis(True), ValueError, "POVM dimension must be an integer >= 1, got True"),
     "operator dim": (
         lambda: Operator(0, np.zeros((0, 0))), ValueError,
         "dimension must be an integer >= 1, got 0"),
@@ -72,6 +92,15 @@ GUARDS = {
     "cloud finite": (
         lambda: OrbitCloud([[0.0, 0.0, 1.0], [np.nan, 0.0, 0.0]], 0, 0.02), ValueError,
         "non-finite points"),
+    "cloud float generation": (
+        lambda: OrbitCloud([[0.0, 0.0, 1.0]], 2.5, 0.02), ValueError,
+        "generation must be an integer >= 0, got 2.5"),
+    "cloud bool generation": (
+        lambda: OrbitCloud([[0.0, 0.0, 1.0]], True, 0.02), ValueError,
+        "generation must be an integer >= 0, got True"),
+    "cloud negative generation": (
+        lambda: OrbitCloud([[0.0, 0.0, 1.0]], -1, 0.02), ValueError,
+        "generation must be an integer >= 0, got -1"),
     "coverage target": (
         lambda: steps_to_cover(1.0, 0.0, 0.05), ValueError, "target coverage must lie in (0, 1]"),
     "coverage steps": (
@@ -136,6 +165,17 @@ def test_a_numpy_integer_dimension_is_stored_as_a_python_int():
         assert type(ensemble.params["d"]) is int
         json.dumps(ensemble_to_json(ensemble))
     assert gamma_coefficient(np.int64(5)) == gamma_coefficient(5)
+
+
+def test_numpy_integer_sizes_are_taken_as_python_ints():
+    three, one = np.int64(3), np.int64(1)
+    for state, expected in ((StateVector.basis(three, one), [0, 1, 0]),
+                            (StateVector.uniform(three), [1 / np.sqrt(3)] * 3)):
+        assert type(state.dim) is int and np.array_equal(state.amplitudes, expected)
+    assert type(Povm.basis(three).dim) is int and Povm.basis(three).outcome_count == 3
+    cloud = OrbitCloud([[0.0, 0.0, 1.0]], three, 0.02)
+    assert type(cloud.generation) is int and cloud.generation == 3
+    assert orbit_step(cloud).generation == 4
 
 
 HUGE_POWERS = {

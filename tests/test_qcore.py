@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from psigauge.exclusion import ExclusionResult
 from psigauge.ontic import DiscreteOnticModel
 from psigauge.orbit import OrbitCloud
 from psigauge.qcore import (
-    OP_TOL,
     Ball,
     ContractViolation,
     Operator,
@@ -313,12 +313,31 @@ def _assert_reports_agree(factored: Povm):
     return fast, dense
 
 
+def _optimized(count: int, dim: int) -> SimpleNamespace:
+    """``count`` Haar states in C^dim with the completion that optimize lifts for them."""
+    rng = np.random.default_rng(count * dim)
+    states = tuple(haar_state(rng, dim) for _ in range(count))
+    result = exclusion.optimize(exclusion.ExclusionProblem(states), restarts=2)
+    return SimpleNamespace(states=states, measurement=exclusion.result_to_povm(result, count))
+
+
+def _lengthened_frame() -> np.ndarray:
+    """Three orthonormal columns in C^5, the first then lengthened by 10%."""
+    rng = np.random.default_rng(0)
+    frame, _ = np.linalg.qr(rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)))
+    frame[:, 0] *= 1.1
+    return frame
+
+
 class TestFactoredPovm:
     @pytest.mark.parametrize(
         "ens",
         [theorem1_ensemble(5), theorem4_ensemble(6, 0.5)]
-        + [theorem2_ensemble(3, n) for n in (1, 2, 3)],
-        ids=["thm1(5)", "thm4(6,0.5)", "thm2(3,1)", "thm2(3,2)", "thm2(3,3)"],
+        + [theorem2_ensemble(3, n) for n in (1, 2, 3)]
+        + [_optimized(3, 5), _optimized(5, 3), _optimized(1, 3)],
+        ids=["thm1(5)", "thm4(6,0.5)", "thm2(3,1)", "thm2(3,2)", "thm2(3,3)",
+             "optimize(3 states in C^5)", "optimize(5 states in C^3)",
+             "optimize(1 state in C^3)"],
     )
     def test_agrees_with_its_dense_effects(self, ens):
         m = ens.measurement
@@ -356,27 +375,6 @@ class TestFactoredPovm:
         expected = (1.0 - np.eye(d)) / (d - 1)
         assert np.abs(table - expected).max() <= 1e-12
 
-    def test_long_column_fails_on_min_eigenvalue(self):
-        rng = np.random.default_rng(0)
-        frame, _ = np.linalg.qr(rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)))
-        frame[:, 0] *= 1.1
-        fast, dense = _assert_reports_agree(Povm.completion(frame))
-        assert fast.min_eigenvalue < -OP_TOL and dense.min_eigenvalue < -OP_TOL
-        assert not fast.passed
-
-    @pytest.mark.parametrize("block", [1, 20, qcore.EFFECT_BLOCK])
-    @pytest.mark.parametrize("longer", [None, 0, 2])
-    def test_blocks_of_effects_agree_with_the_dense_effects(self, monkeypatch, block, longer):
-        # 3 effects of 3 x 3 in blocks of one, of two and a short last one,
-        # or all in one; a lengthened column makes its effect fail positivity
-        monkeypatch.setattr(qcore, "EFFECT_BLOCK", block)
-        rng = np.random.default_rng(1)
-        frame, _ = np.linalg.qr(rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)))
-        if longer is not None:
-            frame[:, longer] *= 1.1
-        fast, _ = _assert_reports_agree(Povm.completion(frame))
-        assert fast.passed == (longer is None)
-
     def test_many_states_in_one_more_dimension_hold_no_cubic_stack(self):
         """150 orthonormal columns in C^151, as an exclusion search lifts 150
         states spanning C^151. One complex 150 x 150 x 150 stack is 51.5 MiB;
@@ -395,20 +393,26 @@ class TestFactoredPovm:
         assert report.passed
         assert peak < 16 * 2**20
 
-    def test_square_non_unitary_fails_on_completeness(self):
-        # the complement of a square U is dropped, so 0.9 I leaves 0.19 missing
-        fast, _ = _assert_reports_agree(Povm.completion(0.9 * np.eye(3)))
-        assert abs(fast.completeness_error - 0.19) <= 1e-12
-        assert not fast.passed
-
     @pytest.mark.parametrize(
         "vectors",
-        [np.ones(3), np.ones((2, 3)), np.zeros((3, 0)), np.array([[np.nan], [1.0]])],
-        ids=["one-dimensional", "more columns than rows", "no columns", "nan"],
+        [np.ones(3), np.ones((2, 3)), np.zeros((3, 0)), np.array([[np.nan], [1.0]]),
+         _lengthened_frame(), 0.9 * np.eye(3), np.array([[1e200, 1e200], [1e200, -1e200]])],
+        ids=["one-dimensional", "more columns than rows", "no columns", "nan",
+             "lengthened column", "square non-unitary", "overflowing products"],
     )
     def test_completion_rejects_malformed_vectors(self, vectors):
         with pytest.raises(ValueError):
             Povm.completion(vectors)
+
+    def test_a_factored_report_is_read_off_without_a_factorization(self, monkeypatch):
+        povms = [theorem2_ensemble(3, 2).measurement, Povm.basis(4), _optimized(5, 3).measurement]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("validate_povm factorized a completion")
+
+        for name in ("qr", "eigvalsh", "eigh", "svd"):
+            monkeypatch.setattr(np.linalg, name, refused)
+        assert all(validate_povm(povm).passed for povm in povms)
 
     def test_basis_effects_are_the_basis_projectors(self):
         for k, effect in enumerate(Povm.basis(3).effects):
