@@ -127,7 +127,7 @@ def theorem2_ensemble(d: int, n: int) -> NoGoEnsemble:
     """n-copy ensemble: tensor powers of the theorem2_states family plus a
     d-outcome measurement on C_(d^n) that never fires outcome k on state k:
     the completion of qcore's exclusion vectors at the powers' Gram level
-    (d-2)/(d-1). It is held in factored form, so time and memory grow as
+    (d-2)/(d-1). It is held as those d columns, so time and memory grow as
     d * d**n, not (d**n)**2.
 
     delta_star is the n-copy ball radius 1 - (1 - delta_nd)^n around the

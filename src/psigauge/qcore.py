@@ -1,15 +1,15 @@
 """Linear-algebra substrate: pure states, effects, POVMs, tensor powers,
 Gram matrices, and isometries built from state correspondences.
 
-States and operators are dense numpy arrays. A POVM is either dense (one
-m x D x D stack of effects, the form every external input takes) or factored
-(:meth:`Povm.completion` of an isometry, checked once when it is made),
-which is how the package's own exclusion measurements are built; a factored
-POVM is valid by construction, its report is read off that check's residual,
-and its Born tables and traces never form a D x D matrix. Values are
-immutable after construction (their arrays are frozen), every operation is
-a pure function, and all randomness flows through explicit seeds, so
-identical calls give identical results.
+States and operators are dense numpy arrays. Every POVM is one D x m x c
+array of columns, c per outcome, checked once when it is made: effects
+read from outside are split into columns by one eigendecomposition, and
+:meth:`Povm.completion` of an isometry (c = 1) is how the package builds its
+own exclusion measurements. So a Povm is valid by construction, and its
+Born tables and traces are read off the columns by one path that never
+forms a D x D matrix. Values are immutable after construction (their arrays
+are frozen), every operation is a pure function, and all randomness flows
+through explicit seeds, so identical calls give identical results.
 
 Tolerances follow a three-tier convention used across the package:
 
@@ -177,19 +177,21 @@ class Operator:
 
 
 class Povm:
-    """A measurement on C^dim, in one of two forms.
+    """A measurement on C^dim, held as a D x m x c array W of columns: effect r
+    is sum_j |w_rj><w_rj|, plus (I - WW^dag)/m when mc < D. It is made one
+    of two ways, and each checks it once, so every Povm is valid.
 
-    * Dense, ``Povm(dim, effects)``: effect Operators, expected to be
-      Hermitian, PSD and summing to the identity, held as one m x D x D
-      stack. Every measurement read from outside the program takes this form.
-    * Factored, :meth:`completion`: a D x m isometry U standing for the
-      effects |u_r><u_r| + (I - UU^dag)/m, a valid POVM by construction.
-      U is checked once, when the POVM is made; :func:`validate_povm` reads
-      its report off the residual kept there, and :func:`outcome_table` and
-      :func:`effect_traces` work on U, so none forms a D x D matrix;
-      :attr:`effects` builds the dense stack on first read.
+    * ``Povm(dim, effects)``: effect Operators, the form every measurement
+      read from outside the program takes. They must be Hermitian, PSD and
+      sum to the identity within ``OP_TOL`` (ValueError "invalid POVM"
+      otherwise); one batched eigh then splits each into D columns
+      sqrt(max(lambda, 0)) v, so a zero effect has zero columns.
+    * :meth:`completion`: a D x m isometry U, one column per outcome.
 
-    Immutable after construction. ValueError unless ``dim`` is an integer >= 1.
+    :func:`validate_povm` returns the report kept from that check, and
+    :func:`outcome_table` and :func:`effect_traces` read the columns, so
+    none forms a D x D matrix. Immutable after construction. ValueError
+    unless ``dim`` is an integer >= 1.
     """
 
     def __init__(self, dim: int, effects: Sequence[Operator]):
@@ -199,17 +201,35 @@ class Povm:
             raise ValueError("a POVM needs at least one effect")
         if any(not isinstance(e, Operator) or e.dim != dim for e in effs):
             raise ValueError("all effects must be Operators of the POVM dimension")
-        self._dim, self._vectors, self._effects = dim, None, None
-        self._stack = _frozen(np.array([e.entries for e in effs]))
+        stack = np.array([e.entries for e in effs])
+        # overflow near the top of float range fails the check quietly; the
+        # Hermitian parts add halves, so eigh sees finite entries
+        with np.errstate(over="ignore", invalid="ignore"):
+            adjoint = stack.conj().transpose(0, 2, 1)
+            herm = float(np.max(np.abs(stack - adjoint)))  # keeps a NaN
+            lam, vecs = np.linalg.eigh(0.5 * stack + 0.5 * adjoint)
+            report = _report(herm, float(lam.min()), _identity_gap(stack.sum(axis=0)))
+        if not report.passed:
+            raise ValueError(
+                f"invalid POVM: hermiticity error {report.hermiticity_error:.3e},"
+                f" min eigenvalue {report.min_eigenvalue:.3e},"
+                f" completeness error {report.completeness_error:.3e}"
+            )
+        columns = vecs * np.sqrt(np.maximum(lam, 0.0))[:, None, :]  # [r, :, j] is w_rj
+        self._dim, self._outcomes, self._effects, self._report = dim, len(effs), effs, report
+        self._vectors = _frozen(columns.transpose(1, 0, 2).reshape(dim, -1))
 
     @classmethod
     def completion(cls, vectors) -> "Povm":
-        """Factored POVM with effects |u_r><u_r| + (I - UU^dag)/m for the
-        columns u_r of the D x m array ``vectors`` (D, m >= 1), which must be
-        an isometry on its short side: U^dag U = I when m <= D and UU^dag = I
-        when m >= D, each within ``OP_TOL`` (ValueError otherwise). When
-        m >= D the complement is zero and left out. The residual of
-        UU^dag = I is kept as the POVM's completeness error.
+        """The POVM with effects |u_r><u_r| + (I - UU^dag)/m for the columns
+        u_r of the D x m array ``vectors`` (D, m >= 1), which must be an
+        isometry on its short side: U^dag U = I when m <= D and UU^dag = I
+        when m >= D, both at m = D, each within ``OP_TOL`` (ValueError
+        otherwise). When m >= D the complement is zero and left out. Its
+        report is read off in closed form: Hermiticity error 0.0,
+        completeness error the residual of UU^dag = I (0.0 for m < D, whose
+        complement closes the sum), min eigenvalue min_r |u_r|^2 at D = 1,
+        1.0 at m = 1 < D (the one effect is I), else 0.0.
         """
         u = np.array(vectors, dtype=complex)
         if u.ndim != 2 or 0 in u.shape:
@@ -224,9 +244,10 @@ class Povm:
         if not gap <= OP_TOL:
             raise ValueError(f"completion needs an isometry; this {dim} x {m} U is {gap:.3e}"
                              " from one")
+        min_eig = float(_squared_norms(u).min()) if dim == 1 else float(m == 1)
         povm = cls.__new__(cls)
-        povm._dim, povm._vectors, povm._effects, povm._stack = dim, _frozen(u), None, None
-        povm._completeness = rows
+        povm._dim, povm._outcomes, povm._effects = dim, m, None
+        povm._vectors, povm._report = _frozen(u), _report(0.0, min_eig, rows)
         return povm
 
     @classmethod
@@ -239,28 +260,27 @@ class Povm:
         return self._dim
 
     @property
-    def vectors(self):
-        """The D x m array U of a factored POVM; None for a dense one."""
+    def vectors(self) -> np.ndarray:
+        """W as a frozen D x mc array: outcome r owns columns rc .. rc + c - 1.
+        For a completion it is U."""
         return self._vectors
 
     @property
     def effects(self) -> tuple:
-        """The effects as Operators viewing the dense stack, which a factored
-        POVM builds on first read; both are kept after it."""
+        """The effects as Operators: those it was given, or, for a completion,
+        views of one dense stack built on first read and kept after it."""
         if self._effects is None:
-            if self._stack is None:
-                u = self._vectors
-                dim, m = u.shape
-                stack = u.T[:, :, None] * u.T.conj()[:, None, :]
-                if dim > m:
-                    stack += (np.eye(dim) - u @ u.conj().T) / m
-                self._stack = _frozen(stack)
-            self._effects = tuple(map(partial(Operator, self._dim), self._stack))
+            u = self._vectors
+            dim, m = u.shape
+            stack = u.T[:, :, None] * u.T.conj()[:, None, :]
+            if dim > m:
+                stack += (np.eye(dim) - u @ u.conj().T) / m
+            self._effects = tuple(map(partial(Operator, self._dim), _frozen(stack)))
         return self._effects
 
     @property
     def outcome_count(self) -> int:
-        return len(self._stack) if self._vectors is None else self._vectors.shape[1]
+        return self._outcomes
 
 
 @dataclass(frozen=True)
@@ -288,6 +308,11 @@ class PovmReport:
     passed: bool
 
 
+def _report(herm: float, min_eig: float, comp: float) -> PovmReport:
+    """The report of three checks; ``passed`` holds them to ``OP_TOL`` (NaN fails)."""
+    return PovmReport(herm, min_eig, comp, herm <= OP_TOL and min_eig >= -OP_TOL and comp <= OP_TOL)
+
+
 def inner(a: StateVector, b: StateVector) -> complex:
     """Inner product <a|b>, conjugating the first argument."""
     if a.dim != b.dim:
@@ -308,43 +333,32 @@ def _squared_norms(mat: np.ndarray) -> np.ndarray:
     return mat.real**2 + mat.imag**2
 
 
-def outcome_table(states: Sequence[StateVector], povm: Povm) -> np.ndarray:
-    """Frozen Born-rule table P[k, r] = <states[k]|E_r|states[k]>.
+def _per_outcome(values: np.ndarray, povm: Povm, total: float) -> np.ndarray:
+    """Values over the columns (last axis) summed to the m outcomes, plus the
+    complement's even share of what they leave of ``total``, if it has one."""
+    m = povm.outcome_count
+    sums = values.reshape(*values.shape[:-1], m, -1).sum(axis=-1)
+    if povm.dim > povm.vectors.shape[1]:
+        sums += (total - sums.sum(axis=-1, keepdims=True)) / m
+    return sums
 
-    The POVM is validated once (ContractViolation if :func:`validate_povm`
-    fails); every entry is then clamped to [0, 1], and one straying more than
-    ``OP_TOL`` outside raises ContractViolation. A dense POVM contracts each
-    effect with each state; a factored one reads
-    |<u_r|psi>|^2 + (1 - sum_m |<u_m|psi>|^2)/m off the m overlaps.
+
+def outcome_table(states: Sequence[StateVector], povm: Povm) -> np.ndarray:
+    """Frozen Born-rule table P[k, r] = <states[k]|E_r|states[k]>: the
+    |<w_rj|psi_k>|^2 summed over outcome r's columns, plus the complement's
+    share (1 - sum_r)/m. Every entry is clamped to [0, 1], and one straying
+    more than ``OP_TOL`` outside raises ContractViolation.
     """
     amps = _amplitudes(states)
     if amps.shape[1] != povm.dim:
         raise ValueError(f"every state must live in the POVM dimension {povm.dim}")
-    report = validate_povm(povm)
-    if not report.passed:
-        raise ContractViolation(
-            f"invalid POVM: hermiticity error {report.hermiticity_error:.3e},"
-            f" min eigenvalue {report.min_eigenvalue:.3e},"
-            f" completeness error {report.completeness_error:.3e}"
-        )
-    u = povm.vectors
-    if u is None:
-        return _probabilities(np.einsum("kd,rde,ke->kr", amps.conj(), povm._stack, amps).real)
-    table = _squared_norms(amps @ u.conj())
-    if povm.dim > u.shape[1]:
-        table += (1.0 - table.sum(axis=1, keepdims=True)) / u.shape[1]
-    return _probabilities(table)
+    return _probabilities(_per_outcome(_squared_norms(amps @ povm.vectors.conj()), povm, 1.0))
 
 
 def effect_traces(povm: Povm) -> np.ndarray:
-    """tr(E_r) for every effect: |u_r|^2 + (D - sum_m |u_m|^2)/m when factored."""
-    u = povm.vectors
-    if u is None:
-        return np.trace(povm._stack, axis1=1, axis2=2).real
-    traces = _squared_norms(u).sum(axis=0)
-    if povm.dim > u.shape[1]:
-        traces += (povm.dim - traces.sum()) / u.shape[1]
-    return traces
+    """tr(E_r) for every effect: |w_rj|^2 summed over outcome r's columns,
+    plus the complement's share (D - sum_r)/m."""
+    return _per_outcome(_squared_norms(povm.vectors).sum(axis=0), povm, povm.dim)
 
 
 def _power_at_most(base: int, n: int, cap: int) -> bool:
@@ -424,41 +438,17 @@ def unitary_from_correspondence(
 
 
 def validate_povm(p: Povm) -> PovmReport:
-    """Report Hermiticity, positivity, and completeness of a POVM.
-
-    Never raises; ``passed`` reflects the OP_TOL thresholds. A factored
-    POVM completes an isometry, so its report is read off in closed form
-    (the dense check's numbers up to rounding): Hermiticity error 0.0,
-    completeness error the residual :meth:`Povm.completion` kept (0.0 for
-    m < D, whose complement closes the sum), min eigenvalue min_r |u_r|^2
-    at D = 1, 1.0 at m = 1 < D (the one effect is I), else 0.0.
+    """Report Hermiticity, positivity, and completeness of a POVM: the report
+    kept from the check made when it was built. Never raises; ``passed`` is
+    true for every Povm, since one failing the ``OP_TOL`` thresholds cannot
+    be made. See :class:`Povm` and :meth:`Povm.completion` for the numbers.
     """
-    u = p.vectors
-    if u is None:
-        herm, min_eig, comp = _stack_checks(p._stack)
-    else:
-        dim, m = u.shape
-        min_eig = float(_squared_norms(u).min()) if dim == 1 else float(m == 1)
-        herm, comp = 0.0, p._completeness
-    passed = herm <= OP_TOL and min_eig >= -OP_TOL and comp <= OP_TOL
-    return PovmReport(herm, min_eig, comp, passed)
+    return p._report
 
 
 def _identity_gap(mat: np.ndarray) -> float:
     """max |mat - I| over the entries of a square matrix; keeps a NaN."""
     return float(np.max(np.abs(mat - np.eye(len(mat)))))
-
-
-def _stack_checks(mats: np.ndarray) -> tuple:
-    """(Hermiticity error, min eigenvalue, completeness error) of an
-    m x D x D stack of effects. Overflow near the top of float range fails
-    the check quietly; the Hermitian parts add halves, so eigvalsh sees
-    finite entries."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        adjoint = mats.conj().transpose(0, 2, 1)
-        herm = float(np.max(np.abs(mats - adjoint)))  # keeps a NaN
-        min_eig = float(np.linalg.eigvalsh(0.5 * mats + 0.5 * adjoint).min())
-        return herm, min_eig, _identity_gap(mats.sum(axis=0))
 
 
 def sample_state_in_ball(ball: Ball, seed) -> StateVector:

@@ -28,14 +28,39 @@ def gram_level_and_floor(d: int, n: int, f: float) -> tuple:
 
 
 def dense_measurement(ensemble):
-    """The ensemble with its measurement rebuilt as dense effects, for tests
-    that run the dense Born-table path."""
+    """The ensemble with its measurement rebuilt from its effect matrices, for
+    tests whose Born tables run through the columns that ``Povm(dim, effects)``
+    splits each effect into."""
     import dataclasses
 
     from psigauge.qcore import Povm
 
     m = ensemble.measurement
     return dataclasses.replace(ensemble, measurement=Povm(m.dim, m.effects))
+
+
+def random_effects(rng: np.random.Generator, dim: int) -> dict:
+    """Effect matrices on C^dim, each list summing to I, all read off one Haar
+    unitary V:
+
+    * "coarse-grained": the projectors onto V's columns dealt at random to
+      1..dim outcomes, plus one zero effect;
+    * "full-rank": A and I - A for A = V diag(a) V^dag, a drawn from (0, 1);
+    * "clipped" (dim >= 2): the projectors onto V's first column and onto the
+      rest, with 5e-11 |v><v| moved from the first to the second, v V's last
+      column, so the first effect has the eigenvalue -5e-11.
+    """
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    v = np.linalg.qr(z)[0]
+    owner = rng.permutation(np.arange(dim) % int(rng.integers(1, dim + 1)))
+    grains = [v[:, owner == k] @ v[:, owner == k].conj().T for k in range(owner.max() + 1)]
+    a = v * rng.uniform(0.0, 1.0, dim) @ v.conj().T
+    effects = {"coarse-grained": grains + [np.zeros((dim, dim))], "full-rank": [a, np.eye(dim) - a]}
+    if dim >= 2:
+        first = np.outer(v[:, 0], v[:, 0].conj())
+        shift = 5e-11 * np.outer(v[:, -1], v[:, -1].conj())
+        effects["clipped"] = [first - shift, np.eye(dim) - first + shift]
+    return effects
 
 
 def four_outcome_measurements() -> dict:

@@ -347,6 +347,13 @@ class TestOrbitCommand:
         assert len(lines) == 4
 
 
+def _merge_last_two(effects: list) -> list:
+    """Serialized effects with the last two added into one."""
+    *kept, a, b = effects
+    merged = dict(a, re=np.add(a["re"], b["re"]).tolist(), im=np.add(a["im"], b["im"]).tolist())
+    return kept + [merged]
+
+
 class TestExclusionCommand:
     def test_states_object_file(self, capsys, tmp_path):
         ens = theorem1_ensemble(3)
@@ -365,14 +372,24 @@ class TestExclusionCommand:
         obj = run_json(capsys, ["exclusion", "--states", str(path), "--seed", "0"])
         assert obj["results"]["best_value"] <= 1e-6
 
-    def test_short_measurement_in_ensemble_file_exits_two(self, tmp_path):
+    @pytest.mark.parametrize(
+        "shorten, message",
+        [
+            (lambda effects: effects[:2], "invalid POVM"),
+            (_merge_last_two, "2 outcomes for 3 states"),
+        ],
+        ids=["truncated", "merged"],
+    )
+    def test_short_measurement_in_ensemble_file_exits_two(self, tmp_path, shorten, message):
+        # truncated, the measurement is incomplete and refused when it is made;
+        # merged, it is complete and refused for its outcome count
         obj = ensemble_to_json(theorem1_ensemble(3))
-        obj["measurement"] = obj["measurement"][:2]
+        obj["measurement"] = shorten(obj["measurement"])
         path = tmp_path / "short.json"
         path.write_text(json.dumps(obj))
         rc, out, err = run_process(["exclusion", "--states", str(path)])
         assert rc == 2
-        assert "2 outcomes for 3 states" in err
+        assert message in err
         assert "Traceback" not in err
         assert out == ""
 

@@ -13,7 +13,7 @@ from psigauge.exclusion import (
     result_to_json,
     result_to_povm,
 )
-from psigauge.qcore import ContractViolation, Operator, Povm, StateVector, tensor_power
+from psigauge.qcore import Operator, Povm, StateVector, tensor_power
 
 from conftest import gram_level_and_floor, haar_state
 
@@ -54,19 +54,6 @@ class TestExclusionValue:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             exclusion_value((StateVector.basis(2, 0),), Povm.basis(3))
-
-    def test_invalid_povm(self):
-        broken = Povm(2, (Operator(2, np.eye(2)), Operator(2, np.eye(2))))
-        with pytest.raises(ContractViolation):
-            exclusion_value((StateVector.basis(2, 0), StateVector.basis(2, 1)), broken)
-
-    def test_validates_the_povm_once(self, monkeypatch):
-        ens = theorem1_ensemble(5)
-        calls = []
-        real = qcore.validate_povm
-        monkeypatch.setattr(qcore, "validate_povm", lambda p: calls.append(p) or real(p))
-        exclusion_value(ens.states, ens.measurement)
-        assert len(calls) == 1
 
 
 class TestOptimize:

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psigauge import exclusion, ontic, orbit, qcore
+from psigauge import exclusion, experiment, ontic, orbit, qcore
 from psigauge.ensembles import theorem1_ensemble, theorem2_ensemble, theorem4_ensemble
 from psigauge.exclusion import ExclusionResult
 from psigauge.ontic import DiscreteOnticModel
 from psigauge.orbit import OrbitCloud
 from psigauge.qcore import (
+    OP_TOL,
     Ball,
     ContractViolation,
     Operator,
@@ -36,7 +37,7 @@ from psigauge.qcore import (
     validate_povm,
 )
 
-from conftest import born, dense_measurement, gram_level_and_floor, haar_state
+from conftest import born, dense_measurement, gram_level_and_floor, haar_state, random_effects
 
 
 class TestStateVector:
@@ -82,13 +83,6 @@ class TestBornRule:
         projectors = Povm(2, [Operator(2, np.outer(e, e)) for e in np.eye(2)])
         assert np.abs(outcome_table([s], projectors) - 0.5).max() < 1e-15
 
-    def test_rejects_non_hermitian(self):
-        # complete, but its effects are not Hermitian
-        nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
-        skewed = Povm(2, (Operator(2, nilpotent), Operator(2, np.eye(2) - nilpotent)))
-        with pytest.raises(ContractViolation, match="hermiticity error 1.000e"):
-            outcome_table([StateVector.basis(2, 0)], skewed)
-
     def test_basis_povm_sums_to_one(self):
         rng = np.random.default_rng(0)
         s = haar_state(rng, 5)
@@ -105,22 +99,9 @@ class TestBornRule:
             for r, effect in enumerate(ens.measurement.effects):
                 assert abs(table[k, r] - born(s, effect.entries)) <= 1e-15
 
-    def test_outcome_table_rejects_invalid_povm(self):
-        broken = Povm(2, (Operator(2, np.eye(2)), Operator(2, np.eye(2))))
-        with pytest.raises(ContractViolation, match="invalid POVM"):
-            outcome_table([StateVector.basis(2, 0)], broken)
-
     def test_outcome_table_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             outcome_table([StateVector.basis(2, 0)], Povm.basis(3))
-
-    def test_outcome_table_validates_once(self, monkeypatch):
-        ens = theorem1_ensemble(4)
-        calls = []
-        real = qcore.validate_povm
-        monkeypatch.setattr(qcore, "validate_povm", lambda p: calls.append(p) or real(p))
-        outcome_table(ens.states, ens.measurement)
-        assert len(calls) == 1
 
 
 class TestTensorPower:
@@ -285,17 +266,20 @@ class TestPovmValidation:
         assert rep.passed
         assert rep.completeness_error <= 1e-12
 
-    def test_incomplete_flagged(self):
-        rep = validate_povm(Povm(2, (Operator(2, np.diag([1.0, 0.0])),)))
-        assert not rep.passed
-        assert rep.completeness_error > 0.5
-
-    def test_negative_effect_flagged(self):
-        bad = Operator(2, np.diag([1.5, -0.5]) + 0j)
-        good = Operator(2, np.eye(2) - bad.entries)
-        rep = validate_povm(Povm(2, (bad, good)))
-        assert not rep.passed
-        assert rep.min_eigenvalue < -1e-10
+    @pytest.mark.parametrize(
+        "effects, failure",
+        [
+            ([[[0, 1], [0, 0]], [[1, -1], [0, 1]]], "hermiticity error 1.000e+00"),
+            ([np.diag([1.0, 0.0])], "completeness error 1.000e+00"),
+            ([np.diag([1.5, -0.5]), np.diag([-0.5, 1.5])], "min eigenvalue -5.000e-01"),
+            ([np.eye(2), np.eye(2)], "completeness error 1.000e+00"),
+        ],
+        ids=["non-Hermitian", "incomplete", "negative", "doubled identity"],
+    )
+    def test_invalid_effects_are_refused_when_made(self, effects, failure):
+        with pytest.raises(ValueError, match="invalid POVM") as raised:
+            Povm(2, [Operator(2, np.array(e, dtype=complex)) for e in effects])
+        assert failure in str(raised.value)
 
     def test_non_finite_effect_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
@@ -378,14 +362,16 @@ class TestFactoredPovm:
     def test_many_states_in_one_more_dimension_hold_no_cubic_stack(self):
         """150 orthonormal columns in C^151, as an exclusion search lifts 150
         states spanning C^151. One complex 150 x 150 x 150 stack is 51.5 MiB;
-        checking it as a stack peaked at 206 MiB under tracemalloc."""
+        checking it as a stack peaked at 206 MiB under tracemalloc. The bound
+        covers making the POVM as well as reading its report."""
         import tracemalloc
 
         rng = np.random.default_rng(0)
         z = rng.standard_normal((151, 150)) + 1j * rng.standard_normal((151, 150))
-        povm = Povm.completion(np.linalg.qr(z)[0])
+        frame = np.linalg.qr(z)[0]
         tracemalloc.start()
         try:
+            povm = Povm.completion(frame)
             report = validate_povm(povm)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -419,7 +405,36 @@ class TestFactoredPovm:
             assert np.array_equal(effect.entries, np.outer(np.eye(3)[k], np.eye(3)[k]))
 
 
-class TestDenseStack:
+class TestEffectColumns:
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_split_effects_give_their_born_table_and_traces(self, dim):
+        rng = np.random.default_rng(dim)
+        states = [haar_state(rng, dim) for _ in range(4)]
+        for name, effects in random_effects(rng, dim).items():
+            povm = Povm(dim, [Operator(dim, e) for e in effects])
+            table, traces = outcome_table(states, povm), effect_traces(povm)
+            tol = OP_TOL if name == "clipped" else 1e-12
+            for k, s in enumerate(states):
+                assert np.abs(table[k] - [born(s, e) for e in effects]).max() <= tol, name
+            assert np.abs(traces - [np.trace(e).real for e in effects]).max() <= tol, name
+            if name == "clipped":
+                assert abs(validate_povm(povm).min_eigenvalue + 5e-11) <= 1e-15
+
+    def test_readers_never_check_a_built_povm(self, monkeypatch):
+        built = [theorem1_ensemble(5), theorem2_ensemble(3, 2),
+                 dense_measurement(theorem2_ensemble(3, 2))]
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a reader checked a built Povm")
+
+        monkeypatch.setattr(qcore, "validate_povm", refused)
+        monkeypatch.setattr(np.linalg, "eigh", refused)
+        for ens in built:
+            outcome_table(ens.states, ens.measurement)
+            effect_traces(ens.measurement)
+            exclusion.exclusion_value(ens.states, ens.measurement)
+            experiment.run_protocol(ens, experiment.NoiseSpec(0.02, 0.01), 100, seed=0)
+
     def test_dense_readers_do_not_walk_the_effects(self, monkeypatch):
         ens = dense_measurement(theorem2_ensemble(3, 2))
         expected = (
