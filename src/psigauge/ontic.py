@@ -1,7 +1,8 @@
-"""Discrete ontological models: preparation distributions over a finite
-ontic space, response tables, quantum-reproduction checks, the overlap
-functional and its exclusion inequality, epistemic/ontic classification,
-continuity probing, and product (separable) models.
+"""Discrete ontological models: preparation distributions and response
+tables over a finite ontic space, every row checked by one row-stochastic
+rule; quantum-reproduction checks; the overlap functional, its exclusion
+inequality and the epistemic/ontic classification read off it; continuity
+probing; and product (separable) models.
 
 Ontic spaces are finite weighted sets throughout; continuous densities enter
 only through discretization (see :func:`ks_qubit_model`).
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
+from itertools import chain, combinations
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -26,16 +27,23 @@ SUM_TOL = 1e-10
 SUPPORT_THRESHOLD = 1e-12
 
 
-def _check_distribution(vec: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(vec)):
-        raise ValueError(f"{what}: non-finite entry")
-    if float(vec.min(initial=0.0)) < 0.0:
-        raise ValueError(f"{what}: negative entry {float(vec.min()):.3e}")
-    with np.errstate(over="ignore"):  # an overflowing sum fails the check below
-        total = float(vec.sum())
-    if abs(total - 1.0) > SUM_TOL:
-        raise ValueError(f"{what}: entries sum to {total!r}, expected 1")
-    return _immutable(vec)
+def _stochastic(table: np.ndarray, what: str) -> np.ndarray:
+    """``table`` frozen, or ValueError naming its first row (along the last
+    axis) that is not a distribution: finite, >= 0 and summing to 1 within
+    SUM_TOL. A 1-D table is one row."""
+    rows = np.atleast_2d(table)
+    # a valid row has entries >= 0 (false for NaN) that sum to 1; the sums run
+    # over |entries|, so that no inf - inf arises, and one past float range fails
+    with np.errstate(over="ignore"):
+        sums = np.abs(rows).sum(axis=1)
+        for i in np.flatnonzero(~(rows >= 0.0).all(axis=1) | (np.abs(sums - 1.0) > SUM_TOL)):
+            row, where = rows[i], what if table.ndim == 1 else f"{what} row {i}"
+            if not np.isfinite(row).all():
+                raise ValueError(f"{where}: non-finite entry")
+            if row.min(initial=0.0) < 0.0:
+                raise ValueError(f"{where}: negative entry {float(row.min()):.3e}")
+            raise ValueError(f"{where}: entries sum to {float(row.sum())!r}, expected 1")
+    return _immutable(table)
 
 
 @dataclass(frozen=True)
@@ -50,33 +58,16 @@ class DiscreteOnticModel:
 
     def __post_init__(self):
         object.__setattr__(self, "lambda_count", _integer("lambda_count", self.lambda_count, 1))
-        preps = {}
-        for label, vec in self.preparations.items():
-            arr = np.asarray(vec, dtype=float)
-            if arr.shape != (self.lambda_count,):
-                raise ValueError(
-                    f"preparations[{label!r}]: expected {self.lambda_count} entries,"
-                    f" got shape {arr.shape}"
-                )
-            preps[str(label)] = _check_distribution(arr, f"preparations[{label!r}]")
-        resps = {}
-        for label, mat in self.responses.items():
-            arr = np.asarray(mat, dtype=float)
-            if arr.ndim != 2 or arr.shape[0] != self.lambda_count:
-                raise ValueError(
-                    f"responses[{label!r}]: expected a {self.lambda_count}-row matrix,"
-                    f" got shape {arr.shape}"
-                )
-            # a valid row has entries >= 0 (false for NaN) that sum to 1; the sums run
-            # over |entries|, so that no inf - inf arises, and one past float range fails
-            with np.errstate(over="ignore"):
-                sums = np.abs(arr).sum(axis=1)
-            bad = ~(arr >= 0.0).all(axis=1) | (np.abs(sums - 1.0) > SUM_TOL)
-            for i in np.flatnonzero(bad):  # the first bad row raises its own diagnostic
-                _check_distribution(arr[i], f"responses[{label!r}] row {i}")
-            resps[str(label)] = _immutable(arr)
-        object.__setattr__(self, "preparations", preps)
-        object.__setattr__(self, "responses", resps)
+        n = self.lambda_count
+        for kind, ndim in (("preparations", 1), ("responses", 2)):
+            tables = {}
+            for label, table in getattr(self, kind).items():
+                arr, what = np.asarray(table, dtype=float), f"{kind}[{label!r}]"
+                if arr.ndim != ndim or arr.shape[0] != n:
+                    expected = f"{n} entries" if ndim == 1 else f"a {n}-row matrix"
+                    raise ValueError(f"{what}: expected {expected}, got shape {arr.shape}")
+                tables[str(label)] = _stochastic(arr, what)
+            object.__setattr__(self, kind, tables)
 
 
 @dataclass(frozen=True)
@@ -127,7 +118,8 @@ class ContinuityReport:
     witness of continuity at this radius; an empty one is evidence against
     it (the ball was only sampled), never proof. So the support and
     empirical_epsilon are upper bounds on the ball's exact ones. n_samples is
-    the requested count; the probe may stop before drawing them all."""
+    the requested count; the probe evaluates its d extremal states first and
+    may stop before drawing them all, or any."""
 
     delta: float
     n_samples: int
@@ -136,40 +128,34 @@ class ContinuityReport:
     verdict: str  # "continuous-at-delta" | "no-witness-found"
 
 
-def _prep(model: DiscreteOnticModel, label: str) -> np.ndarray:
+def _lookup(tables: Mapping[str, np.ndarray], kind: str, label: str) -> np.ndarray:
     try:
-        return model.preparations[label]
+        return tables[label]
     except KeyError:
-        raise ValueError(f"unknown preparation label {label!r}") from None
-
-
-def _resp(model: DiscreteOnticModel, label: str) -> np.ndarray:
-    try:
-        return model.responses[label]
-    except KeyError:
-        raise ValueError(f"unknown measurement label {label!r}") from None
+        raise ValueError(f"unknown {kind} label {label!r}") from None
 
 
 def predict(model: DiscreteOnticModel, q: str, m: str) -> np.ndarray:
     """Outcome distribution P(r|M,Q) = sum_lambda P(r|M,lambda) P(lambda|Q)."""
-    return _prep(model, q) @ _resp(model, m)
+    prep = _lookup(model.preparations, "preparation", q)
+    return prep @ _lookup(model.responses, "measurement", m)
 
 
-def _overlap_sum(per_min: np.ndarray) -> float:
-    """Sum of a pointwise minimum of distributions, capped at 1. The entries
-    are non-negative, but each distribution sums to 1 only within SUM_TOL,
-    so the sum for two equal ones can exceed 1 by rounding."""
-    return min(float(per_min.sum()), 1.0)
+def _overlap(model: DiscreteOnticModel, qs: Sequence[str]) -> tuple[float, np.ndarray]:
+    """Common overlap of the preparations qs and the pointwise minimum it sums.
+    The sum is capped at 1: the entries are non-negative, but each
+    distribution sums to 1 only within SUM_TOL, so the sum for two equal ones
+    can exceed 1 by rounding."""
+    per_min = reduce(np.minimum, [_lookup(model.preparations, "preparation", q) for q in qs])
+    return min(float(per_min.sum()), 1.0), per_min
 
 
 def epsilon_overlap(model: DiscreteOnticModel, qs: Sequence[str]) -> OverlapReport:
     """Exact common overlap of the given preparations over the finite space."""
     if len(qs) < 2:
         raise ValueError("overlap needs at least two preparations")
-    stacked = np.array([_prep(model, q) for q in qs])
-    per_min = np.min(stacked, axis=0)
-    witnesses = tuple(np.flatnonzero(per_min > 0.0).tolist())
-    return OverlapReport(_overlap_sum(per_min), witnesses)
+    epsilon, per_min = _overlap(model, qs)
+    return OverlapReport(epsilon, tuple(np.flatnonzero(per_min > 0.0).tolist()))
 
 
 def nogo_check(model: DiscreteOnticModel, qs: Sequence[str], m: str) -> NoGoCheck:
@@ -179,7 +165,7 @@ def nogo_check(model: DiscreteOnticModel, qs: Sequence[str], m: str) -> NoGoChec
     do the response rows spend all their mass on the summed outcomes, so that
     lhs >= epsilon is a theorem. ValueError for any other outcome count.
     """
-    rows = _resp(model, m)
+    rows = _lookup(model.responses, "measurement", m)
     if rows.shape[1] != len(qs):
         raise ValueError(
             f"measurement {m!r} has {rows.shape[1]} outcomes for {len(qs)} preparations"
@@ -191,18 +177,12 @@ def nogo_check(model: DiscreteOnticModel, qs: Sequence[str], m: str) -> NoGoChec
 
 def classify(model: DiscreteOnticModel, qs: Sequence[str]) -> Classification:
     """Epistemic iff some pair of (distinct-state) preparations shares ontic
-    support; returns the maximizing pair."""
+    support; returns the maximizing pair, the first in qs order on ties."""
     if len(qs) < 2:
         raise ValueError("classification needs at least two preparations")
-    best_pair = None
-    best = 0.0
-    for i in range(len(qs)):
-        p_i = _prep(model, qs[i])
-        for j in range(i + 1, len(qs)):
-            ov = _overlap_sum(np.minimum(p_i, _prep(model, qs[j])))
-            if ov > best:
-                best = ov
-                best_pair = (qs[i], qs[j])
+    best, best_pair = max(
+        ((_overlap(model, pair)[0], pair) for pair in combinations(qs, 2)), key=lambda t: t[0]
+    )
     if best > SUPPORT_THRESHOLD:
         return Classification("psi-epistemic", best_pair, best)
     return Classification("psi-ontic", None, best)
@@ -313,11 +293,12 @@ def delta_continuity_probe(
     """Search one fidelity ball for an ontic state shared by every sampled
     preparation in it.
 
-    Evaluates P(lambda|phi) for n_samples seeded ball states plus a
-    deterministic extremal family, and intersects the supports at
+    Evaluates P(lambda|phi) for a deterministic extremal family of d states,
+    then for n_samples seeded ball states, and intersects the supports at
     SUPPORT_THRESHOLD, stopping once the running minimum is zero everywhere.
     Per-sample seeds derive from the master seed, so results are independent
-    of evaluation order. The extremal family is qcore's equal-overlap family at
+    of evaluation order; the extremal states go first, as they alone often
+    end the probe. The extremal family is qcore's equal-overlap family at
     fidelity max(1 - delta, sqrt((d-1)/d)): never wider than theorem1's, which
     keeps extremal pairs such as the antipodal qubit pair. ValueError unless
     n_samples is an integer >= 1.
@@ -331,7 +312,7 @@ def delta_continuity_probe(
     samples = (sample_state_in_ball(ball, rng) for rng in draws)
     running_min = np.full(family.lambda_count, np.inf)
     f = max(1.0 - delta, np.sqrt((center.dim - 1) / center.dim))
-    for phi in chain(samples, _equal_overlap_family(center, 1.0 - f * f)):
+    for phi in chain(_equal_overlap_family(center, 1.0 - f * f), samples):
         # np.minimum keeps a NaN weight, which then fails the threshold
         np.minimum(running_min, family.preparation_rule(phi), out=running_min)
         if not running_min.any():  # no distribution lifts a zero, so no later probe counts

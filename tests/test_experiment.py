@@ -78,15 +78,17 @@ class TestNoisyOutcomeDistribution:
         "ens", [theorem1_ensemble(5), dense_measurement(theorem2_ensemble(3, 2))]
     )
     def test_table_mixing_equals_per_outcome_loop(self, ens):
-        # reference: one entry of the table and one effect at a time, in the same arithmetic
+        # reference: one entry of the table and one effect at a time, in the same
+        # arithmetic; tr E comes from effect_traces, whose accuracy
+        # test_split_effects_give_their_born_table_and_traces checks
         p, q = 0.03, 0.02
         povm = ens.measurement
-        table = outcome_table(ens.states, povm)
+        table, traces = outcome_table(ens.states, povm), effect_traces(povm)
         rows = _noisy_rows(table, povm, NoiseSpec(p, q))
         for k in range(len(ens.states)):
             probs = np.empty(povm.outcome_count)
-            for r, effect in enumerate(povm.effects):
-                mixed = float(np.trace(effect.entries).real) / povm.dim
+            for r in range(povm.outcome_count):
+                mixed = float(traces[r]) / povm.dim
                 probs[r] = (1.0 - p) * table[k, r] + p * mixed
             probs = np.clip((1.0 - q) * probs + q / povm.outcome_count, 0.0, None)
             assert np.array_equal(rows[k], probs / probs.sum())

@@ -196,13 +196,24 @@ class TestClassify:
         )
         res = classify(m, ["q0", "q1", "q2"])
         assert res.verdict == "psi-epistemic"
-        assert set(res.pair) <= {"q0", "q1", "q2"}
+        assert res.pair == ("q0", "q2")  # ties with (q1, q2) and goes to the first pair
         assert res.overlap == 0.5
 
     def test_equal_preparations_overlap_exactly_one(self):
         res = classify(over_normalized_pair(), ["q0", "q1"])
         assert res.verdict == "psi-epistemic"
         assert res.overlap == 1.0
+
+    def test_overlap_is_the_largest_pairwise_epsilon(self):
+        for seed in range(60):
+            model = random_discrete_model(seed)
+            qs = sorted(model.preparations)
+            pairs = [(a, b) for i, a in enumerate(qs) for b in qs[i + 1:]]
+            overlaps = [epsilon_overlap(model, pair).epsilon for pair in pairs]
+            res = classify(model, qs)
+            assert res.overlap == max(overlaps), seed
+            if res.verdict == "psi-epistemic":
+                assert res.pair == pairs[overlaps.index(res.overlap)], seed
 
 
 class TestProductModel:
@@ -525,7 +536,9 @@ class TestEarlyStop:
         else:
             assert len(seen) == 200 + 2
 
-    def test_samples_are_drawn_only_until_the_stop(self, monkeypatch, ks100k):
+    @staticmethod
+    def counted_draws(monkeypatch) -> list:
+        """The rngs of every ball sample the probe draws, in order."""
         import psigauge.ontic
 
         draws = []
@@ -535,9 +548,34 @@ class TestEarlyStop:
             return sample_state_in_ball(ball, rng)
 
         monkeypatch.setattr(psigauge.ontic, "sample_state_in_ball", counted)
+        return draws
+
+    def test_extremal_states_go_first_and_can_end_the_probe(self, monkeypatch, ks100k):
+        # beyond delta*(2) the two extremal states are antipodal, so their
+        # hemispheres share no lattice point and no sample is needed
+        draws = self.counted_draws(monkeypatch)
         family, seen = recording(ks100k)
-        delta_continuity_probe(family, PROBE_CENTERS["plus"](), 0.35, 200, seed=0)
-        assert len(draws) == len(seen) < 200
+        plus = PROBE_CENTERS["plus"]()
+        report = delta_continuity_probe(family, plus, 0.35, 200, seed=0)
+        assert draws == [] and len(seen) == 2
+        for weights, phi in zip(seen, extremal_probe_states(plus, 0.35)):
+            assert np.array_equal(weights, ks100k.preparation_rule(phi))
+        assert report.verdict == "no-witness-found" and report.empirical_epsilon == 0.0
+
+    def test_samples_are_drawn_only_until_the_stop(self, monkeypatch):
+        # the real extremal states land on e0, every complex sample on e1: the
+        # first draw ends the probe, where samples first would draw all 200
+        e0, e1 = np.eye(2)
+        toy = ParametricModel(
+            dim=2,
+            lambda_count=2,
+            preparation_rule=lambda s: e0 if np.isreal(s.amplitudes).all() else e1,
+            response_rule=lambda m: np.eye(2),
+        )
+        draws = self.counted_draws(monkeypatch)
+        report = delta_continuity_probe(toy, PROBE_CENTERS["plus"](), 0.2, 200, seed=0)
+        assert len(draws) == 1
+        assert report.common_support == () and report.empirical_epsilon == 0.0
 
     def test_seeds_are_not_spawned_up_front(self):
         """spawn(n) up front held one SeedSequence and one state per sample:
@@ -674,6 +712,31 @@ class TestResponseTableCheck:
     def test_valid_tables_are_frozen(self):
         m = DiscreteOnticModel(10, {}, {"m": self.table([], 0.0)})
         assert not m.responses["m"].flags.writeable
+
+    @pytest.mark.parametrize(
+        "value, problem",
+        [
+            ([np.nan, 1.0], "non-finite entry"),
+            ([np.inf, -np.inf], "non-finite entry"),
+            ([1.5, -0.5], "negative entry -5.000e-01"),
+            ([0.7, 0.4], "entries sum to 1.1, expected 1"),
+            ([1e308, 1e308], "entries sum to inf, expected 1"),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["preparations", "responses"])
+    def test_one_rule_for_preparations_and_responses(self, kind, value, problem):
+        if kind == "preparations":
+            args, where = (2, {"q": value}, {}), r"preparations\['q'\]"
+        else:
+            args, where = (10, {}, {"m": self.table([3, 7], value)}), r"responses\['m'\] row 3"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{where}: {problem}"):
+                DiscreteOnticModel(*args)
+
+    def test_zero_column_table_is_no_distribution(self):
+        with pytest.raises(ValueError, match=r"responses\['m'\] row 0: entries sum to 0.0,"):
+            DiscreteOnticModel(3, {}, {"m": np.zeros((3, 0))})
 
 
 class TestModelFromJsonFields:
