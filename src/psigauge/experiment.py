@@ -115,11 +115,10 @@ def run_protocol(
     draws = [np.random.default_rng(c).multinomial(shots, row) for c, row in zip(children, dists)]
     counts = _frozen(np.array(draws))
 
-    eps_hat = float(sum(counts[k][k] for k in range(d))) / shots
+    paired = counts.diagonal().tolist()  # Python ints, so the sum cannot wrap at 2^63
+    eps_hat = float(sum(paired)) / shots
     per_term = (1.0 - confidence) / d
-    eps_upper = float(
-        sum(_clopper_pearson_upper(int(counts[k][k]), shots, per_term) for k in range(d))
-    )
+    eps_upper = float(sum(_clopper_pearson_upper(c, shots, per_term) for c in paired))
 
     return EstimateReport(
         ensemble_kind=ensemble.kind,

@@ -337,6 +337,5 @@ def model_from_json(obj: dict) -> DiscreteOnticModel:
         _require(obj[field], (), f"model {field}")
         return {str(k): _field(obj[field], k, f"model {field}", _floats) for k in obj[field]}
 
-    return DiscreteOnticModel(
-        _field(obj, "lambda_count", "model"), tables("preparations"), tables("responses")
-    )
+    lambda_count = _integer("model JSON: lambda_count", obj["lambda_count"], 1)
+    return DiscreteOnticModel(lambda_count, tables("preparations"), tables("responses"))

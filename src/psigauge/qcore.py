@@ -50,10 +50,11 @@ def _immutable(arr: np.ndarray) -> np.ndarray:
 
 
 def _integer(name: str, value, least: int) -> int:
-    """value as a Python int, the one rule for every count and size; ValueError,
-    naming it, unless it is an int or a numpy integer (not a bool) >= ``least``."""
+    """value as a Python int, the one rule for every count and size, a file's
+    too; ValueError, naming it and quoting at most 40 characters of the value,
+    unless it is an int or a numpy integer (not a bool) >= ``least``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r:.40}")
     return int(value)
 
 
@@ -186,7 +187,8 @@ class Povm:
       sum to the identity within ``OP_TOL`` (ValueError "invalid POVM"
       otherwise); one batched eigh then splits each into D columns
       sqrt(max(lambda, 0)) v, so a zero effect has zero columns.
-    * :meth:`completion`: a D x m isometry U, one column per outcome.
+    * :meth:`completion`: a D x m array U, one column per outcome, checked
+      by one Gram product: UU^dag = I when m >= D, U^dag U = I when m < D.
 
     :func:`validate_povm` returns the report kept from that check, and
     :func:`outcome_table` and :func:`effect_traces` read the columns, so
@@ -222,14 +224,14 @@ class Povm:
     @classmethod
     def completion(cls, vectors) -> "Povm":
         """The POVM with effects |u_r><u_r| + (I - UU^dag)/m for the columns
-        u_r of the D x m array ``vectors`` (D, m >= 1), which must be an
-        isometry on its short side: U^dag U = I when m <= D and UU^dag = I
-        when m >= D, both at m = D, each within ``OP_TOL`` (ValueError
-        otherwise). When m >= D the complement is zero and left out. Its
-        report is read off in closed form: Hermiticity error 0.0,
-        completeness error the residual of UU^dag = I (0.0 for m < D, whose
-        complement closes the sum), min eigenvalue min_r |u_r|^2 at D = 1,
-        1.0 at m = 1 < D (the one effect is I), else 0.0.
+        u_r of the D x m array ``vectors`` (D, m >= 1). One Gram product
+        checks it, within ``OP_TOL`` (ValueError otherwise): UU^dag = I when
+        m >= D, which is the effects summing to the identity (the complement
+        is zero and left out), and U^dag U = I when m < D, which keeps the
+        complement PSD. Its report is read off in closed form: Hermiticity
+        error 0.0, completeness error the residual of UU^dag = I (0.0 for
+        m < D, whose complement closes the sum), min eigenvalue min_r |u_r|^2
+        at D = 1, 1.0 at m = 1 < D (the one effect is I), else 0.0.
         """
         u = np.array(vectors, dtype=complex)
         if u.ndim != 2 or 0 in u.shape:
@@ -238,16 +240,14 @@ class Povm:
             raise ValueError("completion vectors have a non-finite entry")
         dim, m = u.shape
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
-            columns = _identity_gap(u.conj().T @ u) if m <= dim else 0.0
-            rows = _identity_gap(u @ u.conj().T) if m >= dim else 0.0
-        gap = float(np.maximum(columns, rows))  # keeps a NaN
-        if not gap <= OP_TOL:
+            gap = _identity_gap(u @ u.conj().T if m >= dim else u.conj().T @ u)
+        if not gap <= OP_TOL:  # a NaN fails too
             raise ValueError(f"completion needs an isometry; this {dim} x {m} U is {gap:.3e}"
                              " from one")
         min_eig = float(_squared_norms(u).min()) if dim == 1 else float(m == 1)
         povm = cls.__new__(cls)
         povm._dim, povm._outcomes, povm._effects = dim, m, None
-        povm._vectors, povm._report = _frozen(u), _report(0.0, min_eig, rows)
+        povm._vectors, povm._report = _frozen(u), _report(0.0, min_eig, gap if m >= dim else 0.0)
         return povm
 
     @classmethod
@@ -441,7 +441,9 @@ def validate_povm(p: Povm) -> PovmReport:
     """Report Hermiticity, positivity, and completeness of a POVM: the report
     kept from the check made when it was built. Never raises; ``passed`` is
     true for every Povm, since one failing the ``OP_TOL`` thresholds cannot
-    be made. See :class:`Povm` and :meth:`Povm.completion` for the numbers.
+    be made. See :class:`Povm` and :meth:`Povm.completion` for the numbers:
+    a completion's completeness error is the residual of UU^dag = I, the
+    one product it forms when m >= D.
     """
     return p._report
 
@@ -529,13 +531,6 @@ def _require(obj: dict, keys: tuple, what: str) -> None:
             raise ValueError(f"{what} JSON: missing field {key!r}")
 
 
-def _int(value) -> int:
-    """A JSON integer; a bool, a string or a float such as 2.9 raises TypeError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r:.40}")
-    return value
-
-
 def _float(value) -> float:
     """A JSON number as a float; a bool, a string or a null raises TypeError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -551,9 +546,10 @@ def _floats(value) -> np.ndarray:
     return array.astype(float, copy=False)
 
 
-def _field(obj: dict, key: str, what: str, convert=_int):
-    """convert(obj[key]), with a wrong type (a list or an object where a
-    number belongs) or an overflowing number (1e400) raised as ValueError."""
+def _field(obj: dict, key: str, what: str, convert):
+    """convert(obj[key]) for ``_float`` or ``_floats``, with a wrong type (a
+    list or an object where a number belongs) or an overflowing number
+    (1e400) raised as ValueError. Integer fields go through ``_integer``."""
     try:
         return convert(obj[key])
     except (TypeError, OverflowError) as exc:
@@ -561,10 +557,10 @@ def _field(obj: dict, key: str, what: str, convert=_int):
 
 
 def _numeric_fields(obj: dict, what: str, count) -> tuple:
-    """(dim, entries) of a state or operator object: an int and the count(dim)
-    complex entries, row-major for a matrix."""
+    """(dim, entries) of a state or operator object: an integer >= 1 and the
+    count(dim) complex entries, row-major for a matrix."""
     _require(obj, ("dim", "re", "im"), what)
-    dim = _field(obj, "dim", what)
+    dim = _integer(f"{what} JSON: dim", obj["dim"], 1)
     re, im = _field(obj, "re", what, _floats), _field(obj, "im", what, _floats)
     if re.shape != (count(dim),) or im.shape != (count(dim),):
         raise ValueError(f"{what} JSON: expected {count(dim)} re/im entries")
@@ -593,4 +589,5 @@ def povm_from_json(obj: dict) -> Povm:
     _require(obj, ("dim", "effects"), "povm")
     if not isinstance(obj["effects"], list):
         raise ValueError("povm JSON: effects must be a list")
-    return Povm(_field(obj, "dim", "povm"), tuple(operator_from_json(e) for e in obj["effects"]))
+    dim = _integer("povm JSON: dim", obj["dim"], 1)
+    return Povm(dim, tuple(operator_from_json(e) for e in obj["effects"]))

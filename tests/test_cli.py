@@ -203,6 +203,16 @@ class TestFamilies:
         assert 0.5 < res["n_delta_over_gamma"] < 1.0
         assert res["delta_nd"] < res["delta_star"]
 
+    def test_hat_sums_the_paired_counts_past_int64(self, capsys):
+        # with q = 1 the two paired counts add up to about the shot count, which
+        # an int64 sum of them wraps to a negative number
+        shots = 2**63 - 1
+        argv = ["thm1", "--dim", "2", "--noise-q", "1", "--shots", str(shots), "--seed", "0"]
+        results = run_json(capsys, argv)["results"]
+        paired = results["counts"][0][0] + results["counts"][1][1]
+        assert paired > shots
+        assert results["epsilon_exp_hat"] == pytest.approx(paired / shots, rel=1e-15)
+
     def test_thm2_reaches_its_asymptote_at_a_thousand_copies(self, capsys):
         # c03's tolerance: n delta_nd / gamma_d within 1% of 1
         obj = run_json(capsys, ["thm2", "--dim", "3", "--copies", "1000", "--shots", "1000"])
@@ -614,6 +624,15 @@ class TestMalformedStateFile:
         assert rc == 2, err
         assert "Traceback" not in err and "RuntimeWarning" not in err
         assert out == ""
+
+    def test_a_long_list_where_dim_belongs_gets_a_short_message(self, capsys, tmp_path):
+        path = tmp_path / "states.json"
+        path.write_text(json.dumps([{"dim": [0] * 10_000, "re": [1], "im": [0]}]))
+        rc, out, err = run(capsys, ["exclusion", "--states", str(path)])
+        assert rc == 2 and out == ""
+        message = err.split("contract violation: ", 1)[1]
+        assert message.startswith("state JSON: dim must be an integer >= 1, got [0, 0")
+        assert len(message) < 120
 
 
 class TestModelFlagRanges:

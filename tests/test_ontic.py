@@ -759,7 +759,7 @@ class TestModelFromJsonFields:
     def test_lambda_count_must_be_a_json_integer(self, edit):
         obj = model_to_json(random_discrete_model(3))
         obj["lambda_count"] = edit(obj["lambda_count"])
-        with pytest.raises(ValueError, match="model JSON: lambda_count: expected an integer"):
+        with pytest.raises(ValueError, match="model JSON: lambda_count must be an integer >= 1"):
             model_from_json(obj)
 
     @pytest.mark.parametrize("one, zero", [(True, False), ("1", "0")], ids=["bool", "string"])

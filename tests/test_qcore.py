@@ -390,6 +390,23 @@ class TestFactoredPovm:
         with pytest.raises(ValueError):
             Povm.completion(vectors)
 
+    def test_a_square_completion_is_decided_by_the_sum_of_its_effects(self):
+        # the unitary DFT with column 0 lengthened: UU^dag is 3.1e-11 from I,
+        # within OP_TOL, though U^dag U is 5.0e-10 from I
+        u = np.fft.fft(np.eye(16)) / 4.0
+        u[:, 0] *= np.sqrt(1.0 + 5e-10)
+        povm = Povm.completion(u)
+        assert validate_povm(povm).completeness_error == pytest.approx(3.125e-11, rel=1e-3)
+        total = sum(effect.entries for effect in povm.effects)
+        assert np.abs(total - np.eye(16)).max() <= OP_TOL
+
+    @pytest.mark.parametrize("vectors", [[[1.0], [1.0]], np.ones((3, 2)) / 2],
+                             ids=["long column", "overlapping columns"])
+    def test_a_tall_completion_needs_orthonormal_columns(self, vectors):
+        # UU^dag has an eigenvalue above 1, so the complement (I - UU^dag)/m is not PSD
+        with pytest.raises(ValueError, match="completion needs an isometry"):
+            Povm.completion(vectors)
+
     def test_a_factored_report_is_read_off_without_a_factorization(self, monkeypatch):
         povms = [theorem2_ensemble(3, 2).measurement, Povm.basis(4), _optimized(5, 3).measurement]
 
@@ -556,11 +573,17 @@ class TestJson:
     def test_numbers_must_be_json_numbers(self, field, value):
         # int() or float() would turn each value into a valid |0> of C^1
         obj = dict(state_to_json(StateVector.basis(1, 0)), **{field: value})
-        with pytest.raises(ValueError, match=f"state JSON: {field}: expected"):
+        problem = "dim must be an integer >= 1, got" if field == "dim" else f"{field}: expected"
+        with pytest.raises(ValueError, match=f"state JSON: {problem}"):
+            state_from_json(obj)
+
+    def test_dim_below_one_is_refused_at_the_field(self):
+        obj = {"dim": 0, "re": [], "im": []}
+        with pytest.raises(ValueError, match="^state JSON: dim must be an integer >= 1, got 0$"):
             state_from_json(obj)
 
     def test_povm_dim_must_be_an_integer(self):
-        with pytest.raises(ValueError, match="povm JSON: dim: expected an integer"):
+        with pytest.raises(ValueError, match="povm JSON: dim must be an integer >= 1, got 3.0"):
             povm_from_json(dict(povm_to_json(Povm.basis(3)), dim=3.0))
 
     def test_povm_effects_must_be_a_list(self):
