@@ -116,6 +116,11 @@ def _config(args) -> dict:
 
 
 def _render_json(args, results: dict) -> str:
+    """The report's envelope, byte-equal to json.dumps(envelope, indent=2,
+    sort_keys=True, allow_nan=False) + "\n", and like it, ValueError for a
+    NaN or an infinity. An indent sends json.dumps through its pure-Python
+    encoder, so :func:`_write_json` lays out the nesting and leaves every
+    list of numbers to one compact call of the C encoder."""
     envelope = {
         "tool": "psigauge",
         "version": __version__,
@@ -123,7 +128,49 @@ def _render_json(args, results: dict) -> str:
         "config": _config(args),
         "results": results,
     }
-    return json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    out = []
+    _write_json(envelope, "\n", out)
+    return "".join(out) + "\n"
+
+
+def _numbers(value) -> bool:
+    """value is a nonempty list of ints and floats; a bool is neither type."""
+    types = isinstance(value, (list, tuple)) and {*map(type, value)}
+    return bool(types) and types <= {int, float}
+
+
+def _write_json(value, newline: str, out: list) -> None:
+    """Append value's indent=2, sort_keys=True JSON to out; ``newline`` is a
+    line break plus the indent of the line the value starts on. A list of
+    numbers, or of such lists (the counts), is one compact json.dumps, laid
+    out by replacing its separators, since no number holds ", " or "], [".
+    """
+    inner = newline + "  "
+    if _numbers(value):
+        numbers = json.dumps(value, allow_nan=False)[1:-1].replace(", ", "," + inner)
+        out.append("[" + inner + numbers + newline + "]")
+    elif isinstance(value, (list, tuple)) and value and all(map(_numbers, value)):
+        deeper = inner + "  "
+        between_rows = f"{inner}],{inner}[{deeper}"
+        rows = json.dumps(value, allow_nan=False)[2:-2].replace("], [", between_rows)
+        out.append(f"[{inner}[{deeper}{rows.replace(', ', ',' + deeper)}{inner}]{newline}]")
+    elif isinstance(value, dict) and value:
+        out.append("{")
+        for key, item in sorted(value.items()):
+            key = key if isinstance(key, str) else json.dumps(key, allow_nan=False)
+            out.append(inner + json.encoder.encode_basestring_ascii(key) + ": ")
+            _write_json(item, inner, out)
+            out.append(",")
+        out[-1] = newline + "}"  # in place of the last comma
+    elif isinstance(value, (list, tuple)) and value:
+        out.append("[")
+        for item in value:
+            out.append(inner)
+            _write_json(item, inner, out)
+            out.append(",")
+        out[-1] = newline + "]"
+    else:
+        out.append(json.dumps(value, allow_nan=False))
 
 
 def _render_csv(args, csv_text: str) -> str:

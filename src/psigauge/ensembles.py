@@ -27,6 +27,7 @@ from .qcore import (
     _float,
     _integer,
     _require,
+    _rows_as_states,
     normalized,
     povm_from_json,
     povm_to_json,
@@ -188,9 +189,11 @@ def theorem4_states(d: int, t: float):
     State 0 is normalized(p (1 - e_0) + tilt (e_1 - e_2)) with p = t / t_max,
     t_max = sqrt((d-1)/d), and tilt = sqrt((1-p)(1+p)(d-1)/2): the two parts
     are orthogonal, with squared norms p^2 (d-1) and (1-p^2)(d-1), so the
-    state's overlap with the uniform center is p t_max = t. State k is the
-    k-step cyclic shift, so its amplitude at position k vanishes and the
-    basis measurement conclusively excludes it. At t_max, p is exactly 1 and
+    state's overlap with the uniform center is p t_max = t. State 0 is
+    normalized once, and state k is its k-step cyclic shift, bit for bit, so
+    its amplitude at position k vanishes and the basis measurement
+    conclusively excludes it. The d shifts are one matrix, checked once by
+    qcore's ``_rows_as_states``. At t_max, p is exactly 1 and
     the tilt exactly 0, so state k is normalized(1 - e_k), theorem1's state;
     at t = 0 state 0 is (e_1 - e_2)/sqrt(2). Requires 0 <= t <= t_max and an
     integer d >= 2; at d = 2 only t = t_max is consistent (e_2 does not exist).
@@ -211,8 +214,10 @@ def theorem4_states(d: int, t: float):
         tilt = math.sqrt((1.0 - p) * (1.0 + p) * (d - 1) / 2)
         coeff[1] += tilt
         coeff[2] -= tilt
-    shifts = np.arange(d)[None, :] - np.arange(d)[:, None]  # row k is coeff rolled by k
-    return tuple(map(normalized, coeff[shifts % d])), StateVector.uniform(d)
+    row = normalized(coeff).amplitudes
+    # the windows of row + row starting at 1..d, reversed: window k is row shifted by k
+    shifts = np.lib.stride_tricks.sliding_window_view(np.concatenate((row, row))[1:], d)[::-1]
+    return _rows_as_states(shifts.copy()), StateVector.uniform(d)
 
 
 def theorem4_ensemble(d: int, t: float) -> NoGoEnsemble:

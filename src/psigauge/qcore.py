@@ -121,6 +121,25 @@ def _amplitudes(states: Sequence[StateVector]) -> np.ndarray:
     return np.array([s.amplitudes for s in states])
 
 
+def _rows_as_states(rows: np.ndarray) -> tuple:
+    """The rows of a fresh k x D matrix as StateVectors, the inverse of
+    :func:`_amplitudes`. The matrix is checked once by StateVector's rules,
+    with its messages (every entry finite, every squared norm within
+    ``NORM_TOL`` of 1), then frozen, and each state holds a read-only view
+    of its row, checked no further."""
+    rows = np.asarray(rows, dtype=complex)
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("state has a non-finite amplitude")
+    with np.errstate(over="ignore"):  # an overflowing norm fails the check below
+        norm_sq = _squared_norms(rows).sum(axis=1)
+    for value in norm_sq[np.abs(norm_sq - 1.0) > NORM_TOL][:1]:
+        raise ValueError(f"state is not normalized: sum |a_j|^2 = {float(value)!r}")
+    states = [StateVector.__new__(StateVector) for _ in range(len(rows))]
+    for state, row in zip(states, _frozen(rows)):
+        state.__dict__.update(dim=rows.shape[1], amplitudes=row)
+    return tuple(states)
+
+
 def _at_fidelity(center: np.ndarray, direction: np.ndarray, f: float) -> StateVector:
     """The state f * center + sqrt(1 - f^2) * direction: on the geodesic from
     a unit ``center`` towards a unit ``direction`` orthogonal to it, at

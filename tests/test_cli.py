@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -190,6 +191,74 @@ class TestEnvelope:
         assert rc == 0
         rc, out, _ = run(capsys, argv)
         assert path.read_text() == out
+
+
+# what a report may hold at its leaves: ints past 2**63, -0.0, the least
+# subnormal, bools (ints that render as true/false) and strings with a quote,
+# a backslash, a NUL, non-ASCII characters and the separators ", " and "], ["
+NUMBERS = (0, 1, -7, 2**63, -(2**64) - 3, 10**40, 0.0, -0.0, 5e-324, 1e300, -1e300, 0.1, 1 / 3)
+LEAVES = (*NUMBERS, True, False, None, "", "a, b", 'say "hi"', "back\\slash", "nul\x00",
+          "\u00fcber \u2713 \U0001f600", "], [", "tab\tnew\nline")
+
+
+def _random_report(rng: random.Random, depth: int = 0):
+    """A random JSON value: nested dicts and lists, empty ones, lists of
+    numbers (bools mixed in or not) and lists of lists of ints like the counts."""
+    kind = rng.randrange(7) if depth < 4 else 0
+    size = rng.randrange(5)
+    if kind == 0:
+        return rng.choice(LEAVES)
+    if kind == 1:
+        return [rng.choice(NUMBERS) if rng.random() < 0.8 else rng.uniform(-1e3, 1e3)
+                for _ in range(size)]
+    if kind == 2:
+        return [[rng.randrange(-(2**70), 2**70) for _ in range(rng.randrange(4))]
+                for _ in range(size)]
+    if kind == 3:
+        return [rng.choice(LEAVES) for _ in range(size)]
+    if kind == 4:
+        return tuple(_random_report(rng, depth + 1) for _ in range(size))
+    keys = [rng.choice(LEAVES[-8:]) + str(rng.randrange(3)) for _ in range(size)]
+    if kind == 5:
+        keys = [rng.randrange(-5, 5) for _ in range(size)]  # json writes them as strings
+    return {key: _random_report(rng, depth + 1) for key in keys}
+
+
+class TestRenderer:
+    """_render_json is json.dumps(indent=2, sort_keys=True, allow_nan=False)."""
+
+    ARGS = argparse.Namespace(command="scaling", delta=0.1)
+
+    def expected(self, results) -> str:
+        envelope = {"tool": "psigauge", "version": psigauge.__version__, "command": "scaling",
+                    "config": vars(self.ARGS), "results": results}
+        return json.dumps(envelope, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+    def test_ten_thousand_random_reports_render_byte_equal(self):
+        rng = random.Random(20121105)
+        for _ in range(10_000):
+            results = _random_report(rng)
+            assert _render_json(self.ARGS, results) == self.expected(results), results
+
+    @pytest.mark.parametrize("results", [
+        {}, [], [[]], [[], [1]], {"a": {}, "b": []}, [[1, 2], [3, 4]], [[1.5, -0.0], [2**64]],
+        [1, True, 2.5], [False], [[1, True]], [[0, 1], [2, None]], [5e-324, 1e300, -0.0],
+        {"k, \"\\\x00\u00e9": "v, \"\\\x00\u00e9"}, ["], [", "x, y"], {2: 1, -1: 2, 10: 3},
+        (1, 2), [(1, 2), (3,)], 2**63, -0.0,
+    ], ids=repr)
+    def test_edge_cases_render_byte_equal(self, results):
+        assert _render_json(self.ARGS, results) == self.expected(results)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("place", [
+        lambda x: x, lambda x: [1, x], lambda x: [[0, 1], [2, x]], lambda x: {"a": [{"b": x}]},
+        lambda x: [True, x], lambda x: {x: 1},
+    ], ids=["scalar", "numbers", "counts", "nested", "mixed", "key"])
+    def test_a_nan_or_an_infinity_raises_value_error(self, bad, place):
+        with pytest.raises(ValueError):
+            self.expected(place(bad))
+        with pytest.raises(ValueError):
+            _render_json(self.ARGS, place(bad))
 
 
 class TestFamilies:

@@ -66,6 +66,11 @@ class TestTheorem1:
         assert e.params == {"d": d}
         assert e.delta_star == 1 - math.sqrt((d - 1) / d)
 
+    def test_states_are_the_normalized_omit_one_vectors_bit_for_bit(self):
+        for d in range(2, 201):
+            for k, state in enumerate(theorem1_ensemble(d).states):
+                assert np.array_equal(state.amplitudes, normalized(1.0 - np.eye(d)[k]).amplitudes)
+
     def test_delta_star_d2_frozen(self):
         assert abs(theorem1_ensemble(2).delta_star - DELTA_STAR_D2) < 1e-15
 
@@ -262,6 +267,14 @@ class TestTheorem4:
         base = states[0].amplitudes
         for k, s in enumerate(states):
             assert np.allclose(s.amplitudes, np.roll(base, k), atol=1e-15)
+
+    @pytest.mark.parametrize("d", [3, 5, 64])
+    @pytest.mark.parametrize("share", [1.0, 0.5, None], ids=["t_max", "half_t_max", "t=0.1"])
+    def test_every_state_is_an_exact_cyclic_shift_of_state_0(self, d, share):
+        t_max = math.sqrt((d - 1) / d)
+        states, _ = theorem4_states(d, 0.1 if share is None else share * t_max)
+        for k, state in enumerate(states):
+            assert np.array_equal(state.amplitudes, np.roll(states[0].amplitudes, k))
 
     def test_overlap_range_validation(self):
         with pytest.raises(ValueError):

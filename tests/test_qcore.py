@@ -77,6 +77,42 @@ class TestStateVector:
             normalized(np.zeros(2))
 
 
+class TestRowsAsStates:
+    """qcore._rows_as_states checks a matrix once, by StateVector's rules."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.inf)])
+    def test_rejects_a_non_finite_row(self, bad):
+        rows = np.eye(3, dtype=complex)
+        rows[2, 0] = bad
+        with pytest.raises(ValueError, match="state has a non-finite amplitude"):
+            qcore._rows_as_states(rows)
+
+    @pytest.mark.parametrize("off", [2 * qcore.NORM_TOL, -2 * qcore.NORM_TOL, 1e300])
+    def test_rejects_a_row_whose_squared_norm_is_off(self, off):
+        rows = np.eye(3, dtype=complex)
+        rows[1, 1] = np.sqrt(1.0 + off)
+        with pytest.raises(ValueError, match=r"state is not normalized: sum \|a_j\|\^2 = "):
+            qcore._rows_as_states(rows)
+
+    def test_accepts_a_squared_norm_within_the_tolerance(self):
+        rows = np.eye(3, dtype=complex)
+        rows[1, 1] = np.sqrt(1.0 + qcore.NORM_TOL / 2)
+        assert qcore._rows_as_states(rows)[1].amplitudes[1] == rows[1, 1]
+
+    def test_rows_are_read_only_views_of_one_frozen_matrix(self):
+        rows = np.array([[0.6, 0.8j], [1.0, 0.0], [0.0, -1.0]])
+        states = qcore._rows_as_states(rows)
+        assert [s.dim for s in states] == [2, 2, 2]
+        assert all(type(s) is StateVector for s in states)
+        assert np.array_equal(qcore._amplitudes(states), rows)
+        matrix = states[0].amplitudes.base
+        assert not matrix.flags.writeable
+        assert all(s.amplitudes.base is matrix and not s.amplitudes.flags.writeable
+                   for s in states)
+        with pytest.raises(ValueError):
+            states[2].amplitudes[0] = 1.0
+
+
 class TestBornRule:
     def test_projector_probability(self):
         s = normalized(np.array([1.0, 1.0]))
@@ -649,6 +685,7 @@ class TestValueArrays:
         pair_at_fidelity(3, 0.5, rng)
         state_from_json(state_to_json(family.center))
         povm_from_json(povm_to_json(Povm.basis(2)))
+        theorem4_ensemble(5, 0.5)
         ks = ontic.ks_qubit_model(100)
         table = ontic.model_from_parametric(ks, {"a": StateVector.basis(2, 0)})
         ontic.product_model(ontic.psi_ontic_fixture(family.states, [family.measurement]), 2)
