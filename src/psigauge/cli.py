@@ -68,6 +68,7 @@ from .qcore import (
     ContractViolation,
     StateVector,
     _amplitudes,
+    _boundary_fidelity,
     haar_state,
     inner,
     normalized,
@@ -200,7 +201,7 @@ def cmd_thm2(args) -> str:
 
 
 def cmd_thm4(args) -> str:
-    t = float(np.sqrt((args.dim - 1) / args.dim)) if args.t is None else args.t
+    t = _boundary_fidelity(args.dim) if args.t is None else args.t
     ensemble = theorem4_ensemble(args.dim, t)
     states = ensemble.states
     overlaps = [abs(inner(s, ensemble.center)) for s in states]
@@ -400,7 +401,7 @@ FLAG_RULES = (
     (("thm2",), "--dim", dict(type=int, default=3),
      lambda a: 3 <= a.dim <= MAX_DIM, f"must lie in [3, {MAX_DIM}]"),
     (("thm4",), "--t", dict(type=float, help="center overlap (default max)"),
-     lambda a: a.t is None or 0.0 < a.t <= math.sqrt((a.dim - 1) / a.dim) + 1e-12,
+     lambda a: a.t is None or 0.0 < a.t <= _boundary_fidelity(a.dim) + 1e-12,
      "must lie in (0, sqrt((d - 1)/d)] for --dim d = {dim}"),
     (("thm2",), "--copies", dict(type=int, default=2),
      lambda a: 1 <= a.copies <= TENSOR_CAP, f"must lie in [1, {TENSOR_CAP}]"),

@@ -21,6 +21,7 @@ from .qcore import (
     Povm,
     StateVector,
     _amplitudes,
+    _boundary_fidelity,
     _equal_overlap_family,
     _exclusion_vectors,
     _field,
@@ -94,16 +95,18 @@ def _assemble(kind, params, states, measurement, center, delta_star) -> NoGoEnse
 
 def theorem1_ensemble(d: int) -> NoGoEnsemble:
     """The d states that each omit one basis direction, excluded by the
-    computational-basis measurement: theorem4_ensemble at its widest
-    t = sqrt((d-1)/d), where state k is exactly normalized(1 - e_k).
+    computational-basis measurement: theorem4_ensemble at its widest t = f*,
+    qcore's ``_boundary_fidelity(d)``, where state k is exactly normalized(1 - e_k).
 
-    states[k] = (1/sqrt(d-1)) sum_{j != k} |j>; every state has fidelity
-    sqrt((d-1)/d) to the uniform center, so the certified ball radius is
-    delta_star = 1 - sqrt((d-1)/d). ValueError unless d >= 2 is an integer.
+    states[k] = (1/sqrt(d-1)) sum_{j != k} |j>; every state has fidelity f*
+    to the uniform center, so the certified ball radius is delta_star =
+    1 - f*, computed as (1/d)/(1 + f*) (1 - f*^2 = 1/d), which keeps the
+    digits that 1 - f* cancels. ValueError unless d >= 2 is an integer.
     """
     d = _integer("dimension d", d, 2)
-    return replace(theorem4_ensemble(d, math.sqrt((d - 1) / d)), kind=KIND_THEOREM1,
-                   params={"d": d})
+    f = _boundary_fidelity(d)
+    return replace(theorem4_ensemble(d, f), kind=KIND_THEOREM1, params={"d": d},
+                   delta_star=(1 / d) / (1 + f))
 
 
 class Theorem2Family(NamedTuple):
@@ -187,11 +190,11 @@ def theorem4_states(d: int, t: float):
     center, each with zero amplitude on one basis direction.
 
     State 0 is normalized(p (1 - e_0) + tilt (e_1 - e_2)) with p = t / t_max,
-    t_max = sqrt((d-1)/d), and tilt = sqrt((1-p)(1+p)(d-1)/2): the two parts
-    are orthogonal, with squared norms p^2 (d-1) and (1-p^2)(d-1), so the
-    state's overlap with the uniform center is p t_max = t. State 0 is
-    normalized once, and state k is its k-step cyclic shift, bit for bit, so
-    its amplitude at position k vanishes and the basis measurement
+    t_max = qcore's ``_boundary_fidelity(d)`` and tilt = sqrt((1-p)(1+p)(d-1)/2):
+    the two parts are orthogonal, with squared norms p^2 (d-1) and
+    (1-p^2)(d-1), so the state's overlap with the uniform center is p t_max = t.
+    State 0 is normalized once, and state k is its k-step cyclic shift, bit for
+    bit, so its amplitude at position k vanishes and the basis measurement
     conclusively excludes it. The d shifts are one matrix, checked once by
     qcore's ``_rows_as_states``. At t_max, p is exactly 1 and
     the tilt exactly 0, so state k is normalized(1 - e_k), theorem1's state;
@@ -201,7 +204,7 @@ def theorem4_states(d: int, t: float):
     Returns (states, center).
     """
     d = _integer("dimension d", d, 2)
-    t_max = math.sqrt((d - 1) / d)
+    t_max = _boundary_fidelity(d)
     if not -1e-12 <= t <= t_max + 1e-12:
         raise ValueError(f"fidelity parameter t = {t!r} outside [0, {t_max!r}]")
     t = min(max(t, 0.0), t_max)

@@ -19,8 +19,8 @@ import numpy as np
 
 from ._geometry import bloch_from_state, fibonacci_sphere
 from .qcore import TENSOR_CAP, Ball, Povm, StateVector, gram, outcome_table, sample_state_in_ball
-from .qcore import _equal_overlap_family, _field, _floats, _frozen, _immutable, _integer
-from .qcore import _power_at_most, _require
+from .qcore import _boundary_fidelity, _equal_overlap_family, _field, _floats, _frozen, _immutable
+from .qcore import _integer, _power_at_most, _require
 
 SUM_TOL = 1e-10
 #: below this, a preparation weight counts as "not in the support"
@@ -299,9 +299,9 @@ def delta_continuity_probe(
     Per-sample seeds derive from the master seed, so results are independent
     of evaluation order; the extremal states go first, as they alone often
     end the probe. The extremal family is qcore's equal-overlap family at
-    fidelity max(1 - delta, sqrt((d-1)/d)): never wider than theorem1's, which
-    keeps extremal pairs such as the antipodal qubit pair. ValueError unless
-    n_samples is an integer >= 1.
+    fidelity max(1 - delta, f*), f* = qcore's ``_boundary_fidelity(d)``:
+    never wider than theorem1's, which keeps extremal pairs such as the
+    antipodal qubit pair. ValueError unless n_samples is an integer >= 1.
     """
     n_samples = _integer("sample count n_samples", n_samples, 1)
     if family.dim != center.dim:
@@ -311,7 +311,7 @@ def delta_continuity_probe(
     draws = (np.random.default_rng(seeds.spawn(1)[0]) for _ in range(n_samples))
     samples = (sample_state_in_ball(ball, rng) for rng in draws)
     running_min = np.full(family.lambda_count, np.inf)
-    f = max(1.0 - delta, np.sqrt((center.dim - 1) / center.dim))
+    f = max(1.0 - delta, _boundary_fidelity(center.dim))
     for phi in chain(_equal_overlap_family(center, 1.0 - f * f), samples):
         # np.minimum keeps a NaN weight, which then fails the threshold
         np.minimum(running_min, family.preparation_rule(phi), out=running_min)

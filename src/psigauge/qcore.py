@@ -76,12 +76,7 @@ class StateVector:
             raise ValueError(
                 f"expected {self.dim} amplitudes, got shape {np.shape(self.amplitudes)}"
             )
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("state has a non-finite amplitude")
-        with np.errstate(over="ignore"):  # an overflowing norm fails the check below
-            norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(f"state is not normalized: sum |a_j|^2 = {norm_sq!r}")
+        _check_unit_rows(amps)
         object.__setattr__(self, "amplitudes", _immutable(amps))
 
     @classmethod
@@ -99,6 +94,23 @@ class StateVector:
         """The uniform superposition (1/sqrt(dim)) sum_j |j>."""
         dim = _integer("state dimension", dim, 1)
         return cls(dim, _frozen(np.full(dim, 1.0 / np.sqrt(dim), dtype=complex)))
+
+
+def _check_unit_rows(amps: np.ndarray) -> None:
+    """StateVector's rule for one state or the rows of a family: ValueError unless
+    every amplitude is finite and every squared norm is within ``NORM_TOL`` of 1."""
+    with np.errstate(over="ignore"):  # an overflowing norm fails the check below
+        norm_sq = _squared_norms(amps).sum(axis=-1, keepdims=True)
+    off = norm_sq[~(np.abs(norm_sq - 1.0) <= NORM_TOL)]  # a non-finite amplitude's is inf or NaN
+    if off.size:
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("state has a non-finite amplitude")
+        raise ValueError(f"state is not normalized: sum |a_j|^2 = {float(off[0])!r}")
+
+
+def _boundary_fidelity(d: int) -> float:
+    """f*(d) = sqrt((d-1)/d), the fidelity of theorem1's states to their center."""
+    return float(np.sqrt((d - 1) / d))
 
 
 def normalized(amplitudes: Sequence[complex]) -> StateVector:
@@ -123,17 +135,11 @@ def _amplitudes(states: Sequence[StateVector]) -> np.ndarray:
 
 def _rows_as_states(rows: np.ndarray) -> tuple:
     """The rows of a fresh k x D matrix as StateVectors, the inverse of
-    :func:`_amplitudes`. The matrix is checked once by StateVector's rules,
-    with its messages (every entry finite, every squared norm within
-    ``NORM_TOL`` of 1), then frozen, and each state holds a read-only view
-    of its row, checked no further."""
+    :func:`_amplitudes`. The matrix is checked once by StateVector's rule,
+    :func:`_check_unit_rows`, then frozen, and each state holds a read-only
+    view of its row, checked no further."""
     rows = np.asarray(rows, dtype=complex)
-    if not np.all(np.isfinite(rows)):
-        raise ValueError("state has a non-finite amplitude")
-    with np.errstate(over="ignore"):  # an overflowing norm fails the check below
-        norm_sq = _squared_norms(rows).sum(axis=1)
-    for value in norm_sq[np.abs(norm_sq - 1.0) > NORM_TOL][:1]:
-        raise ValueError(f"state is not normalized: sum |a_j|^2 = {float(value)!r}")
+    _check_unit_rows(rows)
     states = [StateVector.__new__(StateVector) for _ in range(len(rows))]
     for state, row in zip(states, _frozen(rows)):
         state.__dict__.update(dim=rows.shape[1], amplitudes=row)
@@ -150,11 +156,11 @@ def _at_fidelity(center: np.ndarray, direction: np.ndarray, f: float) -> StateVe
 def _equal_overlap_family(center: StateVector, sin2: float) -> list:
     """The d states f z + sqrt(sin2) R w_k at fidelity f = sqrt(1 - sin2) from
     ``center`` z, with Gram matrix (1 - c)I + cJ, c = f^2 - sin2/(d - 1), none
-    at d = 1. w_k = (u/sqrt(d) - e_k)/sqrt((d-1)/d) are theorem1's directions
-    from the uniform state u. z's phase is turned so r = <u|z> >= 0; R, the
-    rotation in the plane of u and z that takes u to z, maps each w_k to
-    w_k - (t^dag w_k)(t/(1 + r) + u), t = z - r u, dividing by nothing below 1.
-    sin2 = 1 - f^2 keeps the digits of 1 - c that f loses near f = 1."""
+    at d = 1. w_k = (u/sqrt(d) - e_k)/f*, f* = :func:`_boundary_fidelity` (d),
+    are theorem1's directions from the uniform state u. z's phase is turned so
+    r = <u|z> >= 0; R, the rotation in the plane of u and z that takes u to z,
+    maps each w_k to w_k - (t^dag w_k)(t/(1 + r) + u), t = z - r u, dividing by
+    nothing below 1. sin2 = 1 - f^2 keeps the digits of 1 - c that f loses near f = 1."""
     d = center.dim
     if d < 2:
         return []
@@ -162,7 +168,7 @@ def _equal_overlap_family(center: StateVector, sin2: float) -> list:
     z = center.amplitudes * np.exp(1j * np.angle(np.vdot(center.amplitudes, u)))
     r = float(np.vdot(u, z).real)
     t = z - r * u
-    w = (1.0 / d - np.eye(d)) / np.sqrt((d - 1) / d)  # row k is w_k
+    w = (1.0 / d - np.eye(d)) / _boundary_fidelity(d)  # row k is w_k
     directions = w - np.outer(w @ t.conj(), t / (1.0 + r) + u)  # row k is R w_k
     return list(map(normalized, np.sqrt(1.0 - sin2) * z + np.sqrt(sin2) * directions))
 

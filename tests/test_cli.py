@@ -316,7 +316,7 @@ class TestFamilies:
 
     @pytest.mark.parametrize("argv, digest", [
         (["thm1", "--dim", "8", "--seed", "0"],
-         "73d985a1259c8b0a8846c4f5ab66a22baaf39932925fba9596bff3a7e79fb5af"),
+         "3d719386088e8e46d647c333c79fc42d90b0d65191036f90973e0b04552e78ae"),
         (["thm2", "--dim", "3", "--copies", "2", "--noise-p", "0.01", "--seed", "0"],
          "21883e8afcbf99648d9a144f5dbf8b76fbe6ee107a4aa1030157e8363929ba87"),
     ])

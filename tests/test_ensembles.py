@@ -62,9 +62,28 @@ class TestTheorem1:
     @pytest.mark.parametrize("d", [2, 3, 4, 14, 100])
     def test_is_the_widest_theorem4_ensemble_under_its_own_kind(self, d):
         e = theorem1_ensemble(d)
+        f = math.sqrt((d - 1) / d)
+        widest = theorem4_ensemble(d, f)
         assert e.kind == KIND_THEOREM1
         assert e.params == {"d": d}
-        assert e.delta_star == 1 - math.sqrt((d - 1) / d)
+        assert all(np.array_equal(mine.amplitudes, theirs.amplitudes)
+                   for mine, theirs in zip(e.states, widest.states))
+        # the same radius 1 - f, written without the cancellation of 1 - f
+        assert e.delta_star == (1 / d) / (1 + f)
+        assert abs(e.delta_star - widest.delta_star) <= 1e-13 * e.delta_star
+
+    # 2, 3, 8, 64 and 1000, and 16 dimensions drawn from 2..1000 with seed 0
+    SAMPLED_DIMS = [2, 3, 8, 64, 1000, *np.random.default_rng(0).integers(2, 1001, 16).tolist()]
+
+    @pytest.mark.parametrize("d", SAMPLED_DIMS)
+    def test_delta_star_keeps_its_digits(self, d):
+        # 1 - sqrt((d-1)/d) loses digits to cancellation (8.5e-14 relative at
+        # d = 1000); the radius holds within a few ulps of the 40-digit value
+        with localcontext() as ctx:
+            ctx.prec = 40
+            exact = 1 - (Decimal(d - 1) / d).sqrt()
+            error = abs(Decimal(theorem1_ensemble(d).delta_star) - exact) / exact
+        assert error <= Decimal("4e-16")
 
     def test_states_are_the_normalized_omit_one_vectors_bit_for_bit(self):
         for d in range(2, 201):
@@ -320,10 +339,17 @@ class TestScalingReport:
             scaling_report(1.0)
 
     def test_thm1_dim_is_minimal(self):
-        r = scaling_report(0.1)
-        d = r.thm1_dim
-        assert 1 - np.sqrt((d - 1) / d) <= 0.1
-        assert 1 - np.sqrt((d - 2) / (d - 1)) > 0.1
+        # judged by (1/d)/(1 + sqrt((d-1)/d)), the form of 1 - sqrt((d-1)/d)
+        # that does not cancel: the cancelling form misjudges 20 of these
+        # deltas, all below 5e-8
+        deltas = [*np.geomspace(MIN_SCALING_DELTA, 0.999, 4000), MIN_SCALING_DELTA, 0.1, 0.5]
+        dims = np.array([scaling_report(float(delta)).thm1_dim for delta in deltas])
+
+        def bound(d):
+            return (1 / d) / (1 + np.sqrt((d - 1) / d))
+
+        assert np.all(bound(dims) <= deltas)
+        assert np.all(bound(dims - 1) > deltas)  # bound(1) = 1 exceeds every delta
 
     def test_large_radius_needs_only_a_qubit(self):
         assert scaling_report(0.5).thm1_dim == 2

@@ -387,3 +387,43 @@ class TestClosedFormFloor:
         assert np.abs(m.conj() @ m.T - np.eye(d)).max() <= 1e-12
         value = float(np.sum(np.abs(np.einsum("kd,kd->k", m.conj(), psi)) ** 2))
         assert abs(value - floor) <= 1e-12
+
+
+def _states_in_ball(rng: np.random.Generator, d: int, f: float, on_sphere: bool) -> tuple:
+    """d states in C^d at fidelity f (on the sphere) or uniform in [f, 1]
+    (inside) from a Haar centre c: f_k c + sqrt(1 - f_k^2) v_k, with v_k a
+    Haar direction orthogonal to c, times a random phase."""
+    centre = haar_state(rng, d).amplitudes
+    states = []
+    for _ in range(d):
+        fk = f if on_sphere else rng.uniform(f, 1.0)
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        v -= np.vdot(centre, v) * centre
+        psi = fk * centre + np.sqrt(1 - fk * fk) * v / np.linalg.norm(v)
+        states.append(qcore.normalized(np.exp(2j * np.pi * rng.uniform()) * psi))
+    return tuple(states)
+
+
+class TestOneCopyFloor:
+    """No d states in the ball {psi : |<psi|c>| >= f} are excluded better
+    than the one-copy floor E(d, f, 1): each outcome k scores at least the
+    ball's minimum of P(k|psi), and Jensen bounds their sum by E, which is 0
+    from Theorem 1's f* = sqrt((d-1)/d) down. So the search never reports a
+    value below E, nor a dual bound above its own value."""
+
+    CASES = [
+        (d, f, on_sphere)
+        for d in range(2, 9)
+        for f in (_f_star(d) - 0.2, _f_star(d) - 0.02, _f_star(d), _f_star(d) + 0.02,
+                  (1 + _f_star(d)) / 2, 0.999)
+        for on_sphere in (False, True)
+    ]
+
+    @pytest.mark.parametrize("d, f, on_sphere", CASES)
+    def test_search_never_beats_the_floor(self, d, f, on_sphere):
+        rng = np.random.default_rng([d, round(1000 * f), on_sphere])
+        _, floor = gram_level_and_floor(d, 1, f)
+        result = optimize(ExclusionProblem(_states_in_ball(rng, d, f, on_sphere)),
+                          restarts=3, max_iters=200, seed=0)
+        assert result.best_value >= floor - 1e-9
+        assert result.dual_bound <= result.best_value + 1e-12

@@ -1,4 +1,7 @@
+import ast
 import json
+from decimal import Decimal, localcontext
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -111,6 +114,47 @@ class TestRowsAsStates:
                    for s in states)
         with pytest.raises(ValueError):
             states[2].amplitudes[0] = 1.0
+
+    def test_quotes_the_first_off_norm_after_any_non_finite_entry(self):
+        rows = np.eye(3, dtype=complex)
+        rows[1, 1], rows[2, 2] = 2.0, 3.0
+        with pytest.raises(ValueError, match=r"sum \|a_j\|\^2 = 4\.0$"):
+            qcore._rows_as_states(rows)
+        rows[2, 2] = np.nan  # StateVector's order: finiteness before the norm
+        with pytest.raises(ValueError, match="state has a non-finite amplitude"):
+            qcore._rows_as_states(rows)
+
+    @pytest.mark.parametrize("amps", [[np.nan, 0.0], [np.inf, 0.0], [2.0, 0.0], [1e200, 0.0],
+                                      [0.6, 0.8j * (1 + 3e-12)]])
+    def test_a_state_and_a_one_row_family_fail_alike(self, amps):
+        with pytest.raises(ValueError) as single:
+            StateVector(2, np.array(amps))
+        with pytest.raises(ValueError) as family:
+            qcore._rows_as_states(np.array([amps]))
+        assert str(single.value) == str(family.value)
+
+
+class TestBoundaryFidelity:
+    """qcore._boundary_fidelity, Theorem 1's f*(d) = sqrt((d-1)/d)."""
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 64, 1000, 999_983, 10**6])
+    def test_is_the_correctly_rounded_root_of_the_rounded_ratio(self, d):
+        with localcontext() as ctx:
+            ctx.prec = 40
+            assert qcore._boundary_fidelity(d) == float(Decimal((d - 1) / d).sqrt())
+
+    def test_is_the_one_place_src_takes_the_root(self):
+        # sqrt((x - 1) / x) calls, in code only (docstrings and messages may name it)
+        def is_the_root(node) -> bool:
+            return (isinstance(node, ast.Call) and ast.unparse(node.func).endswith("sqrt")
+                    and len(node.args) == 1 and isinstance(node.args[0], ast.BinOp)
+                    and isinstance(node.args[0].op, ast.Div)
+                    and ast.unparse(node.args[0].left).endswith("- 1"))
+
+        package = Path(qcore.__file__).parent
+        found = {path.stem: sum(map(is_the_root, ast.walk(ast.parse(path.read_text()))))
+                 for path in package.glob("*.py")}
+        assert {name: n for name, n in found.items() if n} == {"qcore": 1}
 
 
 class TestBornRule:
