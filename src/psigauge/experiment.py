@@ -12,13 +12,16 @@ ensembles, the preparation-independence flag.
 The limits come from ``scipy.special.betaincinv``, imported inside
 ``_clopper_pearson_upper`` so that the CLI starts without scipy; importing
 ``scipy.stats`` for ``beta.ppf``, which runs the same kernel, would be most
-of a command's start-up.
+of a command's start-up. At large trial counts that kernel can return NaN
+or a value below count/trials; there the relative-entropy (Chernoff) limit,
+which is valid at every count, takes its place.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
@@ -77,13 +80,38 @@ def noisy_outcome_distribution(
 
 
 def _clopper_pearson_upper(successes: int, trials: int, significance: float) -> float:
-    """Exact one-sided upper confidence limit for a binomial proportion."""
+    """Exact one-sided upper confidence limit for a binomial proportion, or
+    the wider Chernoff limit where scipy's kernel fails."""
     from scipy.special import betaincinv
 
     if successes >= trials:
         return 1.0
     # the inverse regularized incomplete beta function is the Beta(k+1, n-k) quantile
-    return float(betaincinv(successes + 1, trials - successes, 1.0 - significance))
+    upper = float(betaincinv(successes + 1, trials - successes, 1.0 - significance))
+    if math.isfinite(upper) and upper > successes / trials:
+        return upper
+    return _chernoff_upper(successes, trials, significance)
+
+
+def _chernoff_upper(successes: int, trials: int, significance: float) -> float:
+    """The u in (k/n, 1] where n·KL(k/n ‖ u) = ln(1/significance), found by
+    bisection and taken from above. P(Bin(n, u) <= k) <= exp(-n·KL(k/n ‖ u))
+    for every u above k/n (Chernoff), so u is an upper confidence limit at
+    every count, though a wider one than Clopper-Pearson's."""
+    rate = successes / trials
+    target = -math.log(significance) / trials
+    low, high = rate, 1.0
+    while low < (mid := 0.5 * (low + high)) < high:
+        gap = mid - rate
+        # KL(r ‖ r + gap), each logarithm in its log1p form
+        kl = -(1.0 - rate) * math.log1p(-gap / (1.0 - rate))
+        if rate:
+            kl -= rate * math.log1p(gap / rate)
+        if kl < target:
+            low = mid
+        else:
+            high = mid
+    return high
 
 
 def run_protocol(

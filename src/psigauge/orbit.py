@@ -13,12 +13,18 @@ the candidate count. Existing points skip the dedup and so survive it by
 construction; POINT_CAP thinning may still drop any point. Coverage bounds
 each grid point's nearest-neighbour query just above the tolerance's chord.
 
+A trajectory measures each step's new points against the grid points still
+uncovered: a step returns the old points as its first rows, so a covered
+grid point stays covered. KD-tree queries run on the CPUs in the process's
+affinity mask. Neither changes a byte of any row.
+
 ``cKDTree`` is imported inside the functions that build one, so that
 importing this module (and with it the CLI) loads no scipy module.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import islice
 
@@ -75,9 +81,36 @@ class CoverageTrajectory:
     trajectory: tuple  # ((generation, cloud_size, coverage), ...)
 
 
+@dataclass
+class _Uncovered:
+    """A trajectory's ledger: the grid key (size, tolerance), the int32
+    indices of the grid points still uncovered (None: all of them) and the
+    cloud points they were measured against."""
+
+    key: tuple | None = None
+    indices: np.ndarray | None = None
+    points: np.ndarray | None = None
+
+    def measured(self, cloud: OrbitCloud, key: tuple) -> int:
+        """How many leading points of ``cloud`` the ledger has measured: all
+        it last measured when the key matches and the cloud opens with them
+        bit for bit, else 0, which starts it over."""
+        n = 0 if self.points is None else self.points.shape[0]
+        # a shorter cloud's slice has fewer rows, which array_equal tells apart
+        return n if key == self.key and np.array_equal(cloud.points[:n], self.points) else 0
+
+
 def _chord(angular_tol: float) -> float:
     # Euclidean distance corresponding to an angular separation
     return 2.0 * np.sin(angular_tol / 2.0)
+
+
+def _workers() -> int:
+    # the CPUs of the affinity mask: scipy's workers=-1 reads os.cpu_count(),
+    # which ignores the mask and may be None
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _greedy_keep(reps: np.ndarray, chord: float) -> np.ndarray:
@@ -138,9 +171,10 @@ def _dedup(points: np.ndarray, tol: float, settled: np.ndarray | None = None) ->
     del first, points
     if settled is not None:
         tree = cKDTree(settled)
-        dist = tree.query(reps, distance_upper_bound=chord * (1 + 2e-9))[0]
+        workers = _workers()
+        dist = tree.query(reps, distance_upper_bound=chord * (1 + 2e-9), workers=workers)[0]
         edge = np.flatnonzero(np.abs(dist - chord) <= 1e-9 * chord)
-        hits = tree.query_ball_point(reps[edge], chord, return_length=True)
+        hits = tree.query_ball_point(reps[edge], chord, return_length=True, workers=workers)
         dist[edge] = np.where(hits > 0, 0.0, np.inf)
         reps = reps[dist > chord]
     return reps[_greedy_keep(reps, chord)]
@@ -212,24 +246,39 @@ def orbit_step(cloud: OrbitCloud, rotations_per_pair: int = 24, seed: int = 0) -
     return OrbitCloud(_frozen(grown), cloud.generation + 1, cloud.dedup_tolerance)
 
 
-def coverage(cloud: OrbitCloud, grid_size: int, angular_tol: float) -> float:
+def coverage(cloud: OrbitCloud, grid_size: int, angular_tol: float, *,
+             uncovered: _Uncovered | None = None) -> float:
     """Fraction of a reference Fibonacci grid within angular_tol of the cloud.
 
     Each grid point's nearest-neighbour search stops beyond the chord. The
-    bound sits just above it because cKDTree's bound is strict. ValueError
-    unless grid_size is an integer >= 100.
+    bound sits just above it because cKDTree's bound is strict. With a
+    ledger ``uncovered`` whose points the cloud opens with, only the grid
+    points still uncovered are queried, against the cloud's later points
+    alone; the ledger then holds this cloud. ValueError unless grid_size is
+    an integer >= 100.
     """
     from scipy.spatial import cKDTree
 
     grid_size = _integer("grid size", grid_size, 100)
     if not 0.0 < angular_tol <= np.pi:
         raise ValueError(f"angular tolerance must lie in (0, pi], got {angular_tol}")
-    if cloud.size == 0:
-        return 0.0
-    chord = _chord(angular_tol)
-    tree = cKDTree(cloud.points)
-    dist, _ = tree.query(fibonacci_sphere(grid_size), k=1, distance_upper_bound=chord * (1 + 1e-9))
-    return float(np.mean(dist <= chord))
+    key = (grid_size, angular_tol)
+    done = 0 if uncovered is None else uncovered.measured(cloud, key)
+    left = uncovered.indices if done else None
+    fresh = cloud.points[done:]
+    if fresh.shape[0] and (left is None or left.size):
+        chord = _chord(angular_tol)
+        grid = fibonacci_sphere(grid_size)
+        if left is not None:  # rebinding frees the whole grid before the tree is built
+            grid = grid[left]
+        dist, _ = cKDTree(fresh).query(grid, k=1, distance_upper_bound=chord * (1 + 1e-9),
+                                       workers=_workers())
+        missed = np.flatnonzero(dist > chord)
+        index = np.int32 if grid_size <= 2**31 else np.int64
+        left = missed.astype(index) if left is None else left[missed]
+    if uncovered is not None:
+        uncovered.key, uncovered.indices, uncovered.points = key, left, cloud.points
+    return 0.0 if left is None else (grid_size - left.size) / grid_size  # None: an empty cloud
 
 
 def coverage_trajectory(
@@ -246,9 +295,14 @@ def coverage_trajectory(
     seed + k, **step_options)`` and runs only when its row is asked for.
     ``step`` and ``measure`` default to ``orbit_step`` and ``coverage``; a
     caller may pass its own bindings of them, e.g. ones wrapped for tracing.
+    ``measure`` is called once per row as ``measure(cloud, grid_size,
+    angular_tol, uncovered=ledger)``, with one ``_Uncovered`` ledger kept
+    across the rows, and returns the row's coverage.
     """
+    ledger = _Uncovered()
     while True:
-        yield cloud.generation, cloud.size, measure(cloud, grid_size, angular_tol)
+        yield cloud.generation, cloud.size, measure(cloud, grid_size, angular_tol,
+                                                    uncovered=ledger)
         cloud = step(cloud, seed=seed + cloud.generation + 1, **step_options)
 
 

@@ -319,12 +319,23 @@ class TestFamilies:
          "3d719386088e8e46d647c333c79fc42d90b0d65191036f90973e0b04552e78ae"),
         (["thm2", "--dim", "3", "--copies", "2", "--noise-p", "0.01", "--seed", "0"],
          "21883e8afcbf99648d9a144f5dbf8b76fbe6ee107a4aa1030157e8363929ba87"),
-    ])
+    ], ids=["thm1-d8", "thm2-d3-n2"])
     def test_protocol_stdout_pinned_at_seed_zero(self, capsys, argv, digest):
         # the protocol's output, exactly as recorded: a refactor must keep every byte
         rc, out, err = run(capsys, argv)
         assert rc == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv", [
+        ["--noise-p", "0.3", "--shots", "9223372036854775807"],
+        ["--noise-q", "1", "--shots", "9223372036854775807"],
+        ["--noise-q", "1", "--shots", "1000000000000", "--confidence", "1e-9"],
+    ], ids=["nan-limit", "limit-below-count", "tiny-confidence"])
+    def test_bound_is_finite_and_above_the_estimate_at_large_shot_counts(self, capsys, argv):
+        # betaincinv returned NaN here (exit 2), or a limit below its own count/shots
+        res = run_json(capsys, ["thm1", "--dim", "2", *argv, "--seed", "0"])["results"]
+        assert math.isfinite(res["epsilon_upper_bound"])
+        assert res["epsilon_upper_bound"] >= res["epsilon_exp_hat"]
 
 
 class TestModelChecks:
@@ -350,7 +361,7 @@ class TestModelChecks:
          "d082e308cf8a8a91fb7ebb3885af99c9748d06383802e2614ea36948d52ad4e8"),
         ("0.35", dict(common_support_size=0, empirical_epsilon=0.0, verdict="no-witness-found"),
          "3d1318edcc57420781f37107d07eada9a3438118108dcfbb6fce24ae4a805ccd"),
-    ])
+    ], ids=["delta-0.25", "delta-0.35"])
     def test_continuity_stdout_pinned_at_seed_zero(self, capsys, delta, row, digest):
         # the probe's output, exactly as first recorded: a speed-up must keep every byte
         rc, out, err = run(capsys, ["model", "--builtin", "ks", "--grid", "100000", "--check",
@@ -424,6 +435,18 @@ class TestOrbitCommand:
         assert lines[0].startswith("# psigauge ")
         assert lines[1] == "step,cloud_size,coverage"
         assert len(lines) == 4
+
+    @pytest.mark.parametrize("argv, digest", [
+        (["orbit", "--theta", "0.5", "--steps", "3", "--grid", "100000", "--seed", "0"],
+         "8a260d7722f2f8fcce365cab43b9a33131901646bdf7877bf22a4285c7e8dabb"),
+        (["orbit", "--theta", "0.19634954", "--steps", "4", "--format", "csv", "--seed", "0"],
+         "0289b0bd2f005690bff39602c20ffc4a393522a2a2cae7cefaf56fb97f7c3cde"),
+    ], ids=["json-theta-0.5-grid-100k", "csv-theta-pi/16"])
+    def test_stdout_pinned_at_seed_zero(self, capsys, argv, digest):
+        # the trajectory's output, exactly as recorded before coverage kept a ledger
+        rc, out, err = run(capsys, argv)
+        assert rc == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def _merge_last_two(effects: list) -> list:

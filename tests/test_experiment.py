@@ -10,6 +10,7 @@ from psigauge.ensembles import theorem1_ensemble, theorem2_ensemble, theorem2_sp
 from psigauge.ensembles import ensemble_from_json, ensemble_to_json
 from psigauge.experiment import (
     NoiseSpec,
+    _chernoff_upper,
     _clopper_pearson_upper,
     _noisy_rows,
     noisy_outcome_distribution,
@@ -119,6 +120,44 @@ class TestClopperPearson:
             expected = beta.ppf(1.0 - significance, k + 1, trials - k)
             got = np.array([_clopper_pearson_upper(j, trials, significance) for j in range(trials)])
             assert np.array_equal(got, expected), d
+
+    def test_betaincinv_failures_fall_back_to_the_chernoff_limit(self):
+        from scipy.special import betaincinv
+
+        significance = 0.05 / 3.0
+        for trials, successes in [(10**17, 10**16), (10**18, 10**17), (10**18, 10**16)]:
+            # the kernel's NaN, exactly where the limit went missing
+            assert np.isnan(betaincinv(successes + 1, trials - successes, 1.0 - significance))
+            upper = _clopper_pearson_upper(successes, trials, significance)
+            assert upper == _chernoff_upper(successes, trials, significance)
+            assert successes / trials < upper < 1.0
+
+    @pytest.mark.parametrize("trials", [100, 10_000, 2**63 - 1])
+    def test_chernoff_zero_count_closed_form(self, trials):
+        # n·KL(0 ‖ u) = -n·ln(1 - u), so u = 1 - a**(1/n)
+        a = 0.05 / 3.0
+        expected = -np.expm1(np.log(a) / trials)
+        assert abs(_chernoff_upper(0, trials, a) - expected) <= 1e-12 * expected
+
+    @pytest.mark.parametrize("trials", [20, 1000, 100_000])
+    def test_chernoff_limit_is_covered_and_wider_than_clopper_pearson(self, trials):
+        from scipy.special import rel_entr
+        from scipy.stats import binom
+
+        for significance in (0.5, 0.05 / 3.0, 1e-6):
+            for k in sorted({0, 1, trials // 3, trials - 1}):
+                upper = _chernoff_upper(k, trials, significance)
+                r, level = k / trials, -np.log(significance)
+
+                def divergence(u):
+                    return trials * (rel_entr(r, u) + rel_entr(1.0 - r, 1.0 - u))
+
+                # the least float whose divergence reaches the level
+                assert divergence(upper) >= level * (1 - 1e-9)
+                assert divergence(np.nextafter(upper, 0.0)) <= level * (1 + 1e-9)
+                # equal at k = 0, where the Chernoff bound is the exact tail (1 - u)^n
+                assert binom.cdf(k, trials, upper) <= significance * (1 + 1e-9)
+                assert upper >= _clopper_pearson_upper(k, trials, significance)
 
 
 class TestRunProtocol:

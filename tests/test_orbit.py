@@ -1,4 +1,6 @@
+import os
 import sys
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -535,3 +537,154 @@ class TestTrajectory:
         rows = coverage_trajectory(initial_cloud(1.0), 500, 0.05, seed=7, step=step)
         assert [next(rows)[0] for _ in range(3)] == [0, 1, 2]
         assert calls == [8, 9]
+
+
+def _ledger_rows(cloud, grid_size, tol, steps, seed=0, step=orbit_step):
+    """(points the ledger reused, trajectory coverage, one-shot coverage) for
+    each row of a trajectory."""
+    rows = []
+
+    def measure(cloud, grid_size, angular_tol, *, uncovered):
+        reused = uncovered.measured(cloud, (grid_size, angular_tol))
+        value = coverage(cloud, grid_size, angular_tol, uncovered=uncovered)
+        rows.append((reused, value, coverage(cloud, grid_size, angular_tol)))
+        return value
+
+    trajectory = coverage_trajectory(cloud, grid_size, tol, seed, step=step, measure=measure)
+    assert len(list(islice(trajectory, steps + 1))) == steps + 1
+    return rows
+
+
+class TestLedger:
+    @pytest.mark.parametrize("theta, grid_size, tol, seed, steps", [
+        (0.5, 100_000, 0.05, 0, 3),
+        (np.pi / 8, 4000, 0.05, 0, 3),
+        (1.0, 2000, 0.05, 3, 4),
+        (0.3, 500, 0.03, 9, 4),
+        (np.pi / 2, 1000, np.pi, 1, 2),
+    ])
+    def test_rows_equal_one_shot_coverage(self, theta, grid_size, tol, seed, steps):
+        rows = _ledger_rows(initial_cloud(theta), grid_size, tol, steps, seed)
+        assert [value for _, value, _ in rows] == [one_shot for _, _, one_shot in rows]
+        # every step keeps its input as its first rows, so each later row reuses them
+        assert rows[0][0] == 0 and all(reused > 0 for reused, _, _ in rows[1:])
+
+    def test_point_cap_thinning_starts_the_ledger_over(self, monkeypatch):
+        monkeypatch.setattr(orbit_module, "POINT_CAP", 40)
+        rows = _ledger_rows(initial_cloud(1.0), 500, 0.2, 4)
+        assert [value for _, value, _ in rows] == [one_shot for _, _, one_shot in rows]
+        assert any(reused == 0 for reused, _, _ in rows[1:])
+
+    def test_permuting_step_starts_the_ledger_over(self):
+        def reversed_step(cloud, **options):
+            grown = orbit_step(cloud, **options)
+            return OrbitCloud(grown.points[::-1], grown.generation, grown.dedup_tolerance)
+
+        rows = _ledger_rows(initial_cloud(0.5), 4000, 0.05, 3, step=reversed_step)
+        assert [value for _, value, _ in rows] == [one_shot for _, _, one_shot in rows]
+        assert all(reused == 0 for reused, _, _ in rows)
+
+    def test_new_key_or_shorter_cloud_starts_the_ledger_over(self, third_step_cloud):
+        ledger = orbit_module._Uncovered()
+        coverage(third_step_cloud, 4000, 0.05, uncovered=ledger)
+        shorter = OrbitCloud(third_step_cloud.points[:50], 2, 0.02)
+        for cloud, grid_size, tol in [(third_step_cloud, 4000, 0.02),
+                                      (third_step_cloud, 5000, 0.02),
+                                      (shorter, 5000, 0.02)]:
+            assert ledger.measured(cloud, (grid_size, tol)) == 0
+            got = coverage(cloud, grid_size, tol, uncovered=ledger)
+            assert got == coverage(cloud, grid_size, tol)
+
+    def test_holds_indices_and_the_measured_points_only(self):
+        """Between rows the ledger holds int32 indices of the uncovered grid
+        points and the measured cloud's own points, never grid coordinates:
+        a coverage call retains at most the new index array."""
+        import tracemalloc
+
+        ledgers = []
+
+        def measure(cloud, grid_size, angular_tol, *, uncovered):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                value = coverage(cloud, grid_size, angular_tol, uncovered=uncovered)
+                retained = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            ledgers.append((cloud, value, retained, dict(vars(uncovered))))
+            return value
+
+        trajectory = coverage_trajectory(initial_cloud(0.5), 100_000, 0.05, measure=measure)
+        assert len(list(islice(trajectory, 4))) == 4
+        for cloud, value, retained, held in ledgers:
+            assert set(held) == {"key", "indices", "points"}
+            assert held["key"] == (100_000, 0.05)
+            assert held["points"] is cloud.points
+            assert held["indices"].dtype == np.int32
+            assert value == (100_000 - held["indices"].size) / 100_000
+            assert retained <= held["indices"].nbytes + 4096
+
+    def test_whole_grid_is_freed_before_the_query(self, monkeypatch):
+        """The third row from theta 0.5 at a 100k grid queries the 97,018
+        grid points still uncovered. Holding the whole grid (2.3 MiB) beside
+        that subset (2.2 MiB) through the query raised orbit's peak RSS by
+        about 3 MB. The worker count is read as the query starts."""
+        import tracemalloc
+
+        first = initial_cloud(0.5)
+        second = orbit_step(first, seed=1)
+        ledger = orbit_module._Uncovered()
+        for cloud in (first, second):
+            coverage(cloud, 100_000, 0.05, uncovered=ledger)
+        assert ledger.indices.size == 97_018
+        third = orbit_step(second, seed=2)
+        live = []
+        workers = orbit_module._workers
+
+        def spy():
+            live.append(tracemalloc.get_traced_memory()[0])
+            return workers()
+
+        monkeypatch.setattr(orbit_module, "_workers", spy)
+        tracemalloc.start()
+        try:
+            coverage(third, 100_000, 0.05, uncovered=ledger)
+        finally:
+            tracemalloc.stop()
+        assert len(live) == 1
+        assert live[0] < 3 * 2**20
+
+
+class TestWorkers:
+    def test_worker_count_is_the_affinity_mask(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert orbit_module._workers() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert orbit_module._workers() == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert orbit_module._workers() == 3
+
+    def test_coverage_and_dedup_keep_every_byte_across_worker_counts(self, monkeypatch,
+                                                                      third_step_cloud):
+        inputs = []
+
+        def record(points, tol, **options):
+            inputs.append((points.copy(), tol, options))
+            return _dedup(points, tol, **options)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(orbit_module, "_dedup", record)
+            orbit_step(third_step_cloud, seed=3)
+        points, tol, options = inputs[0]
+        results = []
+        for workers in (1, 2):
+            monkeypatch.setattr(orbit_module, "_workers", lambda: workers)
+            ledger = orbit_module._Uncovered()
+            rows = [coverage(cloud, 100_000, 0.05, uncovered=ledger)
+                    for cloud in (third_step_cloud, orbit_step(third_step_cloud, seed=3))]
+            results.append((rows, ledger.indices, _dedup(points, tol, **options)))
+        (rows_1, left_1, kept_1), (rows_2, left_2, kept_2) = results
+        assert rows_1 == rows_2
+        assert np.array_equal(left_1, left_2)
+        assert np.array_equal(kept_1, kept_2)
