@@ -9,26 +9,30 @@ there than Hoeffding-style bounds. The choice of statistical procedure is
 recorded in every report via the confidence field and, for multi-copy
 ensembles, the preparation-independence flag.
 
-The limits come from ``scipy.special.betaincinv``, imported inside
-``_clopper_pearson_upper`` so that the CLI starts without scipy; importing
-``scipy.stats`` for ``beta.ppf``, which runs the same kernel, would be most
-of a command's start-up. At large trial counts that kernel can return NaN
-or a value below count/trials; there the relative-entropy (Chernoff) limit,
-which is valid at every count, takes its place.
+Each limit is the exact Clopper-Pearson limit at every count:
+``scipy.special.betaincinv`` where one evaluation of the binomial tail
+(``betaincc``) confirms it, bisection on the tail elsewhere. Both are
+imported inside ``_clopper_pearson_upper`` so that the CLI starts without
+scipy; importing ``scipy.stats`` for ``beta.ppf``, which runs the same
+kernel, would be most of a command's start-up.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .ensembles import KIND_THEOREM2, NoGoEnsemble
 from .qcore import Povm, StateVector, _frozen, _integer, effect_traces, outcome_table
+
+#: betaincinv's value is kept when its tail is this close to the significance,
+#: relatively, so a kept limit holds at level 1 - significance·(1 + TAIL_TOL)
+TAIL_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -67,7 +71,6 @@ def _noisy_rows(table: np.ndarray, povm: Povm, noise: NoiseSpec) -> np.ndarray:
     mixed = effect_traces(povm) / povm.dim
     probs = (1.0 - p) * table + p * mixed
     probs = (1.0 - q) * probs + q / povm.outcome_count
-    probs = np.clip(probs, 0.0, None)
     return probs / probs.sum(axis=1, keepdims=True)
 
 
@@ -80,34 +83,24 @@ def noisy_outcome_distribution(
 
 
 def _clopper_pearson_upper(successes: int, trials: int, significance: float) -> float:
-    """Exact one-sided upper confidence limit for a binomial proportion, or
-    the wider Chernoff limit where scipy's kernel fails."""
-    from scipy.special import betaincinv
+    """Exact one-sided upper confidence limit for a binomial proportion: the
+    u in (k/n, 1] where the tail P(Bin(n, u) <= k) falls to significance.
+    It is betaincinv's value where one evaluation of the tail confirms it,
+    and otherwise the least such float, found by bisection on the tail."""
+    from scipy.special import betaincc, betaincinv
 
     if successes >= trials:
         return 1.0
     # the inverse regularized incomplete beta function is the Beta(k+1, n-k) quantile
     upper = float(betaincinv(successes + 1, trials - successes, 1.0 - significance))
-    if math.isfinite(upper) and upper > successes / trials:
-        return upper
-    return _chernoff_upper(successes, trials, significance)
-
-
-def _chernoff_upper(successes: int, trials: int, significance: float) -> float:
-    """The u in (k/n, 1] where n·KL(k/n ‖ u) = ln(1/significance), found by
-    bisection and taken from above. P(Bin(n, u) <= k) <= exp(-n·KL(k/n ‖ u))
-    for every u above k/n (Chernoff), so u is an upper confidence limit at
-    every count, though a wider one than Clopper-Pearson's."""
+    # P(Bin(n, u) <= k) taken in u, not in 1 - u, which rounds to 1 below 1.1e-16
+    tail = partial(betaincc, successes + 1, trials - successes)
     rate = successes / trials
-    target = -math.log(significance) / trials
+    if rate < upper and abs(tail(upper) - significance) <= TAIL_TOL * significance:
+        return upper
     low, high = rate, 1.0
     while low < (mid := 0.5 * (low + high)) < high:
-        gap = mid - rate
-        # KL(r ‖ r + gap), each logarithm in its log1p form
-        kl = -(1.0 - rate) * math.log1p(-gap / (1.0 - rate))
-        if rate:
-            kl -= rate * math.log1p(gap / rate)
-        if kl < target:
+        if tail(mid) > significance:
             low = mid
         else:
             high = mid

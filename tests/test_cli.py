@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import warnings
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -336,6 +337,28 @@ class TestFamilies:
         res = run_json(capsys, ["thm1", "--dim", "2", *argv, "--seed", "0"])["results"]
         assert math.isfinite(res["epsilon_upper_bound"])
         assert res["epsilon_upper_bound"] >= res["epsilon_exp_hat"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--dim", "2", "--noise-p", "0.3", "--shots", "10000000000000000", "--seed", "0"],
+        ["--dim", "3", "--noise-p", "0.1", "--shots", "100000000000000000", "--seed", "1"],
+    ], ids=["d2-1e16", "d3-1e17"])
+    def test_margin_is_the_normal_approximation_at_large_shot_counts(self, capsys, argv):
+        # at these counts every term's exact margin is z·sqrt(p(1 - p)/n) within
+        # 1e-5 relative, and betaincinv's own value can miss its tail
+        res = run_json(capsys, ["thm1", *argv])["results"]
+        shots, counts = res["shots_per_preparation"], res["counts"]
+        z = NormalDist().inv_cdf(1.0 - (1.0 - res["confidence"]) / len(counts))
+        rates = [row[k] / shots for k, row in enumerate(counts)]
+        normal = sum(z * math.sqrt(p * (1.0 - p) / shots) for p in rates)
+        margin = res["epsilon_upper_bound"] - res["epsilon_exp_hat"]
+        assert abs(margin - normal) <= 1e-4 * normal
+
+    def test_tiny_confidence_margin_is_of_order_one_over_shots(self, capsys):
+        # significance near 1/2 puts the exact limit next to count/shots, about
+        # 1e-12 above it here
+        argv = ["--dim", "2", "--noise-q", "1", "--shots", "1000000000000", "--confidence", "1e-9"]
+        res = run_json(capsys, ["thm1", *argv, "--seed", "0"])["results"]
+        assert 0.0 <= res["epsilon_upper_bound"] - res["epsilon_exp_hat"] <= 1e-11
 
 
 class TestModelChecks:

@@ -1,16 +1,19 @@
 import dataclasses
 import itertools
 import json
+import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psigauge import experiment
 from psigauge.ensembles import theorem1_ensemble, theorem2_ensemble, theorem2_span_ensemble
 from psigauge.ensembles import ensemble_from_json, ensemble_to_json
 from psigauge.experiment import (
     NoiseSpec,
-    _chernoff_upper,
     _clopper_pearson_upper,
     _noisy_rows,
     noisy_outcome_distribution,
@@ -20,16 +23,25 @@ from psigauge.experiment import (
     sweep_to_csv,
 )
 from psigauge.qcore import (
+    Operator,
     Povm,
     StateVector,
     effect_traces,
     outcome_table,
 )
 
-from conftest import born, dense_measurement
+from conftest import born, dense_measurement, haar_state, random_effects
 
 
 QUIET = NoiseSpec(0.0, 0.0)
+#: the largest --shots, and 1000 times it, the pooled limit's N = d·n at d = 1000
+TOP_COUNTS = [2**63 - 1, 1000 * (2**63 - 1)]
+
+
+def _normal_margin(rate: float, trials: int, significance: float) -> float:
+    """z·sqrt(p(1 - p)/n), the normal approximation to a Clopper-Pearson
+    margin, from the standard library alone."""
+    return NormalDist().inv_cdf(1.0 - significance) * math.sqrt(rate * (1.0 - rate) / trials)
 
 
 class TestNoiseSpec:
@@ -94,6 +106,27 @@ class TestNoisyOutcomeDistribution:
             probs = np.clip((1.0 - q) * probs + q / povm.outcome_count, 0.0, None)
             assert np.array_equal(rows[k], probs / probs.sum())
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 8),
+           st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_noisy_rows_need_no_clamp(self, seed, dim, m, p, q):
+        # every term _noisy_rows mixes is >= 0: the Born table lies in [0, 1], and a
+        # trace is a sum of squared norms plus, for a completion with m < D, the
+        # complement's share (D - sum_r |u_r|^2)/m, where sum_r |u_r|^2 <= m(1 + OP_TOL)
+        rng = np.random.default_rng(seed)
+        shape = (max(dim, m),) * 2
+        unitary = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
+        povms = [Povm(dim, [Operator(dim, e) for e in effects])
+                 for effects in random_effects(rng, dim).values()]
+        # rows of a unitary when m >= D, orthonormal columns when m < D
+        povms.append(Povm.completion(unitary[:dim, :m]))
+        states = [haar_state(rng, dim) for _ in range(3)]
+        for povm in povms:
+            assert np.all(effect_traces(povm) >= 0.0)
+            rows = _noisy_rows(outcome_table(states, povm), povm, NoiseSpec(p, q))
+            assert np.all(rows >= 0.0)
+            assert np.allclose(rows.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+
 
 class TestClopperPearson:
     def test_zero_count_closed_form(self):
@@ -121,7 +154,7 @@ class TestClopperPearson:
             got = np.array([_clopper_pearson_upper(j, trials, significance) for j in range(trials)])
             assert np.array_equal(got, expected), d
 
-    def test_betaincinv_failures_fall_back_to_the_chernoff_limit(self):
+    def test_betaincinv_failures_get_the_exact_limit(self):
         from scipy.special import betaincinv
 
         significance = 0.05 / 3.0
@@ -129,35 +162,51 @@ class TestClopperPearson:
             # the kernel's NaN, exactly where the limit went missing
             assert np.isnan(betaincinv(successes + 1, trials - successes, 1.0 - significance))
             upper = _clopper_pearson_upper(successes, trials, significance)
-            assert upper == _chernoff_upper(successes, trials, significance)
-            assert successes / trials < upper < 1.0
+            rate = successes / trials
+            margin = _normal_margin(rate, trials, significance)
+            assert abs((upper - rate) - margin) <= 1e-4 * margin
 
-    @pytest.mark.parametrize("trials", [100, 10_000, 2**63 - 1])
-    def test_chernoff_zero_count_closed_form(self, trials):
-        # n·KL(0 ‖ u) = -n·ln(1 - u), so u = 1 - a**(1/n)
-        a = 0.05 / 3.0
-        expected = -np.expm1(np.log(a) / trials)
-        assert abs(_chernoff_upper(0, trials, a) - expected) <= 1e-12 * expected
+    @pytest.mark.parametrize("significance", [0.05 / 3.0, 0.025, 1e-6])
+    @pytest.mark.parametrize("trials", [100, 10_000, 10**12, 10**17, *TOP_COUNTS])
+    def test_zero_count_closed_form_at_every_count(self, trials, significance):
+        # P(Bin(n, u) <= 0) = (1 - u)^n, so u = 1 - a**(1/n), here in its expm1 form
+        expected = -math.expm1(math.log(significance) / trials)
+        upper = _clopper_pearson_upper(0, trials, significance)
+        assert abs(upper - expected) <= 1e-11 * expected
+
+    @pytest.mark.parametrize("trials", [10**15, 10**16, 10**17, 10**18, *TOP_COUNTS])
+    def test_normal_approximation_at_large_counts(self, trials):
+        # n·p(1 - p) >= 1e11 on this grid, where the exact margin is the normal
+        # one within 1e-5, and betaincinv's own value can miss its tail
+        from scipy.special import betaincc
+
+        grid = itertools.product((1e-4, 0.01, 0.15, 0.3), (0.05 / 3.0, 0.025, 1e-6))
+        for rate, significance in grid:
+            successes = round(rate * trials)
+            rate = successes / trials
+            upper = _clopper_pearson_upper(successes, trials, significance)
+            margin = _normal_margin(rate, trials, significance)
+            assert abs((upper - rate) - margin) <= 1e-4 * margin, (rate, significance)
+            tail = betaincc(successes + 1, trials - successes, upper)
+            assert tail <= significance * (1.0 + experiment.TAIL_TOL)
 
     @pytest.mark.parametrize("trials", [20, 1000, 100_000])
-    def test_chernoff_limit_is_covered_and_wider_than_clopper_pearson(self, trials):
-        from scipy.special import rel_entr
+    def test_bisection_finds_the_least_float_under_the_level(self, trials, monkeypatch):
+        # with a negative tolerance no betaincinv value is kept, so every limit
+        # is bisected; it must still be the beta quantile
+        from scipy.special import betaincc, betaincinv
         from scipy.stats import binom
 
+        monkeypatch.setattr(experiment, "TAIL_TOL", -1.0)
         for significance in (0.5, 0.05 / 3.0, 1e-6):
             for k in sorted({0, 1, trials // 3, trials - 1}):
-                upper = _chernoff_upper(k, trials, significance)
-                r, level = k / trials, -np.log(significance)
-
-                def divergence(u):
-                    return trials * (rel_entr(r, u) + rel_entr(1.0 - r, 1.0 - u))
-
-                # the least float whose divergence reaches the level
-                assert divergence(upper) >= level * (1 - 1e-9)
-                assert divergence(np.nextafter(upper, 0.0)) <= level * (1 + 1e-9)
-                # equal at k = 0, where the Chernoff bound is the exact tail (1 - u)^n
+                upper = _clopper_pearson_upper(k, trials, significance)
+                quantile = betaincinv(k + 1, trials - k, 1.0 - significance)
+                assert abs(upper - quantile) <= 1e-10 * quantile
+                assert betaincc(k + 1, trials - k, upper) <= significance
+                assert betaincc(k + 1, trials - k, np.nextafter(upper, 0.0)) > significance
+                # an independent tail: the binomial cdf, summed by scipy.stats
                 assert binom.cdf(k, trials, upper) <= significance * (1 + 1e-9)
-                assert upper >= _clopper_pearson_upper(k, trials, significance)
 
 
 class TestRunProtocol:
